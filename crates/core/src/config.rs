@@ -20,24 +20,6 @@ pub enum Backend {
     },
 }
 
-/// Which transitive-closure strategy serves lineage queries.
-///
-/// The E3 ablation in one knob. `Bfs` needs no maintenance;
-/// `Memo`/`Interval` build a structure lazily and rebuild it after
-/// ingests (amortized across queries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosureStrategy {
-    /// On-demand breadth-first traversal (the default).
-    #[default]
-    Bfs,
-    /// Relational-style iterative join (baseline; deliberately slow).
-    NaiveJoin,
-    /// Materialized reachability bitsets.
-    Memo,
-    /// Tree-cover interval labels.
-    Interval,
-}
-
 /// Background maintenance for disk-backed stores: a worker thread per
 /// storage shard that runs tiered compaction (and pin-aware version GC)
 /// between commits, so sustained ingest does not degrade point reads.
@@ -69,8 +51,6 @@ pub struct PassConfig {
     pub site: SiteId,
     /// Storage backend.
     pub backend: Backend,
-    /// Lineage strategy.
-    pub closure: ClosureStrategy,
     /// Number of commit shards (keyspace partitions, each with its own
     /// commit lock — and, on disk, its own WAL and memtable). `1` (the
     /// default) is exactly the pre-sharding store: same single-WAL
@@ -87,7 +67,6 @@ impl Default for PassConfig {
         PassConfig {
             site: SiteId::default(),
             backend: Backend::default(),
-            closure: ClosureStrategy::default(),
             shards: 1,
             maintenance: MaintenanceConfig::default(),
         }
@@ -107,12 +86,6 @@ impl PassConfig {
             backend: Backend::Disk { dir: dir.into(), options: EngineOptions::default() },
             ..PassConfig::default()
         }
-    }
-
-    /// Overrides the closure strategy.
-    pub fn with_closure(mut self, closure: ClosureStrategy) -> Self {
-        self.closure = closure;
-        self
     }
 
     /// Overrides the commit shard count (`0` is treated as `1`).

@@ -57,13 +57,13 @@
 //! atomic through a roll-forward intent log. What stays global is
 //! *visibility*: every commit publishes one new state under the global
 //! version counter inside a short, serialized publish+broadcast
-//! section, so snapshot isolation, the version-keyed closure cache, and
-//! the subscription handoff are exactly as strong as in the single-lock
-//! store. `shards = 1` (the default) *is* the single-lock store, same
-//! on-disk layout byte for byte.
+//! section, so snapshot isolation and the subscription handoff are
+//! exactly as strong as in the single-lock store. `shards = 1` (the
+//! default) *is* the single-lock store, same on-disk layout byte for
+//! byte.
 
 use crate::archive::{AgeReport, ArchiveExport, ImportStats};
-use crate::config::{Backend, ClosureStrategy, PassConfig};
+use crate::config::{Backend, PassConfig};
 use crate::error::{PassError, Result};
 use crate::keyspace;
 use crate::pins::{PinGuard, PinRegistry};
@@ -71,8 +71,8 @@ use crate::shard::{self, Sharding};
 use crate::subscribe::{Hub, Subscription, WatchState, DEFAULT_SUBSCRIPTION_CAPACITY};
 use parking_lot::{Mutex, RwLock};
 use pass_index::{
-    AncestryGraph, AttrIndex, BfsClosure, IntervalClosure, KeywordIndex, MemoClosure,
-    NaiveJoinClosure, NodeIdx, PostingList, ReachStrategy, TimeIndex, TraverseOpts,
+    AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
+    TimeIndex, TraverseOpts,
 };
 use pass_model::codec::{Decode, Encode};
 use pass_model::{
@@ -115,8 +115,7 @@ struct State {
     data_present: HashSet<TupleSetId>,
     created_scans: CreatedScanCache,
     /// Commit sequence number, assigned under the state write lock so a
-    /// snapshot's state and version can never disagree (the shared
-    /// closure cache is keyed on it).
+    /// snapshot's state and version can never disagree.
     version: u64,
 }
 
@@ -137,6 +136,64 @@ impl State {
             pass_query::created_order_scan(keyed, desc)
         })
         .clone()
+    }
+
+    // -- Reads: the one read path behind `Pass`, `Snapshot`, and the
+    // query `Provider` ------------------------------------------------
+
+    fn record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
+        self.records.get(&id).cloned()
+    }
+
+    fn fetch_record(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
+        self.record(self.graph.resolve(idx)?)
+    }
+
+    fn record_nodes(&self) -> PostingList {
+        PostingList::from_iter(self.records.keys().filter_map(|id| self.graph.lookup(*id)))
+    }
+
+    /// The lineage closure of `clause.root` by on-demand breadth-first
+    /// traversal, or `None` when the root is unknown.
+    fn closure_posting(&self, clause: &LineageClause) -> Option<PostingList> {
+        let root = self.graph.lookup(clause.root)?;
+        let opts = clause.traverse_opts();
+        let reach = BfsClosure.reachable(&self.graph, root, clause.direction, &opts);
+        Some(PostingList::from_iter(reach))
+    }
+
+    fn lineage_records(
+        &self,
+        id: TupleSetId,
+        direction: pass_index::Direction,
+        opts: TraverseOpts,
+    ) -> Result<Vec<ProvenanceRecord>> {
+        let clause = LineageClause {
+            root: id,
+            direction,
+            max_depth: opts.max_depth,
+            stop_at_abstraction: opts.stop_at_abstraction,
+            include_root: false,
+        };
+        let posting = self.closure_posting(&clause).ok_or(PassError::NotFound(id))?;
+        Ok(posting.iter().filter_map(|idx| self.fetch_record(idx)).collect())
+    }
+
+    fn index_stats(&self, ops: OpCounters) -> PassStats {
+        PassStats {
+            records: self.records.len(),
+            data_blobs: self.data_present.len(),
+            graph_nodes: self.graph.node_count(),
+            graph_edges: self.graph.edge_count(),
+            attr_entries: self.attrs.len(),
+            index_bytes: self.attrs.size_bytes()
+                + self.keywords.size_bytes()
+                + self.graph.size_bytes()
+                + self.time.size_bytes(),
+            ingests: ops.ingests,
+            batches: ops.batches,
+            queries: ops.queries,
+        }
     }
 
     fn empty() -> Self {
@@ -255,16 +312,21 @@ impl IndexDelta {
     }
 }
 
-/// Built closure structure, tagged with the graph version it reflects.
-enum BuiltClosure {
-    None,
-    Memo(MemoClosure),
-    Interval(IntervalClosure),
+/// The readings stored for `id` — the storage half of every read path.
+fn read_data(store: &dyn KvStore, id: TupleSetId) -> Result<Option<Vec<Reading>>> {
+    match store.get(&keyspace::key(keyspace::DATA, id))? {
+        Some(bytes) => Ok(Some(Vec::<Reading>::decode_all(&bytes)?)),
+        None => Ok(None),
+    }
 }
 
-struct ClosureCache {
-    built: BuiltClosure,
-    version: u64,
+/// Joins `record` with its stored readings; `None` when either is gone.
+fn read_tuple_set(
+    store: &dyn KvStore,
+    record: Option<ProvenanceRecord>,
+) -> Result<Option<TupleSet>> {
+    let Some(record) = record else { return Ok(None) };
+    Ok(read_data(store, record.id)?.map(|readings| TupleSet::new_unchecked(record, readings)))
 }
 
 /// Cumulative operation counters.
@@ -275,6 +337,25 @@ struct Metrics {
     queries: AtomicU64,
     annotations: AtomicU64,
     removals: AtomicU64,
+}
+
+impl Metrics {
+    fn ops(&self) -> OpCounters {
+        OpCounters {
+            ingests: self.ingests.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+            queries: self.queries.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Operation counters as [`PassStats`] reports them, captured at one
+/// instant (a [`Snapshot`] keeps the values from when it was taken).
+#[derive(Debug, Clone, Copy)]
+struct OpCounters {
+    ingests: u64,
+    batches: u64,
+    queries: u64,
 }
 
 /// A snapshot of store statistics.
@@ -349,7 +430,6 @@ pub struct Pass {
     /// publish and the broadcast — never across storage I/O — so it
     /// costs a short critical section, not commit-wide serialization.
     publish_order: Mutex<()>,
-    closure: Arc<Mutex<ClosureCache>>,
     /// Global commit version. Shared (`Arc`) because disk engines hold a
     /// clone as their seal clock: every SSTable flush is stamped with
     /// the version it was sealed at, which is what lets background
@@ -448,7 +528,6 @@ impl Pass {
             state: RwLock::new(Arc::new(State::empty())),
             sharding,
             publish_order: Mutex::new(()),
-            closure: Arc::new(Mutex::new(ClosureCache { built: BuiltClosure::None, version: 0 })),
             version,
             pins,
             metrics: Metrics::default(),
@@ -522,10 +601,10 @@ impl Pass {
     /// publishes the mutated state. The write lock is held only for the
     /// mutation itself, never across storage I/O. The new version is
     /// assigned inside the lock, atomically with publication — otherwise
-    /// a racing snapshot could pair the old state with the new version
-    /// and poison the version-keyed closure cache. Returns the mutation
-    /// result and the version the commit was published under (writers
-    /// broadcast subscription changelogs tagged with it).
+    /// a racing snapshot could pair the old state with the new version.
+    /// Returns the mutation result and the version the commit was
+    /// published under (writers broadcast subscription changelogs tagged
+    /// with it).
     fn publish<R>(&self, mutate: impl FnOnce(&mut State) -> R) -> (R, u64) {
         let mut guard = self.state.write();
         let state = Arc::make_mut(&mut guard);
@@ -550,19 +629,7 @@ impl Pass {
     pub fn snapshot(&self) -> Snapshot {
         let state = self.state.read().clone();
         let pin = self.pins.pin(state.version);
-        Snapshot {
-            version: state.version,
-            state,
-            _pin: pin,
-            store: Arc::clone(&self.store),
-            closure: Arc::clone(&self.closure),
-            strategy: self.config.closure,
-            counters: SnapshotCounters {
-                ingests: self.metrics.ingests.load(Ordering::Relaxed),
-                batches: self.metrics.batches.load(Ordering::Relaxed),
-                queries: self.metrics.queries.load(Ordering::Relaxed),
-            },
-        }
+        Snapshot { state, _pin: pin, store: Arc::clone(&self.store), ops: self.metrics.ops() }
     }
 
     // -- Ingest --------------------------------------------------------
@@ -784,16 +851,11 @@ impl Pass {
     /// holds more than one shard lock.
     pub fn annotate(&self, id: TupleSetId, annotation: Annotation) -> Result<()> {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(id));
-        let current = self.state.read().clone();
-        if current.graph.lookup(id).is_none() {
-            return Err(PassError::NotFound(id));
-        }
-        let Some(mut record) = current.records.get(&id).cloned() else {
+        let Some(mut record) = self.get_record(id) else {
             return Err(PassError::NotFound(id));
         };
         record.annotate(annotation.clone());
         let encoded = record.encode_to_vec();
-        drop(current);
         self.store.put(&keyspace::key(keyspace::RECORD, id), &encoded)?;
         self.publish(|state| {
             // Both lookups were validated above and the shard lock pins
@@ -812,27 +874,19 @@ impl Pass {
 
     /// The provenance record for `id`, if present.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.read().records.get(&id).cloned()
+        self.state.read().record(id)
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
     /// record may well still exist — PASS property 4).
     pub fn get_data(&self, id: TupleSetId) -> Result<Option<Vec<Reading>>> {
-        match self.store.get(&keyspace::key(keyspace::DATA, id))? {
-            Some(bytes) => Ok(Some(Vec::<Reading>::decode_all(&bytes)?)),
-            None => Ok(None),
-        }
+        read_data(&*self.store, id)
     }
 
-    /// Record + readings together, when both exist.
+    /// Record + readings together, when both exist. The state read
+    /// guard is released (inside `get_record`) before storage is read.
     pub fn get_tuple_set(&self, id: TupleSetId) -> Result<Option<TupleSet>> {
-        let Some(record) = self.get_record(id) else {
-            return Ok(None);
-        };
-        let Some(readings) = self.get_data(id)? else {
-            return Ok(None);
-        };
-        Ok(Some(TupleSet::new_unchecked(record, readings)))
+        read_tuple_set(&*self.store, self.get_record(id))
     }
 
     /// True when the record exists here.
@@ -915,7 +969,7 @@ impl Pass {
             ))));
         }
         let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
-        let current = self.state.read().clone();
+        let current = self.state.read();
         if let Some(existing) = current.records.get(&record.id) {
             if existing.content_digest != record.content_digest {
                 return Err(PassError::IdentityCollision(record.id));
@@ -1095,15 +1149,16 @@ impl Pass {
     }
 
     /// Lineage closure of `id` as full records, nearest-first order not
-    /// guaranteed (sorted by internal index). Runs against a fresh
-    /// snapshot; see [`Snapshot::lineage`] for the repeatable-read form.
+    /// guaranteed (sorted by internal index). Answers from the published
+    /// state; see [`Snapshot::lineage`] for the multi-call repeatable-read
+    /// form.
     pub fn lineage(
         &self,
         id: TupleSetId,
         direction: pass_index::Direction,
         opts: TraverseOpts,
     ) -> Result<Vec<ProvenanceRecord>> {
-        self.snapshot().lineage(id, direction, opts)
+        self.state.read().lineage_records(id, direction, opts)
     }
 
     // -- Subscriptions (continuous queries) ------------------------------
@@ -1223,21 +1278,7 @@ impl Pass {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> PassStats {
-        let state = self.state.read().clone();
-        PassStats {
-            records: state.records.len(),
-            data_blobs: state.data_present.len(),
-            graph_nodes: state.graph.node_count(),
-            graph_edges: state.graph.edge_count(),
-            attr_entries: state.attrs.len(),
-            index_bytes: state.attrs.size_bytes()
-                + state.keywords.size_bytes()
-                + state.graph.size_bytes()
-                + state.time.size_bytes(),
-            ingests: self.metrics.ingests.load(Ordering::Relaxed),
-            batches: self.metrics.batches.load(Ordering::Relaxed),
-            queries: self.metrics.queries.load(Ordering::Relaxed),
-        }
+        self.state.read().index_stats(self.metrics.ops())
     }
 
     /// The oldest commit version still pinned by a live snapshot or
@@ -1379,15 +1420,6 @@ impl Pass {
     }
 }
 
-/// Operation counters captured at snapshot creation (see
-/// [`Snapshot::stats`]).
-#[derive(Debug, Clone, Copy)]
-struct SnapshotCounters {
-    ingests: u64,
-    batches: u64,
-    queries: u64,
-}
-
 /// An immutable view of a [`Pass`] at one version.
 ///
 /// Obtained from [`Pass::snapshot`] (an O(1) `Arc` clone plus one pin
@@ -1415,18 +1447,16 @@ struct SnapshotCounters {
 pub struct Snapshot {
     state: Arc<State>,
     store: Arc<dyn KvStore>,
-    closure: Arc<Mutex<ClosureCache>>,
-    strategy: ClosureStrategy,
-    version: u64,
-    counters: SnapshotCounters,
-    /// Keeps `version` in the GC pin registry until the snapshot drops.
+    ops: OpCounters,
+    /// Keeps the state's version in the GC pin registry until the
+    /// snapshot drops.
     _pin: PinGuard,
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("version", &self.version)
+            .field("version", &self.state.version)
             .field("records", &self.state.records.len())
             .finish()
     }
@@ -1436,7 +1466,7 @@ impl Snapshot {
     /// The store version this snapshot reflects (monotonically increasing
     /// across commits).
     pub fn version(&self) -> u64 {
-        self.version
+        self.state.version
     }
 
     /// Number of records visible.
@@ -1456,7 +1486,7 @@ impl Snapshot {
 
     /// The provenance record for `id`, if visible.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.records.get(&id).cloned()
+        self.state.record(id)
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -1464,10 +1494,7 @@ impl Snapshot {
     /// come from shared storage, which is not versioned; the index
     /// state this snapshot pins is.
     pub fn get_data(&self, id: TupleSetId) -> Result<Option<Vec<Reading>>> {
-        match self.store.get(&keyspace::key(keyspace::DATA, id))? {
-            Some(bytes) => Ok(Some(Vec::<Reading>::decode_all(&bytes)?)),
-            None => Ok(None),
-        }
+        read_data(&*self.store, id)
     }
 
     /// True when the readings were present at snapshot time.
@@ -1483,13 +1510,7 @@ impl Snapshot {
     /// still answers `true` — the same divergence documented on
     /// [`Snapshot::get_data`].
     pub fn get_tuple_set(&self, id: TupleSetId) -> Result<Option<TupleSet>> {
-        let Some(record) = self.get_record(id) else {
-            return Ok(None);
-        };
-        let Some(readings) = self.get_data(id)? else {
-            return Ok(None);
-        };
-        Ok(Some(TupleSet::new_unchecked(record, readings)))
+        read_tuple_set(&*self.store, self.get_record(id))
     }
 
     /// Lineage closure of `id` as full records — the snapshot twin of
@@ -1502,19 +1523,7 @@ impl Snapshot {
         direction: pass_index::Direction,
         opts: TraverseOpts,
     ) -> Result<Vec<ProvenanceRecord>> {
-        let clause = LineageClause {
-            root: id,
-            direction,
-            max_depth: opts.max_depth,
-            stop_at_abstraction: opts.stop_at_abstraction,
-            include_root: false,
-        };
-        let posting = self.lineage_posting(&clause).ok_or(PassError::NotFound(id))?;
-        Ok(posting
-            .iter()
-            .filter_map(|idx| self.state.graph.resolve(idx))
-            .filter_map(|rid| self.state.records.get(&rid).cloned())
-            .collect())
+        self.state.lineage_records(id, direction, opts)
     }
 
     /// All record ids visible in this snapshot (unordered).
@@ -1526,21 +1535,7 @@ impl Snapshot {
     /// pinned state; the operation counters (`ingests`, `batches`,
     /// `queries`) were captured when the snapshot was taken.
     pub fn stats(&self) -> PassStats {
-        let state = &self.state;
-        PassStats {
-            records: state.records.len(),
-            data_blobs: state.data_present.len(),
-            graph_nodes: state.graph.node_count(),
-            graph_edges: state.graph.edge_count(),
-            attr_entries: state.attrs.len(),
-            index_bytes: state.attrs.size_bytes()
-                + state.keywords.size_bytes()
-                + state.graph.size_bytes()
-                + state.time.size_bytes(),
-            ingests: self.counters.ingests,
-            batches: self.counters.batches,
-            queries: self.counters.queries,
-        }
+        self.state.index_stats(self.ops)
     }
 
     /// Executes a parsed query against this snapshot.
@@ -1551,49 +1546,6 @@ impl Snapshot {
     /// Parses and executes query text against this snapshot.
     pub fn query_text(&self, text: &str) -> Result<QueryResult> {
         Ok(pass_query::execute_text(text, self)?)
-    }
-
-    fn lineage_posting(&self, clause: &LineageClause) -> Option<PostingList> {
-        let root = self.state.graph.lookup(clause.root)?;
-        let opts = clause.traverse_opts();
-        let graph = &self.state.graph;
-        let reach: Vec<NodeIdx> = match self.strategy {
-            ClosureStrategy::Bfs => BfsClosure.reachable(graph, root, clause.direction, &opts),
-            ClosureStrategy::NaiveJoin => {
-                NaiveJoinClosure.reachable(graph, root, clause.direction, &opts)
-            }
-            ClosureStrategy::Memo | ClosureStrategy::Interval => {
-                let mut cache = self.closure.lock();
-                let needs_rebuild = cache.version != self.version
-                    || !matches!(
-                        (&cache.built, self.strategy),
-                        (BuiltClosure::Memo(_), ClosureStrategy::Memo)
-                            | (BuiltClosure::Interval(_), ClosureStrategy::Interval)
-                    );
-                if needs_rebuild {
-                    cache.built = match self.strategy {
-                        ClosureStrategy::Memo => match MemoClosure::build(graph, false) {
-                            Ok(m) => BuiltClosure::Memo(m),
-                            Err(_) => BuiltClosure::None, // cyclic: fall back below
-                        },
-                        ClosureStrategy::Interval => match IntervalClosure::build(graph, false) {
-                            Ok(i) => BuiltClosure::Interval(i),
-                            Err(_) => BuiltClosure::None,
-                        },
-                        _ => unreachable!("outer match restricts to Memo/Interval"),
-                    };
-                    cache.version = self.version;
-                }
-                match &cache.built {
-                    BuiltClosure::Memo(m) => m.reachable(graph, root, clause.direction, &opts),
-                    BuiltClosure::Interval(i) => i.reachable(graph, root, clause.direction, &opts),
-                    BuiltClosure::None => {
-                        BfsClosure.reachable(graph, root, clause.direction, &opts)
-                    }
-                }
-            }
-        };
-        Some(PostingList::from_iter(reach))
     }
 }
 
@@ -1619,13 +1571,11 @@ impl Provider for Snapshot {
     }
 
     fn all_nodes(&self) -> PostingList {
-        PostingList::from_iter(
-            self.state.records.keys().filter_map(|id| self.state.graph.lookup(*id)),
-        )
+        self.state.record_nodes()
     }
 
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
-        self.lineage_posting(clause)
+        self.state.closure_posting(clause)
     }
 
     fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
@@ -1633,8 +1583,7 @@ impl Provider for Snapshot {
     }
 
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        let id = self.state.graph.resolve(idx)?;
-        self.state.records.get(&id).cloned()
+        self.state.fetch_record(idx)
     }
 
     fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
@@ -1656,53 +1605,5 @@ impl QueryEngine for Snapshot {
 impl QueryEngine for Pass {
     fn open(&self, prepared: &PreparedQuery) -> pass_query::Result<Cursor<'_>> {
         Cursor::over_owned(Box::new(self.snapshot()), prepared)
-    }
-}
-
-/// `Pass` remains a [`Provider`] for compatibility: each call answers
-/// from the currently-published state. Multi-call consistency is only
-/// guaranteed via [`Pass::snapshot`].
-impl Provider for Pass {
-    fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
-        self.state.read().attrs.eq(attr, value)
-    }
-
-    fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
-        self.state.read().attrs.range(attr, low, high)
-    }
-
-    fn time_overlap(&self, range: TimeRange) -> PostingList {
-        self.state.read().time.overlapping(range)
-    }
-
-    fn keyword_lookup(&self, phrase: &str) -> PostingList {
-        self.state.read().keywords.lookup_all(phrase)
-    }
-
-    fn has_attr(&self, attr: &str) -> PostingList {
-        self.state.read().attrs.has_attr(attr)
-    }
-
-    fn all_nodes(&self) -> PostingList {
-        let state = self.state.read();
-        PostingList::from_iter(state.records.keys().filter_map(|id| state.graph.lookup(*id)))
-    }
-
-    fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
-        self.snapshot().lineage_posting(clause)
-    }
-
-    fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
-        self.state.read().graph.lookup(id)
-    }
-
-    fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        let state = self.state.read();
-        let id = state.graph.resolve(idx)?;
-        state.records.get(&id).cloned()
-    }
-
-    fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
-        Some(self.state.read().created_scan(desc))
     }
 }

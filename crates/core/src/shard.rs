@@ -15,19 +15,18 @@
 //!
 //! Commit *visibility* stays global: every commit — whatever its shard
 //! set — publishes one new in-memory state under the global version
-//! counter (see `Pass::publish`), so snapshots, the version-keyed
-//! closure cache, and subscription tails observe one total commit
-//! order, exactly as before sharding.
+//! counter (see `Pass::publish`), so snapshots and subscription tails
+//! observe one total commit order, exactly as before sharding.
 //!
 //! # Disk layout
 //!
 //! `shards = 1` is byte-identical to the pre-sharding layout: the
-//! engine roots at the store directory itself (`wal.log`, `MANIFEST`,
-//! `sst-*.sst`), no extra files. `shards = N > 1` writes a `SHARDS`
-//! marker file and roots shard `i` at `shard-NN/`; the cross-shard
-//! intent log lives at `xcommit.log`. On reopen the on-disk layout
-//! wins over the configured count — a store's sharding is decided at
-//! creation, like its key encoding.
+//! engine roots at the store directory itself (`wal.log`,
+//! `MANIFEST.log`, `sst-*.sst`), no extra files. `shards = N > 1`
+//! writes a `SHARDS` marker file and roots shard `i` at `shard-NN/`;
+//! the cross-shard intent log lives at `xcommit.log`. On reopen the
+//! on-disk layout wins over the configured count — a store's sharding
+//! is decided at creation, like its key encoding.
 
 use crate::error::Result;
 use crate::keyspace;
@@ -198,11 +197,8 @@ fn effective_shards(dir: &Path, requested: usize) -> Result<usize> {
         return Ok(n);
     }
     // A pre-sharding store has its engine rooted at `dir` directly —
-    // recognizable by its manifest log, a legacy `MANIFEST`, or a WAL.
-    if dir.join("MANIFEST.log").exists()
-        || dir.join("MANIFEST").exists()
-        || dir.join("wal.log").exists()
-    {
+    // recognizable by its manifest log or a WAL.
+    if dir.join("MANIFEST.log").exists() || dir.join("wal.log").exists() {
         return Ok(1);
     }
     Ok(requested.max(1))

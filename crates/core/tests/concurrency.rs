@@ -3,10 +3,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use crossbeam::thread;
 use pass_core::Pass;
 use pass_model::{keys, Annotation, Attributes, Reading, SensorId, SiteId, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread;
 
 fn capture_one(pass: &Pass, worker: u64, i: u64) -> pass_model::TupleSetId {
     let readings = vec![Reading::new(SensorId(worker), Timestamp(i)).with("v", i as i64)];
@@ -25,14 +25,13 @@ fn concurrent_ingest_preserves_every_record() {
     thread::scope(|s| {
         for w in 0..WORKERS {
             let pass = &pass;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_WORKER {
                     capture_one(pass, w, i);
                 }
             });
         }
-    })
-    .expect("no worker panicked");
+    });
     assert_eq!(pass.len(), (WORKERS * PER_WORKER) as usize);
     for w in 0..WORKERS {
         let hits = pass.query_text(&format!("FIND WHERE worker = {w}")).expect("query");
@@ -46,7 +45,7 @@ fn readers_and_writers_interleave() {
     let written = AtomicU64::new(0);
     thread::scope(|s| {
         // One writer…
-        s.spawn(|_| {
+        s.spawn(|| {
             for i in 0..500u64 {
                 capture_one(&pass, 9, i);
                 written.fetch_add(1, Ordering::Release);
@@ -54,7 +53,7 @@ fn readers_and_writers_interleave() {
         });
         // …two readers observing monotone growth.
         for _ in 0..2 {
-            s.spawn(|_| {
+            s.spawn(|| {
                 let mut last = 0usize;
                 loop {
                     let seen =
@@ -67,8 +66,7 @@ fn readers_and_writers_interleave() {
                 }
             });
         }
-    })
-    .expect("no thread panicked");
+    });
     assert_eq!(pass.len(), 500);
 }
 
@@ -90,7 +88,7 @@ fn concurrent_annotation_and_lineage() {
         .collect();
     thread::scope(|s| {
         let annotator = &pass;
-        s.spawn(move |_| {
+        s.spawn(move || {
             for i in 0..50u64 {
                 annotator
                     .annotate(root, Annotation::new(Timestamp(i), "ops", format!("note {i}")))
@@ -99,7 +97,7 @@ fn concurrent_annotation_and_lineage() {
         });
         for &child in &derived {
             let reader = &pass;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..20 {
                     let anc = reader
                         .lineage(
@@ -113,8 +111,7 @@ fn concurrent_annotation_and_lineage() {
                 }
             });
         }
-    })
-    .expect("no thread panicked");
+    });
     let record = pass.get_record(root).expect("exists");
     assert_eq!(record.annotations.len(), 50);
     assert!(record.verify_identity(), "annotations never disturb identity");

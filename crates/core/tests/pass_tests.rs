@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use pass_core::{ClosureStrategy, Pass, PassConfig, PassError};
+use pass_core::{Pass, PassConfig, PassError};
 use pass_index::{Direction, TraverseOpts};
 use pass_model::{
     keys, Annotation, Attributes, ProvenanceBuilder, Reading, SensorId, SiteId, Timestamp,
@@ -262,74 +262,6 @@ fn torn_wal_never_splits_record_from_data() {
         drop(pass);
         std::fs::write(&wal, &bytes).unwrap();
     }
-}
-
-// ---------------------------------------------------------------------------
-// Closure strategies through the full stack
-// ---------------------------------------------------------------------------
-
-#[test]
-fn all_closure_strategies_agree_through_query_layer() {
-    let dirs = ["bfs", "naive", "memo", "interval"];
-    let strategies = [
-        ClosureStrategy::Bfs,
-        ClosureStrategy::NaiveJoin,
-        ClosureStrategy::Memo,
-        ClosureStrategy::Interval,
-    ];
-    let mut answers = Vec::new();
-    for (strategy, _dir) in strategies.iter().zip(dirs) {
-        let pass = Pass::open(PassConfig::memory(SiteId(1)).with_closure(*strategy)).unwrap();
-        let raw_a = pass.capture(traffic_attrs("a"), readings(1, 2, 0), Timestamp(1)).unwrap();
-        let raw_b = pass.capture(traffic_attrs("b"), readings(2, 2, 0), Timestamp(2)).unwrap();
-        let merged = pass
-            .derive(
-                &[raw_a, raw_b],
-                &ToolDescriptor::new("merge", "1"),
-                traffic_attrs("ab"),
-                readings(3, 2, 0),
-                Timestamp(3),
-            )
-            .unwrap();
-        let leaf = pass
-            .derive(
-                &[merged],
-                &ToolDescriptor::new("sharpen", "2"),
-                traffic_attrs("ab"),
-                readings(3, 1, 0),
-                Timestamp(4),
-            )
-            .unwrap();
-        let mut anc: Vec<_> = pass
-            .lineage(leaf, Direction::Ancestors, TraverseOpts::unbounded())
-            .unwrap()
-            .iter()
-            .map(|r| r.id)
-            .collect();
-        anc.sort();
-        answers.push((anc, raw_a, raw_b, merged));
-    }
-    for w in answers.windows(2) {
-        assert_eq!(w[0], w[1], "strategies disagree");
-    }
-}
-
-#[test]
-fn closure_cache_invalidates_on_new_ingest() {
-    let pass =
-        Pass::open(PassConfig::memory(SiteId(1)).with_closure(ClosureStrategy::Memo)).unwrap();
-    let a = pass.capture(traffic_attrs("a"), readings(1, 1, 0), Timestamp(1)).unwrap();
-    let b = pass
-        .derive(&[a], &ToolDescriptor::new("t", "1"), traffic_attrs("a"), vec![], Timestamp(2))
-        .unwrap();
-    // First query builds the memo structure.
-    assert_eq!(pass.lineage(b, Direction::Ancestors, TraverseOpts::unbounded()).unwrap().len(), 1);
-    // New derivation must appear in subsequent closures.
-    let c = pass
-        .derive(&[b], &ToolDescriptor::new("t", "1"), traffic_attrs("a"), vec![], Timestamp(3))
-        .unwrap();
-    let anc = pass.lineage(c, Direction::Ancestors, TraverseOpts::unbounded()).unwrap();
-    assert_eq!(anc.len(), 2, "cache rebuilt after version bump");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use crossbeam::thread;
 use pass_core::{keyspace, Event, Pass, PassConfig, Subscription};
 use pass_model::{keys, Attributes, Reading, SensorId, SiteId, Timestamp, TupleSet, TupleSetId};
 use pass_storage::tempdir::TempDir;
 use std::collections::{HashMap, HashSet};
+use std::thread;
 use std::time::Duration;
 
 /// Sized for the regular CI release run. Sanitizer builds are an order
@@ -64,7 +64,7 @@ fn disjoint_shard_writers_commit_concurrently() {
     thread::scope(|s| {
         for worker in 0..workers() {
             let pass = &pass;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // Each worker only commits batches owned by one shard.
                 for (_, sets) in sets_by_shard(pass, worker, commits_per_worker()) {
                     for chunk in sets.chunks(4) {
@@ -73,8 +73,7 @@ fn disjoint_shard_writers_commit_concurrently() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for worker in 0..workers() {
         commits += sets_by_shard(&pass, worker, commits_per_worker())
             .values()
@@ -98,7 +97,7 @@ fn snapshots_see_consistent_prefixes_under_mixed_writers() {
     let samples = thread::scope(|s| {
         for worker in 0..workers() {
             let pass = &pass;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 if worker % 2 == 0 {
                     // Cross-shard writer: unrouted batches span shards.
                     let items: Vec<_> =
@@ -116,7 +115,7 @@ fn snapshots_see_consistent_prefixes_under_mixed_writers() {
                 }
             });
         }
-        let reader = s.spawn(|_| {
+        let reader = s.spawn(|| {
             let mut samples = Vec::new();
             loop {
                 let snap = pass.snapshot();
@@ -128,8 +127,7 @@ fn snapshots_see_consistent_prefixes_under_mixed_writers() {
             }
         });
         reader.join().unwrap()
-    })
-    .unwrap();
+    });
 
     let mut sorted = samples.clone();
     sorted.sort_unstable_by_key(|(v, _)| *v);
@@ -175,7 +173,7 @@ fn subscription_delivers_in_global_order_across_shards() {
     let events = thread::scope(|s| {
         for worker in 0..workers() {
             let pass = &pass;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // One commit per seq so commit order == seq order; each
                 // writer's ids scatter over the shards, so concurrent
                 // commits constantly hold different shard locks.
@@ -198,8 +196,7 @@ fn subscription_delivers_in_global_order_across_shards() {
             }
         }
         events
-    })
-    .unwrap();
+    });
 
     // No gaps, no duplicates: exactly every (worker, seq) once.
     let unique: HashSet<(i64, i64)> = events.iter().map(|(w, q, _)| (*w, *q)).collect();

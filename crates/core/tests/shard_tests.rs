@@ -1,11 +1,10 @@
 //! Sharded-store tests: disk layout compatibility, cross-shard crash
 //! atomicity (the multi-WAL extension of the PR 1 torn-WAL test), and
-//! the global-commit-version invariants the closure cache and snapshots
-//! rely on.
+//! the global-commit-version invariants snapshots rely on.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use pass_core::{keyspace, ClosureStrategy, Pass, PassConfig};
+use pass_core::{keyspace, Pass, PassConfig};
 use pass_index::{Direction, TraverseOpts};
 use pass_model::{
     keys, Attributes, ProvenanceBuilder, Reading, SensorId, SiteId, Timestamp, ToolDescriptor,
@@ -292,16 +291,15 @@ fn torn_cross_shard_intent_recovers_to_nothing() {
 }
 
 // ---------------------------------------------------------------------------
-// Global commit version: closure cache + snapshots
+// Global commit version: lineage closures + snapshots
 // ---------------------------------------------------------------------------
 
-/// Regression (ISSUE 6 satellite): the shared closure cache keys on the
-/// *global* commit version, so a cross-shard commit can never pair a
-/// stale closure with a new version — a snapshot taken after the commit
-/// must see the grown closure, and an older snapshot must keep its own.
+/// A cross-shard commit publishes under one *global* commit version: a
+/// snapshot taken after the commit must see the grown lineage closure,
+/// and an older snapshot must keep answering from its own version.
 #[test]
 fn closure_cache_tracks_global_version_across_cross_shard_commits() {
-    let config = PassConfig::memory(SiteId(1)).with_shards(4).with_closure(ClosureStrategy::Memo);
+    let config = PassConfig::memory(SiteId(1)).with_shards(4);
     let pass = Pass::open(config).unwrap();
     let root = pass
         .capture(Attributes::new().with(keys::DOMAIN, "roots"), Vec::new(), Timestamp(1))
@@ -334,8 +332,8 @@ fn closure_cache_tracks_global_version_across_cross_shard_commits() {
     let lin2 = s2.lineage(root, Direction::Descendants, TraverseOpts::default()).unwrap();
     assert_eq!(lin2.len(), children.len(), "fresh snapshot sees the whole cross-shard commit");
 
-    // The old snapshot still answers from its own version — the cache
-    // rebuilt for v2 must not leak into v1 (and vice versa).
+    // The old snapshot still answers from its own version — v2's
+    // closure must not leak into v1 (and vice versa).
     let lin1_again = s1.lineage(root, Direction::Descendants, TraverseOpts::default()).unwrap();
     assert!(lin1_again.is_empty(), "stale snapshot keeps its pinned closure");
     let lin2_again = s2.lineage(root, Direction::Descendants, TraverseOpts::default()).unwrap();

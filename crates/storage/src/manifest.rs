@@ -31,12 +31,6 @@
 //! Ordering invariant: the table list is kept newest-first, and every
 //! edit preserves recency order (a compaction output sits exactly where
 //! its newest input sat). Readers rely on this for newest-wins shadowing.
-//!
-//! Bootstrap: a directory with the legacy single-record `MANIFEST` (or
-//! with no manifest at all) is converted on open — the legacy set is
-//! replayed into a fresh `MANIFEST.log` snapshot and the legacy file
-//! removed once the log is durable. `shards = 1` layouts written before
-//! this module reopen unchanged.
 
 use crate::batch::{put_varint, take_u32_le, take_varint};
 use crate::crc::crc32c;
@@ -49,8 +43,6 @@ use std::path::{Path, PathBuf};
 pub const MANIFEST_NAME: &str = "MANIFEST.log";
 /// Temp name used during checkpoint rewrite (renamed over the log).
 const TMP_NAME: &str = "MANIFEST.log.tmp";
-/// Pre-log single-record manifest name, still recognized for bootstrap.
-const LEGACY_NAME: &str = "MANIFEST";
 
 /// Edits accumulated since the last checkpoint before the log is
 /// rewritten as a single snapshot.
@@ -113,19 +105,20 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Opens (or bootstraps) the manifest for `dir` and returns the
-    /// recovered table set.
+    /// Opens (or, in a directory without tables, creates) the manifest
+    /// for `dir` and returns the recovered table set.
     ///
     /// `have_tables` tells the corruption heuristic whether any
-    /// `sst-*.sst` files exist: a manifest log with *zero* decodable
-    /// records is a benign create-crash only when there is nothing on
-    /// disk it could have been tracking.
+    /// `sst-*.sst` files exist: a missing manifest log, or one with
+    /// *zero* decodable records, is a fresh directory or a benign
+    /// create-crash only when there is nothing on disk it could have
+    /// been tracking.
     pub fn open(dir: &Path, have_tables: bool) -> Result<(Manifest, ManifestState)> {
         let log_path = dir.join(MANIFEST_NAME);
         let tmp_path = dir.join(TMP_NAME);
         if tmp_path.exists() {
-            // A checkpoint that never reached its rename; the log (or
-            // legacy file) is still authoritative.
+            // A checkpoint that never reached its rename; the log is
+            // still authoritative.
             std::fs::remove_file(&tmp_path)
                 .map_err(|e| StorageError::io("removing stale manifest temp file", e))?;
         }
@@ -134,18 +127,16 @@ impl Manifest {
             return Self::open_existing(dir, &log_path, have_tables);
         }
 
-        // Bootstrap: legacy single-record MANIFEST, or a fresh directory.
-        let legacy_path = dir.join(LEGACY_NAME);
-        let state = if legacy_path.exists() {
-            read_legacy(&legacy_path)?
-        } else {
-            ManifestState { tables: Vec::new(), next_id: 1, recovered_torn_tail: false }
-        };
-        let manifest = Self::create_checkpoint(dir, &state)?;
-        if legacy_path.exists() {
-            std::fs::remove_file(&legacy_path)
-                .map_err(|e| StorageError::io("removing legacy manifest", e))?;
+        if have_tables {
+            // Tables with no log to own them: the manifest was deleted.
+            // Refuse rather than open empty and sweep them as debris.
+            return Err(StorageError::corrupt(
+                &log_path,
+                "manifest log missing next to existing tables",
+            ));
         }
+        let state = ManifestState { tables: Vec::new(), next_id: 1, recovered_torn_tail: false };
+        let manifest = Self::create_checkpoint(dir, &state)?;
         Ok((manifest, state))
     }
 
@@ -412,41 +403,6 @@ fn apply_record(path: &Path, payload: &[u8], state: &mut ManifestState) -> Resul
     Ok(())
 }
 
-/// Reads the legacy single-record `MANIFEST`:
-/// `[len u32 LE][crc32c u32 LE][payload: varint count, count × varint id]`.
-/// Tables are ordered newest-first by id (the pre-compaction invariant);
-/// seal versions are unknown and recorded as 0.
-fn read_legacy(path: &Path) -> Result<ManifestState> {
-    let bytes = std::fs::read(path).map_err(|e| StorageError::io("reading legacy manifest", e))?;
-    let (Some(len), Some(crc)) = (take_u32_le(&bytes, 0), take_u32_le(&bytes, 4)) else {
-        return Err(StorageError::corrupt(path, "legacy manifest shorter than header"));
-    };
-    let payload = bytes
-        .get(8..8usize.saturating_add(len as usize))
-        .filter(|p| p.len() == len as usize)
-        .ok_or_else(|| StorageError::corrupt(path, "legacy manifest shorter than its length"))?;
-    if crc32c(payload) != crc {
-        return Err(StorageError::ChecksumMismatch { path: path.to_path_buf(), offset: 0 });
-    }
-    let mut pos = 0usize;
-    let count = take_varint(payload, &mut pos)
-        .ok_or_else(|| StorageError::corrupt(path, "legacy manifest missing count"))?;
-    let mut ids = Vec::new();
-    for _ in 0..count {
-        ids.push(
-            take_varint(payload, &mut pos)
-                .ok_or_else(|| StorageError::corrupt(path, "legacy manifest truncated id"))?,
-        );
-    }
-    if pos != payload.len() {
-        return Err(StorageError::corrupt(path, "legacy manifest carries trailing bytes"));
-    }
-    ids.sort_unstable_by(|a, b| b.cmp(a));
-    let next_id = ids.first().copied().unwrap_or(0) + 1;
-    let tables = ids.into_iter().map(|id| TableMeta { id, seal_version: 0 }).collect();
-    Ok(ManifestState { tables, next_id, recovered_torn_tail: false })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,34 +501,6 @@ mod tests {
         assert!(bytes.len() < CHECKPOINT_EVERY * 8, "log was checkpointed: {}", bytes.len());
         let (_, state) = Manifest::open(dir.path(), true).unwrap();
         assert_eq!(state.next_id, 2);
-    }
-
-    #[test]
-    fn legacy_manifest_bootstraps_and_is_removed() {
-        let dir = TempDir::new("manifest-legacy");
-        // Hand-build the legacy format listing tables 2 and 1.
-        let mut payload = Vec::new();
-        put_varint(&mut payload, 2);
-        put_varint(&mut payload, 1);
-        put_varint(&mut payload, 2);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32c(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        std::fs::write(dir.path().join(LEGACY_NAME), &bytes).unwrap();
-
-        let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![meta(2, 0), meta(1, 0)]);
-        assert_eq!(state.next_id, 3);
-        assert!(!dir.path().join(LEGACY_NAME).exists(), "legacy file replaced by the log");
-        assert!(dir.path().join(MANIFEST_NAME).exists());
-    }
-
-    #[test]
-    fn truncated_legacy_manifest_is_an_error() {
-        let dir = TempDir::new("manifest-legacy-short");
-        std::fs::write(dir.path().join(LEGACY_NAME), [7u8, 0, 0]).unwrap();
-        assert!(Manifest::open(dir.path(), true).is_err());
     }
 
     #[test]

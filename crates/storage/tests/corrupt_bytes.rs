@@ -77,19 +77,6 @@ fn truncated_manifest_is_an_error_not_a_panic() {
     assert!(msg.to_lowercase().contains("manifest") || msg.contains("corrupt"), "{msg}");
 }
 
-/// A pre-manifest-log `MANIFEST` too short to hold its own header must
-/// fail the legacy bootstrap, not panic in the decoder.
-#[test]
-fn truncated_legacy_manifest_is_an_error_not_a_panic() {
-    let dir = TempDir::new("corrupt-legacy-manifest");
-    std::fs::create_dir_all(dir.path()).unwrap();
-    std::fs::write(dir.path().join("MANIFEST"), [7u8, 0, 0]).unwrap();
-    let err = LsmEngine::open(dir.path().to_path_buf(), EngineOptions::default())
-        .expect_err("short legacy manifest must fail the open");
-    let msg = err.to_string();
-    assert!(msg.to_lowercase().contains("manifest") || msg.contains("corrupt"), "{msg}");
-}
-
 /// An SSTable whose footer bytes are garbage must fail `open` with a
 /// corruption error instead of panicking in the footer reader.
 #[test]

@@ -11,7 +11,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pass_storage::crc::crc32c;
 use pass_storage::tempdir::TempDir;
 use pass_storage::{EngineOptions, KvStore, LsmEngine};
 use std::path::Path;
@@ -160,50 +159,30 @@ fn orphan_table_from_a_pre_commit_crash_is_swept_and_ids_stay_unique() {
     assert_eq!(db.get(b"after-crash").unwrap().unwrap(), b"ok");
 }
 
-/// A pre-manifest-log directory (legacy single-record `MANIFEST`) must
-/// bootstrap into the edit log on open with all data readable, and the
-/// bootstrapped directory must keep round-tripping afterwards.
+/// A directory whose tables outlived their manifest log must refuse to
+/// open: opening it as an empty store would let the debris sweep delete
+/// every table the lost log used to own.
 #[test]
-fn legacy_manifest_directory_bootstraps_and_round_trips() {
-    let dir = TempDir::new("manifest-legacy-roundtrip");
-    let last_round = build_workload(dir.path());
-
-    // Demote the directory to the legacy layout: list the live table
-    // ids in a single checksummed record, drop the edit log. Ids are
-    // < 128 so each varint is its own byte.
-    let mut ids: Vec<u64> = std::fs::read_dir(dir.path())
-        .unwrap()
-        .filter_map(|e| {
-            let name = e.unwrap().file_name().to_string_lossy().into_owned();
-            let id = name.strip_prefix("sst-")?.strip_suffix(".sst")?;
-            id.parse::<u64>().ok()
-        })
-        .collect();
-    ids.sort_unstable();
-    let mut payload = vec![ids.len() as u8];
-    payload.extend(ids.iter().map(|&id| {
-        assert!(id < 128, "test assumes single-byte varints");
-        id as u8
-    }));
-    let mut record = (payload.len() as u32).to_le_bytes().to_vec();
-    record.extend_from_slice(&crc32c(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
-    std::fs::write(dir.path().join("MANIFEST"), &record).unwrap();
+fn missing_manifest_log_next_to_tables_fails_the_open_and_keeps_them() {
+    let dir = TempDir::new("manifest-missing-log");
+    {
+        let db = LsmEngine::open(dir.path().to_path_buf(), small_opts()).unwrap();
+        db.put(b"k", b"v").unwrap();
+        db.flush().unwrap();
+    }
+    let tables = || -> Vec<_> {
+        std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .collect()
+    };
+    let before = tables();
+    assert_eq!(before.len(), 1, "one flushed table");
     std::fs::remove_file(dir.path().join(MANIFEST_LOG)).unwrap();
 
-    let db = LsmEngine::open(dir.path().to_path_buf(), small_opts()).unwrap();
-    assert!(!dir.path().join("MANIFEST").exists(), "legacy file replaced by the log");
-    assert!(dir.path().join(MANIFEST_LOG).exists());
-    for key in 0..120u64 {
-        let got = db.get(format!("key-{key:04}").as_bytes()).unwrap().unwrap();
-        assert_eq!(got, format!("{key}:{last_round}").into_bytes());
-    }
-
-    // And the converted directory keeps working: write, crash-free
-    // close, reopen.
-    db.put(b"post-bootstrap", b"yes").unwrap();
-    db.flush().unwrap();
-    drop(db);
-    let db = LsmEngine::open(dir.path().to_path_buf(), small_opts()).unwrap();
-    assert_eq!(db.get(b"post-bootstrap").unwrap().unwrap(), b"yes");
+    let err = LsmEngine::open(dir.path().to_path_buf(), small_opts())
+        .expect_err("tables without a manifest log must fail the open");
+    assert!(err.to_string().to_lowercase().contains("manifest"), "{err}");
+    assert_eq!(tables(), before, "the table is left on disk");
 }

@@ -1,7 +1,7 @@
 //! Workspace-level integration: the full story from sensor readings to
 //! distributed provenance queries, crossing every crate boundary.
 
-use pass::core::{ClosureStrategy, Pass, PassConfig};
+use pass::core::{Pass, PassConfig};
 use pass::distrib::runner::{build_arch, build_corpus, run_workload, ArchKind, WorkloadSpec};
 use pass::index::{Direction, TraverseOpts};
 use pass::model::{keys, SiteId, Timestamp, TupleSetId};
@@ -54,7 +54,7 @@ fn sensor_to_disk_to_queries_to_recovery() {
             pass.query_text(&spec.text).unwrap_or_else(|e| panic!("{}: {e}", spec.text));
         }
 
-        // Closure through the braided DAG, all four strategies equal.
+        // Closure through the braided DAG, equal again after reopen.
         let baseline: Vec<TupleSetId> = {
             let mut ids: Vec<_> = pass
                 .lineage(leaf, Direction::Ancestors, TraverseOpts::unbounded())
@@ -71,20 +71,15 @@ fn sensor_to_disk_to_queries_to_recovery() {
         pass.flush().unwrap();
         drop(pass);
 
-        for strategy in
-            [ClosureStrategy::NaiveJoin, ClosureStrategy::Memo, ClosureStrategy::Interval]
-        {
-            let pass =
-                Pass::open(PassConfig::disk(SiteId(5), dir.path()).with_closure(strategy)).unwrap();
-            let mut ids: Vec<_> = pass
-                .lineage(leaf, Direction::Ancestors, TraverseOpts::unbounded())
-                .unwrap()
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            ids.sort();
-            assert_eq!(ids, baseline, "{strategy:?} diverges after reopen");
-        }
+        let pass = Pass::open(PassConfig::disk(SiteId(5), dir.path())).unwrap();
+        let mut ids: Vec<_> = pass
+            .lineage(leaf, Direction::Ancestors, TraverseOpts::unbounded())
+            .unwrap()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        ids.sort();
+        assert_eq!(ids, baseline, "lineage diverges after reopen");
     }
 
     // Crash-recover: truncate the WAL tail, reopen, audit.
