@@ -4,10 +4,10 @@
 //! The experiment ingests a stream of records into a raw [`LsmEngine`]
 //! under two regimes and samples point-read latency at checkpoints:
 //!
-//! * **baseline** — no compaction at all (the inline fallback is
-//!   disabled): the live table count grows linearly with ingest and
-//!   every read pays one bloom probe per table, so read tails degrade
-//!   as the run proceeds;
+//! * **baseline** — no compaction at all (no worker is attached, and an
+//!   engine never compacts on its own): the live table count grows
+//!   linearly with ingest and every read pays one bloom probe per
+//!   table, so read tails degrade as the run proceeds;
 //! * **maintenance** — the background worker from
 //!   [`pass_storage::maintenance`] runs tiered compaction behind the
 //!   flushes, keeping the table count bounded and read tails flat.
@@ -102,9 +102,6 @@ pub fn e23_run(records: usize, maintenance: bool) -> E23Run {
         // Small memtable: 1M records seal a few hundred tables, so the
         // baseline's per-read table probing visibly degrades.
         memtable_bytes: 256 << 10,
-        // Disable the inline fallback: the baseline must not compact at
-        // all, and the maintenance run compacts through the worker.
-        compact_at: usize::MAX,
         sync: pass_storage::SyncPolicy::Lazy,
         ..EngineOptions::default()
     }

@@ -63,7 +63,7 @@ pub mod shard;
 pub mod subscribe;
 
 pub use archive::{AgeReport, ArchiveExport, ImportStats};
-pub use config::{Backend, MaintenanceConfig, PassConfig};
+pub use config::{Backend, PassConfig};
 pub use error::{PassError, Result};
 pub use pass::{ConsistencyReport, Pass, PassStats, Snapshot};
 pub use subscribe::{Event, Subscription, DEFAULT_SUBSCRIPTION_CAPACITY};

@@ -335,8 +335,6 @@ struct Metrics {
     ingests: AtomicU64,
     batches: AtomicU64,
     queries: AtomicU64,
-    annotations: AtomicU64,
-    removals: AtomicU64,
 }
 
 impl Metrics {
@@ -443,9 +441,8 @@ pub struct Pass {
     /// changelog through it — one relaxed atomic load when nobody is
     /// subscribed (see [`crate::subscribe`]).
     hub: Arc<Hub>,
-    /// Background maintenance workers (one per disk shard when
-    /// [`crate::config::MaintenanceConfig::enabled`]); dropped — and
-    /// therefore joined — when the store drops.
+    /// Background maintenance workers (one per disk shard); dropped —
+    /// and therefore joined — when the store drops.
     maintenance: Vec<MaintenanceHandle>,
 }
 
@@ -461,9 +458,8 @@ impl std::fmt::Debug for Pass {
 impl Pass {
     /// Opens a store per `config`, rebuilding in-memory indexes from the
     /// backend's contents. Disk engines get the global commit version as
-    /// their seal clock, and — when maintenance is enabled — one
-    /// background compaction worker per shard, wired to the snapshot pin
-    /// floor for version GC.
+    /// their seal clock and one background compaction worker per shard,
+    /// wired to the snapshot pin floor for version GC.
     pub fn open(config: PassConfig) -> Result<Pass> {
         let requested = config.shards.max(1);
         let version = Arc::new(AtomicU64::new(1));
@@ -479,19 +475,19 @@ impl Pass {
                 shard::open_disk(dir, &options, requested)?
             }
         };
-        let mut maintenance = Vec::new();
-        if config.maintenance.enabled {
-            for engine in &engines {
+        let maintenance = engines
+            .iter()
+            .map(|engine| {
                 let registry = Arc::clone(&pins);
-                maintenance.push(spawn_engine_worker(
+                spawn_engine_worker(
                     Arc::clone(engine),
                     MaintenanceOptions {
-                        tick: config.maintenance.tick,
                         pin_floor: Some(Arc::new(move || registry.floor())),
+                        ..MaintenanceOptions::default()
                     },
-                ));
-            }
-        }
+                )
+            })
+            .collect();
         Pass::open_internal(store, sharding, config, version, pins, maintenance)
     }
 
@@ -866,7 +862,6 @@ impl Pass {
             record.annotate(annotation.clone());
             state.keywords.insert(idx, &annotation.text);
         });
-        self.metrics.annotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -937,7 +932,6 @@ impl Pass {
             self.publish(|state| {
                 state.data_present.remove(&id);
             });
-            self.metrics.removals.fetch_add(1, Ordering::Relaxed);
         }
         Ok(had)
     }
@@ -1001,7 +995,6 @@ impl Pass {
                     state.keywords.insert(idx, &a.text);
                 }
             });
-            self.metrics.annotations.fetch_add(fresh.len() as u64, Ordering::Relaxed);
             return Ok((false, fresh.len()));
         }
         // New record: persist and index, with no DATA/MARKER keys — the

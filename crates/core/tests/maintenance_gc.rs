@@ -13,16 +13,14 @@ use pass_storage::EngineOptions;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Disk config with a tiny memtable so every few records seal a table,
-/// and background maintenance on a fast tick.
+/// Disk config with a tiny memtable so every few records seal a table
+/// (the store's background maintenance worker compacts behind them).
 fn churn_config(dir: &Path) -> PassConfig {
     let options = EngineOptions { memtable_bytes: 2 << 10, ..EngineOptions::default() };
-    let mut config = PassConfig {
+    PassConfig {
         backend: Backend::Disk { dir: dir.to_path_buf(), options },
         ..PassConfig::memory(SiteId(3))
-    };
-    config.maintenance.tick = Duration::from_millis(20);
-    config.with_maintenance()
+    }
 }
 
 fn capture_round(pass: &Pass, round: u64, count: u64) {
@@ -53,9 +51,9 @@ fn maintenance_bounds_tables_under_sustained_ingest() {
         capture_round(&pass, round, 40);
         pass.flush().unwrap();
     }
-    pass.wake_maintenance();
     let deadline = Instant::now() + Duration::from_secs(10);
     while sst_count(dir.path()) > 8 && Instant::now() < deadline {
+        pass.wake_maintenance();
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(sst_count(dir.path()) <= 8, "worker keeps the table set bounded");

@@ -12,15 +12,15 @@
 //! The picker is size-tiered in the universal-compaction style:
 //!
 //! 1. **Space-amplification trigger** — when the bytes above the oldest
-//!    table exceed `(max_space_amp - 1) × oldest`, everything merges
-//!    into one table. This bounds live bytes at `max_space_amp ×`
+//!    table exceed `(MAX_SPACE_AMP - 1) × oldest`, everything merges
+//!    into one table. This bounds live bytes at `MAX_SPACE_AMP ×`
 //!    logical data once compaction settles.
 //! 2. **Ratio runs** — a run grows while the next-older table is at
-//!    most `size_ratio ×` the bytes accumulated so far, i.e. similarly
+//!    most `SIZE_RATIO ×` the bytes accumulated so far, i.e. similarly
 //!    sized tables merge with their peers instead of repeatedly
 //!    rewriting one giant table (bounded write amplification). Runs
-//!    shorter than `min_merge` don't fire; runs cap at `max_merge`.
-//! 3. **Pressure** — above `max_live_tables` the cheapest contiguous
+//!    shorter than `MIN_MERGE` don't fire; runs cap at `MAX_MERGE`.
+//! 3. **Pressure** — above `MAX_LIVE_TABLES` the cheapest contiguous
 //!    window merges even when no ratio run exists, so read fan-out
 //!    stays bounded under adversarial size distributions.
 //!
@@ -29,6 +29,9 @@
 //! below could be resurrected) and every input must be sealed at or
 //! below the pin floor (no live snapshot/subscription still reads
 //! through it) — the engine makes both checks.
+//!
+//! The thresholds are fixed constants (defaults of universal
+//! compaction); the engine's maintenance worker is the only caller.
 
 use crate::error::Result;
 use crate::iter::{MergeIter, Source};
@@ -37,43 +40,18 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Tuning knobs for the tiered picker.
-#[derive(Debug, Clone)]
-pub struct CompactionPolicy {
-    /// Smallest ratio run worth merging.
-    pub min_merge: usize,
-    /// Largest run one merge rewrites.
-    pub max_merge: usize,
-    /// A run extends while the next-older table is ≤ `size_ratio ×` the
-    /// run's accumulated bytes.
-    pub size_ratio: f64,
-    /// Above this live-table count the pressure trigger fires.
-    pub max_live_tables: usize,
-    /// Full-merge trigger: live bytes are allowed to reach
-    /// `max_space_amp ×` the oldest table's bytes before everything is
-    /// rewritten into one table.
-    pub max_space_amp: f64,
-    /// Write-stall threshold: with a maintenance worker attached, a
-    /// writer whose flush leaves at least this many live tables pauses
-    /// (briefly, off-lock) until the worker drains the backlog. Without
-    /// backpressure a fast ingester on a starved host outruns the
-    /// worker forever and reads degrade exactly as if compaction were
-    /// off. Set to `usize::MAX` to disable stalling.
-    pub stall_tables: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            min_merge: 3,
-            max_merge: 8,
-            size_ratio: 2.0,
-            max_live_tables: 8,
-            max_space_amp: 1.5,
-            stall_tables: 24,
-        }
-    }
-}
+/// Smallest ratio run worth merging.
+const MIN_MERGE: usize = 3;
+/// Largest run one merge rewrites.
+const MAX_MERGE: usize = 8;
+/// A run extends while the next-older table is ≤ `SIZE_RATIO ×` the
+/// run's accumulated bytes.
+const SIZE_RATIO: f64 = 2.0;
+/// Above this live-table count the pressure trigger fires.
+const MAX_LIVE_TABLES: usize = 8;
+/// Full-merge trigger: live bytes may reach `MAX_SPACE_AMP ×` the
+/// oldest table's bytes before everything is rewritten into one table.
+const MAX_SPACE_AMP: f64 = 1.5;
 
 /// What the picker sees of one live table.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +71,7 @@ pub enum PickReason {
     SpaceAmp,
     /// A size-ratio run of peers.
     Tiered,
-    /// Table count over `max_live_tables`; cheapest window.
+    /// Table count over `MAX_LIVE_TABLES`; cheapest window.
     Pressure,
 }
 
@@ -106,71 +84,59 @@ pub struct Pick {
     pub reason: PickReason,
 }
 
-impl Pick {
-    /// True when the run reaches the oldest table — the precondition
-    /// for dropping tombstones (nothing below could be resurrected).
-    pub fn includes_oldest(&self, table_count: usize) -> bool {
-        self.range.end == table_count
+/// Picks the next run to merge, or `None` when the sequence is healthy.
+/// `tables` is newest-first.
+pub fn pick(tables: &[TableInfo]) -> Option<Pick> {
+    let n = tables.len();
+    if n < 2 {
+        return None;
     }
-}
-
-impl CompactionPolicy {
-    /// Picks the next run to merge, or `None` when the sequence is
-    /// healthy. `tables` is newest-first.
-    pub fn pick(&self, tables: &[TableInfo]) -> Option<Pick> {
-        let n = tables.len();
-        if n < 2 {
-            return None;
-        }
-        let total: u64 = tables.iter().map(|t| t.bytes).sum();
-        let oldest = tables.last().map_or(0, |t| t.bytes);
-        // 1. Space amplification: everything above the oldest table is
-        // (over-approximated) dead weight once it exceeds the budget.
-        let above = total - oldest;
-        if above as f64 > (self.max_space_amp - 1.0).max(0.0) * oldest as f64 && n >= 2 {
-            return Some(Pick { range: 0..n, reason: PickReason::SpaceAmp });
-        }
-        // 2. Ratio runs: longest run wins, newest on ties.
-        let mut best: Option<Range<usize>> = None;
-        for start in 0..n {
-            let mut acc = tables.get(start).map_or(0, |t| t.bytes);
-            let mut end = start + 1;
-            while end < n && end - start < self.max_merge {
-                let next = tables.get(end).map_or(u64::MAX, |t| t.bytes);
-                if next as f64 <= self.size_ratio * acc as f64 {
-                    acc = acc.saturating_add(next);
-                    end += 1;
-                } else {
-                    break;
-                }
-            }
-            if end - start >= self.min_merge.max(2)
-                && best.as_ref().is_none_or(|b| end - start > b.len())
-            {
-                best = Some(start..end);
-            }
-        }
-        if let Some(range) = best {
-            return Some(Pick { range, reason: PickReason::Tiered });
-        }
-        // 3. Pressure: merge the cheapest window to cap read fan-out.
-        if n > self.max_live_tables {
-            let w = self.min_merge.max(2).min(n);
-            let mut best_start = 0usize;
-            let mut best_bytes = u64::MAX;
-            for start in 0..=(n - w) {
-                let bytes: u64 = tables
-                    .get(start..start + w)
-                    .map_or(u64::MAX, |ts| ts.iter().map(|t| t.bytes).sum());
-                if bytes < best_bytes {
-                    best_bytes = bytes;
-                    best_start = start;
-                }
-            }
-            return Some(Pick { range: best_start..best_start + w, reason: PickReason::Pressure });
-        }
-        None
+    let total: u64 = tables.iter().map(|t| t.bytes).sum();
+    let oldest = tables.last().map_or(0, |t| t.bytes);
+    // 1. Space amplification: everything above the oldest table is
+    // (over-approximated) dead weight once it exceeds the budget.
+    let above = total - oldest;
+    if above as f64 > (MAX_SPACE_AMP - 1.0) * oldest as f64 {
+        return Some(Pick { range: 0..n, reason: PickReason::SpaceAmp });
     }
+    // 2. Ratio runs: longest run wins, newest on ties.
+    let mut best: Option<Range<usize>> = None;
+    for start in 0..n {
+        let mut acc = tables.get(start).map_or(0, |t| t.bytes);
+        let mut end = start + 1;
+        while end < n && end - start < MAX_MERGE {
+            let next = tables.get(end).map_or(u64::MAX, |t| t.bytes);
+            if next as f64 <= SIZE_RATIO * acc as f64 {
+                acc = acc.saturating_add(next);
+                end += 1;
+            } else {
+                break;
+            }
+        }
+        if end - start >= MIN_MERGE && best.as_ref().is_none_or(|b| end - start > b.len()) {
+            best = Some(start..end);
+        }
+    }
+    if let Some(range) = best {
+        return Some(Pick { range, reason: PickReason::Tiered });
+    }
+    // 3. Pressure: merge the cheapest window to cap read fan-out.
+    if n > MAX_LIVE_TABLES {
+        let w = MIN_MERGE;
+        let mut best_start = 0usize;
+        let mut best_bytes = u64::MAX;
+        for start in 0..=(n - w) {
+            let bytes: u64 = tables
+                .get(start..start + w)
+                .map_or(u64::MAX, |ts| ts.iter().map(|t| t.bytes).sum());
+            if bytes < best_bytes {
+                best_bytes = bytes;
+                best_start = start;
+            }
+        }
+        return Some(Pick { range: best_start..best_start + w, reason: PickReason::Pressure });
+    }
+    None
 }
 
 /// Merges `inputs` (newest-first) into a new table at `out_path`,
@@ -213,60 +179,50 @@ mod tests {
 
     #[test]
     fn healthy_sequences_pick_nothing() {
-        let p = CompactionPolicy::default();
-        assert_eq!(p.pick(&[]), None);
-        assert_eq!(p.pick(&[info(1, 1000)]), None);
+        assert_eq!(pick(&[]), None);
+        assert_eq!(pick(&[info(1, 1000)]), None);
         // A small fresh flush over a settled big table: no run, no
         // space-amp breach, under the table cap.
-        assert_eq!(p.pick(&[info(2, 100), info(1, 100_000)]), None);
+        assert_eq!(pick(&[info(2, 100), info(1, 100_000)]), None);
     }
 
     #[test]
     fn similar_sized_peers_form_a_run() {
-        let p = CompactionPolicy::default();
         let tables = [info(4, 90), info(3, 110), info(2, 100), info(1, 100_000)];
-        let pick = p.pick(&tables).expect("ratio run");
-        assert_eq!(pick.reason, PickReason::Tiered);
-        assert_eq!(pick.range, 0..3, "the big old table stays out of the run");
-        assert!(!pick.includes_oldest(tables.len()));
+        let run = pick(&tables).expect("ratio run");
+        assert_eq!(run.reason, PickReason::Tiered);
+        assert_eq!(run.range, 0..3, "the big old table stays out of the run");
     }
 
     #[test]
     fn space_amp_triggers_full_merge() {
-        let p = CompactionPolicy::default();
         // 60k of newer data over a 100k base: 0.6 > (1.5 - 1).
         let tables = [info(3, 30_000), info(2, 30_000), info(1, 100_000)];
-        let pick = p.pick(&tables).expect("space amp");
-        assert_eq!(pick.reason, PickReason::SpaceAmp);
-        assert_eq!(pick.range, 0..3);
-        assert!(pick.includes_oldest(tables.len()));
+        let run = pick(&tables).expect("space amp");
+        assert_eq!(run.reason, PickReason::SpaceAmp);
+        assert_eq!(run.range, 0..3, "the run reaches the oldest table");
     }
 
     #[test]
     fn pressure_fires_above_the_table_cap() {
-        let p = CompactionPolicy {
-            min_merge: 3,
-            max_merge: 4,
-            size_ratio: 0.01, // no ratio run can form
-            max_live_tables: 4,
-            max_space_amp: 1000.0,
-            ..CompactionPolicy::default()
-        };
-        // Exponentially growing sizes defeat the ratio rule; the cap
-        // still forces a merge of the cheapest window.
-        let tables: Vec<_> = (0..6).map(|i| info(6 - i, 1u64 << (4 * i))).collect();
-        let pick = p.pick(&tables).expect("pressure");
-        assert_eq!(pick.reason, PickReason::Pressure);
-        assert_eq!(pick.range, 0..3, "cheapest window is the newest (smallest) tables");
+        // Sizes growing 16× per step defeat the ratio rule and keep the
+        // newer bytes far under the space-amp budget; one table over
+        // the cap still forces a merge of the cheapest window.
+        let tables: Vec<_> =
+            (0..MAX_LIVE_TABLES as u64 + 1).map(|i| info(100 - i, 1u64 << (4 * i))).collect();
+        let run = pick(&tables).expect("pressure");
+        assert_eq!(run.reason, PickReason::Pressure);
+        assert_eq!(run.range, 0..MIN_MERGE, "cheapest window is the newest (smallest) tables");
     }
 
     #[test]
     fn runs_are_capped_at_max_merge() {
-        // Disarm the space-amp trigger so the ratio path is what fires.
-        let p =
-            CompactionPolicy { max_merge: 4, max_space_amp: 1000.0, ..CompactionPolicy::default() };
-        let tables: Vec<_> = (0..10).map(|i| info(10 - i, 100)).collect();
-        let pick = p.pick(&tables).expect("run");
-        assert!(pick.range.len() <= 4, "range {:?}", pick.range);
+        // Ten equal peers over a big base: the space-amp trigger stays
+        // quiet, so the ratio path fires and stops at the cap.
+        let mut tables: Vec<_> = (0..10).map(|i| info(100 - i, 100)).collect();
+        tables.push(info(1, 100_000));
+        let run = pick(&tables).expect("run");
+        assert_eq!(run.reason, PickReason::Tiered);
+        assert_eq!(run.range, 0..MAX_MERGE);
     }
 }

@@ -10,11 +10,13 @@
 //!   an edit, so a crash leaves either the old or the new edition —
 //!   never a mix — and files the manifest does not name are debris the
 //!   next open deletes;
-//! * compaction runs either inline (no worker attached: a full merge
-//!   once [`EngineOptions::compact_at`] tables accumulate, preserving
-//!   the original single-writer behavior) or in the background through
-//!   [`LsmEngine::maybe_compact`], which follows the tiered
-//!   [`CompactionPolicy`] and merges *outside* the write lock;
+//! * compaction never runs on the write path: a flush only signals the
+//!   attached maintenance worker ([`crate::maintenance`]), which drains
+//!   [`LsmEngine::maybe_compact`] — the tiered picker of
+//!   [`crate::compaction`]. [`LsmEngine::force_compact`] merges every
+//!   live table through the same body. Either way the merge itself runs
+//!   *outside* the write lock. An engine with no worker attached never
+//!   compacts on its own;
 //! * point reads and range scans go through the shared
 //!   [`BlockCache`] when [`EngineOptions::cache`] is set.
 //!
@@ -24,7 +26,7 @@
 
 use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
-use crate::compaction::{self, CompactionPolicy, TableInfo};
+use crate::compaction::{self, TableInfo};
 use crate::error::{Result, StorageError};
 use crate::iter::{MergeIter, Source};
 use crate::kv::KvStore;
@@ -34,11 +36,19 @@ use crate::memtable::MemTable;
 use crate::sstable::{SsTable, TableOptions};
 use crate::wal::{self, SyncPolicy, Wal};
 use parking_lot::{Mutex, RwLock};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const WAL_FILE: &str = "wal.log";
+
+/// Write-stall threshold: with a maintenance worker attached, a writer
+/// whose flush leaves at least this many live tables pauses (briefly,
+/// off-lock) until the worker drains the backlog. Without backpressure
+/// a fast ingester on a starved host outruns the worker forever and
+/// reads degrade exactly as if compaction were off.
+const STALL_TABLES: usize = 24;
 
 /// Engine tuning.
 #[derive(Debug, Clone)]
@@ -49,11 +59,6 @@ pub struct EngineOptions {
     pub table: TableOptions,
     /// WAL durability policy.
     pub sync: SyncPolicy,
-    /// Inline fallback: run a full compaction once this many tables are
-    /// live. Only fires when no maintenance worker is attached.
-    pub compact_at: usize,
-    /// Tiered policy driving [`LsmEngine::maybe_compact`].
-    pub compaction: CompactionPolicy,
     /// Shared cache for decoded data blocks; `None` ⇒ uncached reads.
     /// Share one [`Arc`] across shard engines to give them one budget.
     pub cache: Option<Arc<BlockCache>>,
@@ -69,8 +74,6 @@ impl Default for EngineOptions {
             memtable_bytes: 4 << 20,
             table: TableOptions::default(),
             sync: SyncPolicy::OnWrite,
-            compact_at: 8,
-            compaction: CompactionPolicy::default(),
             cache: None,
             seal_clock: None,
         }
@@ -128,8 +131,7 @@ struct Inner {
     flushes: u64,
     compactions: u64,
     recovered_torn_tail: bool,
-    /// When set, flushes poke the maintenance worker instead of
-    /// compacting inline.
+    /// The attached maintenance worker's wake-up; flushes poke it.
     flush_signal: Option<Arc<Signal>>,
 }
 
@@ -250,18 +252,18 @@ impl LsmEngine {
         flush_locked(&mut inner)
     }
 
-    /// Forces a full compaction into one table, dropping tombstones
-    /// (normally compaction is tiered and pin-gated; this is the
-    /// explicit everything-now variant for tests and tools).
+    /// Merges every live table into one, dropping tombstones (normally
+    /// compaction is tiered and pin-gated; this is the explicit
+    /// everything-now variant for tests and tools). Runs the same
+    /// off-lock merge as [`Self::maybe_compact`]: tables flushed while
+    /// it merges stay above the output.
     pub fn force_compact(&self) -> Result<()> {
-        let _serialize = self.compact_lock.lock();
-        let mut inner = self.inner.write();
-        compact_all_locked(&mut inner, None)
+        self.compact(None, |tables| (tables.len() >= 2).then_some(0..tables.len())).map(drop)
     }
 
     /// Attaches (or with `None` detaches) a maintenance worker's flush
-    /// signal. While attached, flushes notify the worker instead of
-    /// compacting inline.
+    /// signal. While attached, flushes notify the worker; detached, the
+    /// engine does not compact until a worker attaches again.
     pub fn set_flush_signal(&self, signal: Option<Arc<Signal>>) {
         self.inner.write().flush_signal = signal;
     }
@@ -276,8 +278,7 @@ impl LsmEngine {
         loop {
             std::thread::sleep(std::time::Duration::from_millis(1));
             let inner = self.inner.read();
-            let drained = inner.flush_signal.is_none()
-                || inner.tables.len() < inner.opts.compaction.stall_tables;
+            let drained = inner.flush_signal.is_none() || inner.tables.len() < STALL_TABLES;
             drop(inner);
             if drained || std::time::Instant::now() >= deadline {
                 return;
@@ -285,17 +286,32 @@ impl LsmEngine {
         }
     }
 
-    /// Runs at most one tiered compaction if the policy picks one,
+    /// Runs at most one tiered compaction if the picker chooses a run,
     /// returning whether a merge happened. `pin_floor` is the oldest
     /// version a live snapshot/subscription still pins: tombstones are
     /// only dropped when the picked run reaches the oldest table *and*
     /// every input was sealed at or below the floor.
     ///
-    /// Lock order: takes the engine's compaction mutex for the whole
-    /// call; takes the state write lock briefly to snapshot inputs and
-    /// allocate the output id, releases it for the merge itself, then
-    /// re-takes it to commit the manifest edit and install the swap.
+    /// Lock order: the compaction mutex for the whole call; the state
+    /// write lock only briefly, before and after the off-lock merge.
     pub fn maybe_compact(&self, pin_floor: Option<u64>) -> Result<bool> {
+        self.compact(pin_floor, |tables| compaction::pick(tables).map(|pick| pick.range))
+    }
+
+    /// The one merge body: `choose` names a contiguous newest-first run
+    /// of the live tables, which is merged into one table in its place.
+    /// Returns whether a merge happened.
+    ///
+    /// Lock order: takes the engine's compaction mutex for the whole
+    /// call; takes the state write lock briefly to pick and snapshot the
+    /// inputs and allocate the output id, releases it for the merge
+    /// itself, then re-takes it to commit the manifest edit and install
+    /// the swap.
+    fn compact(
+        &self,
+        pin_floor: Option<u64>,
+        choose: impl FnOnce(&[TableInfo]) -> Option<Range<usize>>,
+    ) -> Result<bool> {
         let _serialize = self.compact_lock.lock();
 
         // Phase 1 (locked): pick a run and snapshot its inputs.
@@ -310,18 +326,21 @@ impl LsmEngine {
                     seal_version: h.meta.seal_version,
                 })
                 .collect();
-            let Some(pick) = inner.opts.compaction.pick(&infos) else {
+            let Some(range) = choose(&infos) else {
                 return Ok(false);
             };
-            let run = match inner.tables.get(pick.range.clone()) {
+            let includes_oldest = range.end == inner.tables.len();
+            let run = match inner.tables.get(range) {
                 Some(run) if !run.is_empty() => run,
                 _ => return Ok(false),
             };
             let inputs: Vec<Arc<SsTable>> = run.iter().map(|h| Arc::clone(&h.table)).collect();
             let removed_ids: Vec<u64> = run.iter().map(|h| h.meta.id).collect();
             let max_seal = run.iter().map(|h| h.meta.seal_version).max().unwrap_or(0);
-            let drop_tombstones = pick.includes_oldest(inner.tables.len())
-                && pin_floor.is_none_or(|floor| max_seal <= floor);
+            // Nothing below the run could be resurrected, and no pinned
+            // reader still sees through its inputs.
+            let drop_tombstones =
+                includes_oldest && pin_floor.is_none_or(|floor| max_seal <= floor);
             let out_id = inner.next_id;
             inner.next_id += 1;
             (
@@ -347,8 +366,10 @@ impl LsmEngine {
         // Phase 3 (locked): commit the edition swap.
         let mut inner = self.inner.write();
         let Some(start) = position_of_run(&inner.tables, &removed_ids) else {
-            // The run vanished (a forced full compaction raced us): the
-            // output is unregistered debris, discard it.
+            // Unreachable while the compaction mutex serializes every
+            // merge and flushes only prepend: the picked run cannot
+            // change under us. Kept as a guard — if it ever did, the
+            // output is unregistered debris, so discard it.
             drop(inner);
             // pass-lint: allow(l8, reason="the compaction output was never registered in the manifest — failing to discard it leaves unread debris, swept at open")
             let _ = std::fs::remove_file(&out_path);
@@ -415,8 +436,7 @@ impl KvStore for LsmEngine {
             apply_to_memtable(&mut inner.mem, batch);
             if inner.mem.approx_bytes() >= inner.opts.memtable_bytes {
                 flush_locked(&mut inner)?;
-                inner.flush_signal.is_some()
-                    && inner.tables.len() >= inner.opts.compaction.stall_tables
+                inner.flush_signal.is_some() && inner.tables.len() >= STALL_TABLES
             } else {
                 false
             }
@@ -502,48 +522,9 @@ fn flush_locked(inner: &mut Inner) -> Result<()> {
     inner.wal = Wal::create(inner.dir.join(WAL_FILE), inner.opts.sync)?;
     inner.flushes += 1;
 
-    match &inner.flush_signal {
-        // A maintenance worker owns compaction: wake it and return.
-        Some(signal) => signal.notify(),
-        // No worker: preserve the original inline full-merge behavior.
-        None => {
-            if inner.tables.len() >= inner.opts.compact_at {
-                compact_all_locked(inner, None)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Full merge of every live table into one, under the state write lock.
-/// `pin_floor` gates tombstone dropping exactly as in
-/// [`LsmEngine::maybe_compact`]; `None` ⇒ nothing pinned, drop freely.
-fn compact_all_locked(inner: &mut Inner, pin_floor: Option<u64>) -> Result<()> {
-    if inner.tables.len() < 2 {
-        return Ok(());
-    }
-    let id = inner.next_id;
-    inner.next_id += 1;
-    let path = table_path(&inner.dir, id);
-    let inputs: Vec<Arc<SsTable>> = inner.tables.iter().map(|h| Arc::clone(&h.table)).collect();
-    let removed: Vec<u64> = inner.tables.iter().map(|h| h.meta.id).collect();
-    let max_seal = inner.tables.iter().map(|h| h.meta.seal_version).max().unwrap_or(0);
-    let drop_tombstones = pin_floor.is_none_or(|floor| max_seal <= floor);
-    compaction::merge_tables(&path, &inputs, &inner.opts.table, drop_tombstones)?;
-
-    let added = TableMeta { id, seal_version: max_seal };
-    let next_id = inner.next_id;
-    // Commit point.
-    inner.manifest.append(&ManifestEdit::Compact { added, removed }, &[added], next_id)?;
-
-    let old_paths: Vec<PathBuf> =
-        inner.tables.iter().map(|h| h.table.path().to_path_buf()).collect();
-    let table = SsTable::open_with_cache(&path, inner.opts.cache.clone())?;
-    inner.tables = vec![TableHandle { table: Arc::new(table), meta: added }];
-    inner.compactions += 1;
-    for old in old_paths {
-        // pass-lint: allow(l8, reason="the manifest already committed the full compaction; an unremovable input table is orphaned debris, swept at open, never read")
-        let _ = std::fs::remove_file(old);
+    // The maintenance worker, if one is attached, owns compaction.
+    if let Some(signal) = &inner.flush_signal {
+        signal.notify();
     }
     Ok(())
 }
@@ -588,7 +569,6 @@ mod tests {
     fn small_opts() -> EngineOptions {
         EngineOptions {
             memtable_bytes: 8 << 10, // flush often so tests exercise tables
-            compact_at: 4,
             ..EngineOptions::default()
         }
     }
@@ -629,9 +609,11 @@ mod tests {
         for i in 0..2_000u32 {
             db.put(format!("key-{i:05}").as_bytes(), &[0u8; 64]).unwrap();
         }
+        // Drain the picker like the worker would.
+        while db.maybe_compact(None).unwrap() {}
         let stats = db.stats();
         assert!(stats.flushes > 0, "expected automatic flushes: {stats:?}");
-        assert!(stats.compactions > 0, "expected automatic compaction: {stats:?}");
+        assert!(stats.compactions > 0, "expected tiered compaction: {stats:?}");
         for i in (0..2_000u32).step_by(97) {
             assert_eq!(db.get(format!("key-{i:05}").as_bytes()).unwrap(), Some(vec![0u8; 64]));
         }
@@ -753,9 +735,7 @@ mod tests {
     #[test]
     fn maybe_compact_merges_and_preserves_reads() {
         let dir = TempDir::new("lsm-tiered");
-        let mut opts = small_opts();
-        opts.compact_at = usize::MAX; // keep the inline path out of the way
-        let db = LsmEngine::open(dir.path(), opts).unwrap();
+        let db = LsmEngine::open(dir.path(), small_opts()).unwrap();
         for round in 0..5u32 {
             for i in 0..200u32 {
                 db.put(format!("key-{i:05}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
@@ -786,7 +766,6 @@ mod tests {
         let build = |dir: &TempDir, floor: Option<u64>| -> u64 {
             let clock = Arc::new(AtomicU64::new(0));
             let mut opts = small_opts();
-            opts.compact_at = usize::MAX;
             opts.seal_clock = Some(Arc::clone(&clock));
             let db = LsmEngine::open(dir.path(), opts).unwrap();
             clock.store(5, Ordering::Release);
@@ -811,9 +790,7 @@ mod tests {
     #[test]
     fn background_worker_compacts_behind_flushes() {
         let dir = TempDir::new("lsm-worker");
-        let mut opts = small_opts();
-        opts.compact_at = usize::MAX; // the worker owns compaction
-        let db = Arc::new(LsmEngine::open(dir.path(), opts).unwrap());
+        let db = Arc::new(LsmEngine::open(dir.path(), small_opts()).unwrap());
         let handle = spawn_engine_worker(
             Arc::clone(&db),
             MaintenanceOptions { tick: std::time::Duration::from_millis(20), pin_floor: None },
@@ -838,8 +815,63 @@ mod tests {
         for i in (0..3_000u32).step_by(83) {
             assert_eq!(db.get(format!("key-{i:05}").as_bytes()).unwrap(), Some(vec![7u8; 64]));
         }
-        // Detached: the inline path is back in charge on the next flush.
+        // Detached: later flushes signal nobody.
         assert!(db.inner.read().flush_signal.is_none());
+    }
+
+    #[test]
+    fn without_a_worker_flushes_never_compact() {
+        let dir = TempDir::new("lsm-noworker");
+        let db = LsmEngine::open(dir.path(), small_opts()).unwrap();
+        for round in 0..10u32 {
+            db.put(format!("key-{round:02}").as_bytes(), b"v").unwrap();
+            db.force_flush().unwrap();
+        }
+        let stats = db.stats();
+        assert_eq!(stats.flushes, 10, "{stats:?}");
+        assert_eq!(stats.num_tables, 10, "every flush left its own table: {stats:?}");
+        assert_eq!(stats.compactions, 0, "no worker, no compaction: {stats:?}");
+    }
+
+    #[test]
+    fn force_compact_races_writers_without_losing_updates() {
+        let dir = TempDir::new("lsm-force-race");
+        let db = LsmEngine::open(dir.path(), small_opts()).unwrap();
+        let rounds = 30u32;
+        let keys = 50u32;
+        let write_round = |round: u32| {
+            for k in 0..keys {
+                db.put(format!("key-{k:03}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
+            }
+            db.force_flush().unwrap();
+        };
+        write_round(0);
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                (1..rounds).for_each(write_round);
+                writing.store(false, Ordering::Release);
+            });
+            while writing.load(Ordering::Acquire) {
+                db.force_compact().unwrap();
+            }
+        });
+        db.force_compact().unwrap();
+        let newest = format!("r{}", rounds - 1).into_bytes();
+        let check = |db: &LsmEngine| {
+            for k in 0..keys {
+                let got = db.get(format!("key-{k:03}").as_bytes()).unwrap();
+                assert_eq!(
+                    got.as_deref(),
+                    Some(newest.as_slice()),
+                    "key {k} reads its newest value"
+                );
+            }
+        };
+        check(&db);
+        assert!(db.stats().compactions > 0);
+        drop(db);
+        check(&LsmEngine::open(dir.path(), small_opts()).unwrap());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod wal;
 
 pub use batch::{Op, WriteBatch};
 pub use cache::{BlockCache, CacheStats};
-pub use compaction::{CompactionPolicy, Pick, PickReason, TableInfo};
+pub use compaction::{Pick, PickReason, TableInfo};
 pub use engine::{EngineOptions, EngineStats, LsmEngine};
 pub use error::{Result, StorageError};
 pub use kv::{prefix_successor, KvStore};

@@ -1,19 +1,18 @@
 //! The background maintenance worker: a dedicated thread per
 //! [`LsmEngine`] that runs compaction between commits.
 //!
-//! Writers never compact inline once a worker is attached — a flush
-//! appends its manifest edit, pokes the worker's [`Signal`], and
-//! returns. The worker drains the compaction picker (possibly several
-//! merges back-to-back), then parks until the next flush or periodic
-//! tick. A tick exists so deletes-without-flushes and pin releases
-//! still get serviced.
+//! Writers never compact — a flush appends its manifest edit, pokes the
+//! attached worker's [`Signal`], and returns. The worker drains the
+//! compaction picker (possibly several merges back-to-back), then parks
+//! until the next flush or periodic tick. A tick exists so
+//! deletes-without-flushes and pin releases still get serviced.
 //!
 //! Shutdown contract: dropping the [`MaintenanceHandle`] (or calling
 //! [`MaintenanceHandle::shutdown`]) sets the shutdown flag, wakes the
 //! thread, joins it, and detaches the engine's flush listener — after
-//! which the engine falls back to inline compaction. In-flight merges
-//! finish; nothing is interrupted mid-edit, so the manifest never sees
-//! a half-committed transition.
+//! which flushes signal nobody and the engine stops compacting until a
+//! new worker attaches. In-flight merges finish; nothing is interrupted
+//! mid-edit, so the manifest never sees a half-committed transition.
 //!
 //! Version GC plumbing: the worker re-reads a `pin_floor` callback
 //! before every merge. `pass-core` wires its snapshot/subscription pin
@@ -189,14 +188,15 @@ impl Drop for MaintenanceHandle {
 }
 
 /// Spawns the compaction worker for `engine` and attaches it as the
-/// engine's flush listener (disabling inline compaction).
+/// engine's flush listener. If the thread cannot be spawned, nothing is
+/// attached (a flush must not signal a worker that does not exist) and
+/// the failure is recorded in [`MaintenanceHandle::errors`].
 ///
 /// Lock order: the worker thread only calls [`LsmEngine::maybe_compact`],
 /// which takes the engine's compaction mutex and then its state lock in
 /// short critical sections; no other lock is held across a merge.
 pub fn spawn_engine_worker(engine: Arc<LsmEngine>, opts: MaintenanceOptions) -> MaintenanceHandle {
     let signal = Signal::new();
-    engine.set_flush_signal(Some(Arc::clone(&signal)));
     let errors = Arc::new(AtomicU64::new(0));
     let last_error = Arc::new(Mutex::new(None));
 
@@ -224,11 +224,17 @@ pub fn spawn_engine_worker(engine: Arc<LsmEngine>, opts: MaintenanceOptions) -> 
         })
     };
 
-    let detach: Box<dyn FnOnce() + Send + Sync> = {
-        let engine = Arc::clone(&engine);
-        Box::new(move || engine.set_flush_signal(None))
+    let thread = match thread {
+        Ok(thread) => thread,
+        Err(e) => {
+            let e = StorageError::io("spawning the maintenance worker", e);
+            record_error(&errors, &last_error, &e);
+            return MaintenanceHandle { signal, thread: None, detach: None, errors, last_error };
+        }
     };
-    MaintenanceHandle { signal, thread: thread.ok(), detach: Some(detach), errors, last_error }
+    engine.set_flush_signal(Some(Arc::clone(&signal)));
+    let detach: Box<dyn FnOnce() + Send + Sync> = Box::new(move || engine.set_flush_signal(None));
+    MaintenanceHandle { signal, thread: Some(thread), detach: Some(detach), errors, last_error }
 }
 
 /// Spawns a generic periodic worker running `task` once per tick (or

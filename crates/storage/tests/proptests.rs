@@ -16,6 +16,8 @@ enum Action {
     Batch(Vec<(Vec<u8>, Option<Vec<u8>>)>),
     Flush,
     Compact,
+    /// Drain the tiered picker, as the maintenance worker would.
+    MaybeCompact,
     Reopen,
 }
 
@@ -34,6 +36,7 @@ fn arb_action() -> impl Strategy<Value = Action> {
         ).prop_map(Action::Batch),
         1 => Just(Action::Flush),
         1 => Just(Action::Compact),
+        1 => Just(Action::MaybeCompact),
         1 => Just(Action::Reopen),
     ]
 }
@@ -41,7 +44,6 @@ fn arb_action() -> impl Strategy<Value = Action> {
 fn tiny_opts() -> EngineOptions {
     EngineOptions {
         memtable_bytes: 2 << 10, // flush constantly
-        compact_at: 3,
         ..EngineOptions::default()
     }
 }
@@ -83,6 +85,7 @@ proptest! {
                 }
                 Action::Flush => db.force_flush().unwrap(),
                 Action::Compact => db.force_compact().unwrap(),
+                Action::MaybeCompact => while db.maybe_compact(None).unwrap() {},
                 Action::Reopen => {
                     drop(db);
                     db = LsmEngine::open(dir.path(), tiny_opts()).unwrap();
@@ -130,7 +133,7 @@ proptest! {
                     }
                     db.apply(batch).unwrap();
                 }
-                Action::Flush | Action::Compact | Action::Reopen => {}
+                Action::Flush | Action::Compact | Action::MaybeCompact | Action::Reopen => {}
             }
         }
         let scanned: BTreeMap<Vec<u8>, Vec<u8>> =
