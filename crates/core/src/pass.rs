@@ -89,6 +89,11 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Records per [`IndexDelta`] in the open-time rebuild: large enough to
+/// amortize the sorted bulk merges, small enough that the delta's
+/// attribute rows and documents stay a small fraction of the indexes.
+const REBUILD_CHUNK: usize = 1024;
+
 /// Lazily-built created-order scans, shared by every cursor opened on
 /// one published [`State`]. Cloning (the copy-on-write path) and
 /// in-place mutation both reset it — see [`Pass::publish`].
@@ -212,25 +217,20 @@ impl State {
     /// Indexes one record everywhere (single-record path: annotation
     /// merges and archive imports).
     fn index_record(&mut self, record: &ProvenanceRecord) -> NodeIdx {
-        let idx = self.index_records(&[record])[0];
+        let idx = self.apply_delta(IndexDelta::prepare(vec![record.clone()]))[0];
         self.time.build();
         idx
     }
 
-    /// Bulk-indexes a batch of records: graph edges per record, then one
-    /// sorted bulk insert per index so maintenance cost is amortized over
-    /// the batch (`AttrIndex::insert_bulk`, `KeywordIndex::insert_bulk`,
-    /// one `TimeIndex` rebuild). Caller must finish with
-    /// `self.time.build()` once all batches of a commit are in.
-    fn index_records(&mut self, records: &[&ProvenanceRecord]) -> Vec<NodeIdx> {
-        self.apply_delta(IndexDelta::prepare(records))
-    }
-
-    /// Applies a pre-extracted [`IndexDelta`]. Only the parts that need
-    /// `&mut self` happen here — graph interning (which assigns the
-    /// `NodeIdx` every other entry is remapped onto) and the sorted bulk
-    /// merges — so shard-parallel writers keep the serialized publish
-    /// section as short as possible.
+    /// Applies a pre-extracted [`IndexDelta`]: graph edges per record,
+    /// then one sorted bulk insert per index so maintenance cost is
+    /// amortized over the batch (`AttrIndex::insert_bulk`,
+    /// `KeywordIndex::insert_bulk`). Only the parts that need `&mut self`
+    /// happen here — graph interning (which assigns the `NodeIdx` every
+    /// other entry is remapped onto) and the sorted bulk merges — so
+    /// shard-parallel writers keep the serialized publish section as
+    /// short as possible. Caller must finish with `self.time.build()`
+    /// once all deltas of a commit are in.
     fn apply_delta(&mut self, delta: IndexDelta) -> Vec<NodeIdx> {
         let mut idxs = Vec::with_capacity(delta.records.len());
         for (slot, record) in delta.records.iter().enumerate() {
@@ -252,12 +252,14 @@ impl State {
 }
 
 /// Everything a batch contributes to the in-memory indexes, extracted
-/// ahead of the publish critical section: record clones, parent edge
-/// lists, attribute rows, keyword documents, and time ranges, each keyed
-/// by the record's *slot* (position in the batch). Slots are remapped to
-/// `NodeIdx` under the state lock — node indices are assigned by graph
-/// interning (placeholder reuse makes them non-monotone), so they cannot
-/// be precomputed outside it.
+/// ahead of the publish critical section: the records themselves (owned,
+/// so the open-time rebuild moves decoded records in and only the
+/// borrowed ingest path clones), parent edge lists, attribute rows,
+/// keyword documents, and time ranges, each keyed by the record's *slot*
+/// (position in the batch). Slots are remapped to `NodeIdx` under the
+/// state lock — node indices are assigned by graph interning
+/// (placeholder reuse makes them non-monotone), so they cannot be
+/// precomputed outside it.
 struct IndexDelta {
     records: Vec<ProvenanceRecord>,
     parents: Vec<Vec<(TupleSetId, bool)>>,
@@ -267,9 +269,9 @@ struct IndexDelta {
 }
 
 impl IndexDelta {
-    fn prepare(records: &[&ProvenanceRecord]) -> IndexDelta {
+    fn prepare(records: Vec<ProvenanceRecord>) -> IndexDelta {
         let mut delta = IndexDelta {
-            records: Vec::with_capacity(records.len()),
+            records: Vec::new(),
             parents: Vec::with_capacity(records.len()),
             attrs: Vec::new(),
             docs: Vec::new(),
@@ -306,8 +308,8 @@ impl IndexDelta {
             if let Some(range) = record.time_range() {
                 delta.ranges.push((slot, range));
             }
-            delta.records.push((*record).clone());
         }
+        delta.records = records;
         delta
     }
 }
@@ -561,19 +563,29 @@ impl Pass {
         self.sharding.shard_of(id)
     }
 
+    /// Rebuilds the in-memory indexes from the stored records in one
+    /// streaming pass: each scanned row is decoded once and its bytes
+    /// dropped, and every [`REBUILD_CHUNK`] records are moved into the
+    /// indexes as one [`IndexDelta`], so peak memory stays close to the
+    /// resident state the open leaves behind.
     fn rebuild_indexes(&self) -> Result<()> {
         let mut state = State::empty();
-        let mut records = Vec::new();
-        for (key, value) in self.store.scan_prefix(&[keyspace::RECORD])? {
+        let rows = self.store.scan_prefix(&[keyspace::RECORD])?;
+        state.records.reserve(rows.len());
+        let mut chunk = Vec::with_capacity(REBUILD_CHUNK);
+        for (key, value) in rows {
             let Some((_, id)) = keyspace::parse(&key) else {
                 continue;
             };
             let record = ProvenanceRecord::decode_all(&value)?;
             debug_assert_eq!(record.id, id, "key/record id agreement");
-            records.push(record);
+            chunk.push(record);
+            if chunk.len() == REBUILD_CHUNK {
+                let full = std::mem::replace(&mut chunk, Vec::with_capacity(REBUILD_CHUNK));
+                state.apply_delta(IndexDelta::prepare(full));
+            }
         }
-        // Open-time rebuild is the largest batch of all — one bulk pass.
-        state.index_records(&records.iter().collect::<Vec<_>>());
+        state.apply_delta(IndexDelta::prepare(chunk));
         state.time.build();
         for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
             if let Some((_, id)) = keyspace::parse(&key) {
@@ -764,9 +776,8 @@ impl Pass {
         // delta (record clones, attribute rows, tokenized docs) is
         // extracted *before* the serialized section; only graph
         // interning, the sorted merges, and the broadcast sit inside it.
-        let records: Vec<&ProvenanceRecord> = fresh.iter().map(|ts| &ts.provenance).collect();
-        let delta = IndexDelta::prepare(&records);
-        let new_ids: Vec<TupleSetId> = records.iter().map(|r| r.id).collect();
+        let delta = IndexDelta::prepare(fresh.iter().map(|ts| ts.provenance.clone()).collect());
+        let new_ids: Vec<TupleSetId> = fresh.iter().map(|ts| ts.provenance.id).collect();
         let order = self.publish_order.lock();
         let ((), version) = self.publish(|state| {
             state.apply_delta(delta);
@@ -1598,5 +1609,150 @@ impl QueryEngine for Snapshot {
 impl QueryEngine for Pass {
     fn open(&self, prepared: &PreparedQuery) -> pass_query::Result<Cursor<'_>> {
         Cursor::over_owned(Box::new(self.snapshot()), prepared)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pass_model::SensorId;
+    use pass_storage::tempdir::TempDir;
+
+    fn readings(seed: u64) -> Vec<Reading> {
+        (0..3)
+            .map(|j| Reading::new(SensorId(seed), Timestamp(seed + j)).with("v", j as i64))
+            .collect()
+    }
+
+    /// Derived tuple set with the given parents, built outside any store.
+    fn derived(i: usize, parents: &[TupleSetId], tool: &ToolDescriptor) -> TupleSet {
+        let readings = readings(1_000_000 + i as u64);
+        let mut builder = ProvenanceBuilder::new(SiteId(5), Timestamp(5_000_000 + i as u64))
+            .attr(keys::DOMAIN, "aggregate")
+            .attr(keys::REGION, format!("region-{}", i % 7))
+            .attr(keys::DESCRIPTION, format!("rollup {} of window {}", i % 11, i % 13));
+        for parent in parents {
+            builder = builder.derived_from(*parent, tool.clone());
+        }
+        TupleSet::new(builder.build(TupleSet::content_digest_of(&readings)), readings)
+            .expect("digest matches readings")
+    }
+
+    /// Everything the indexes answer that a reopen must reproduce: the
+    /// `stats()` counts, then the sorted `ids()` and one page list per
+    /// query.
+    fn fingerprint(pass: &Pass, roots: &[TupleSetId]) -> ([u64; 5], Vec<Vec<TupleSetId>>) {
+        let s = pass.stats();
+        let (records, blobs, nodes, edges) =
+            (s.records, s.data_blobs, s.graph_nodes, s.graph_edges);
+        let counts = [records as u64, blobs as u64, nodes as u64, edges as u64, s.attr_entries];
+        let mut ids = pass.ids();
+        ids.sort_unstable();
+        let mut out = vec![ids];
+        let mut queries = vec![
+            r#"FIND WHERE domain = "traffic" ORDER BY created ASC LIMIT 50"#.to_owned(),
+            r#"FIND WHERE region = "region-3" ORDER BY created DESC LIMIT 60"#.to_owned(),
+            "FIND WHERE count BETWEEN 100 AND 900 ORDER BY created DESC LIMIT 40".to_owned(),
+            "FIND WHERE ancestry.parents >= 2 ORDER BY created ASC LIMIT 70".to_owned(),
+            "FIND WHERE time OVERLAPS [200000, 900000] ORDER BY created ASC LIMIT 80".to_owned(),
+            r#"FIND WHERE ANNOTATION CONTAINS "drift" ORDER BY created ASC"#.to_owned(),
+            r#"FIND WHERE ANNOTATION CONTAINS "window 4" ORDER BY created DESC LIMIT 30"#
+                .to_owned(),
+        ];
+        for root in roots {
+            let hex = root.full_hex();
+            queries.push(format!("FIND ANCESTORS OF ts:{hex} ORDER BY created ASC"));
+            queries.push(format!("FIND ANCESTORS OF ts:{hex} ABSTRACTED ORDER BY created ASC"));
+            queries.push(format!("FIND DESCENDANTS OF ts:{hex} WITH SELF ORDER BY created ASC"));
+        }
+        for q in &queries {
+            let page = pass.query_text(q).expect("query runs").ids();
+            assert!(!page.is_empty() || q.contains(" OF "), "empty page for {q}");
+            // The next page, resumed after the last id of this one.
+            if let (Some(last), true) = (page.last(), q.contains("LIMIT")) {
+                let next = format!("{q} AFTER ts:{}", last.full_hex());
+                out.push(pass.query_text(&next).expect("next page runs").ids());
+            }
+            out.push(page);
+        }
+        (counts, out)
+    }
+
+    #[test]
+    fn chunked_rebuild_matches_the_incrementally_built_state() {
+        const RAW: usize = 3_000;
+        const DERIVED: usize = 600;
+        const { assert!(RAW + DERIVED + DERIVED / 6 > 3 * REBUILD_CHUNK) };
+        let dir = TempDir::new("core-chunked-rebuild");
+        let (before, roots) = {
+            let pass = Pass::open(PassConfig::disk(SiteId(5), dir.path())).expect("open");
+            let mut raw = Vec::with_capacity(RAW);
+            for start in (0..RAW).step_by(500) {
+                raw.extend(
+                    pass.capture_batch((start..start + 500).map(|i| {
+                        let t = 1_000 * i as u64;
+                        let attrs = Attributes::new()
+                            .with(keys::DOMAIN, ["traffic", "weather", "medical"][i % 3])
+                            .with(keys::REGION, format!("region-{}", i % 7))
+                            .with(keys::DESCRIPTION, format!("hourly window {}", i % 13))
+                            .with(keys::TIME_START, Timestamp(t))
+                            .with(keys::TIME_END, Timestamp(t + 999))
+                            .with("count", i as i64);
+                        (attrs, readings(i as u64), Timestamp(t + 999))
+                    }))
+                    .expect("capture"),
+                );
+            }
+            // Half the store lives in tables, the rest in the memtable.
+            pass.flush().expect("flush");
+            let tools =
+                [ToolDescriptor::new("aggregate", "1.0"), ToolDescriptor::abstracted("etl", "2")];
+            let first: Vec<TupleSet> = (0..DERIVED)
+                .map(|i| {
+                    let parents = [raw[(i * 7_919) % RAW], raw[(i * 104_729 + 1) % RAW]];
+                    derived(i, &parents, &tools[i % 2])
+                })
+                .collect();
+            // A second generation, plus parents this store never saw.
+            let second: Vec<TupleSet> = (0..DERIVED / 6)
+                .map(|i| {
+                    let foreign = TupleSetId(0xf00d_0000 + i as u128);
+                    let parents =
+                        [first[i * 6].provenance.id, first[i * 6 + 1].provenance.id, foreign];
+                    derived(DERIVED + i, &parents, &tools[0])
+                })
+                .collect();
+            for batch in first.chunks(200).chain(second.chunks(200)) {
+                pass.ingest_batch(batch).expect("ingest derived");
+            }
+            for i in 0..30 {
+                let note = Annotation::new(Timestamp(9_000_000), "ops", format!("drift {i} noted"));
+                pass.annotate(raw[i * 97], note).expect("annotate");
+                assert!(pass.remove_data(raw[i * 89 + 1]).expect("remove data"));
+            }
+
+            // Record keys are hash-ordered: some derived record must sort
+            // into an earlier rebuild chunk than one of its parents, so
+            // the rebuild meets it as a placeholder across chunks.
+            let mut order: Vec<[u8; 17]> =
+                pass.ids().into_iter().map(|id| keyspace::key(keyspace::RECORD, id)).collect();
+            order.sort_unstable();
+            let chunk_of = |id: TupleSetId| {
+                let key = keyspace::key(keyspace::RECORD, id);
+                order.binary_search(&key).ok().map(|pos| pos / REBUILD_CHUNK)
+            };
+            let crossing = first.iter().chain(&second).any(|ts| {
+                let own = chunk_of(ts.provenance.id);
+                ts.provenance.parents().any(|p| chunk_of(p) > own)
+            });
+            assert!(crossing, "no parent sorts into a later chunk than its child");
+
+            let roots = vec![second[0].provenance.id, first[3].provenance.id, raw[0]];
+            (fingerprint(&pass, &roots), roots)
+        };
+
+        let pass = Pass::open(PassConfig::disk(SiteId(5), dir.path())).expect("reopen");
+        assert!(pass.verify_consistency().expect("audit").is_consistent());
+        assert_eq!(fingerprint(&pass, &roots), before);
     }
 }

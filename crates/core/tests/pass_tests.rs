@@ -3,13 +3,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use pass_core::{Pass, PassConfig, PassError};
+use pass_core::{keyspace, Pass, PassConfig, PassError};
 use pass_index::{Direction, TraverseOpts};
 use pass_model::{
     keys, Annotation, Attributes, ProvenanceBuilder, Reading, SensorId, SiteId, Timestamp,
     ToolDescriptor, TupleSet, TupleSetId,
 };
 use pass_storage::tempdir::TempDir;
+use pass_storage::{EngineOptions, KvStore, LsmEngine, StorageError};
 
 fn readings(sensor: u64, n: usize, base_ms: u64) -> Vec<Reading> {
     (0..n)
@@ -262,6 +263,48 @@ fn torn_wal_never_splits_record_from_data() {
         drop(pass);
         std::fs::write(&wal, &bytes).unwrap();
     }
+}
+
+/// A flipped byte in an interior record block must fail the engine's
+/// range scan and the store's open with `ChecksumMismatch` — a streaming
+/// scan that stopped early would hand back fewer records instead.
+#[test]
+fn corrupt_interior_record_block_fails_scan_and_open() {
+    let dir = TempDir::new("core-corrupt-scan");
+    let mut ids = {
+        let pass = Pass::open(PassConfig::disk(SiteId(1), dir.path())).unwrap();
+        let ids = pass
+            .capture_batch((0..400u64).map(|i| {
+                (traffic_attrs("oslo").with("n", i as i64), readings(i, 4, 0), Timestamp(i))
+            }))
+            .unwrap();
+        pass.flush().unwrap();
+        ids
+    };
+    let tables: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+        .collect();
+    assert_eq!(tables.len(), 1, "one flushed table: {tables:?}");
+    // Records sort by key; corrupt the value of the middle one, far from
+    // the first and last record block.
+    ids.sort_by_key(|id| keyspace::key(keyspace::RECORD, *id));
+    let key = keyspace::key(keyspace::RECORD, ids[ids.len() / 2]);
+    let mut bytes = std::fs::read(&tables[0]).unwrap();
+    let at = bytes.windows(key.len()).position(|w| w == key).unwrap();
+    bytes[at + key.len() + 8] ^= 0xff;
+    std::fs::write(&tables[0], &bytes).unwrap();
+
+    let engine = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();
+    let quarter = keyspace::key(keyspace::RECORD, ids[ids.len() / 4]);
+    let head = engine.scan_range(&[keyspace::RECORD], Some(&quarter)).unwrap();
+    assert_eq!(head.len(), ids.len() / 4, "blocks before the damage still read");
+    let err = engine.scan_prefix(&[keyspace::RECORD]).unwrap_err();
+    assert!(matches!(err, StorageError::ChecksumMismatch { .. }), "{err}");
+    drop(engine);
+    let err = Pass::open(PassConfig::disk(SiteId(1), dir.path())).unwrap_err();
+    assert!(matches!(err, PassError::Storage(StorageError::ChecksumMismatch { .. })), "{err}");
 }
 
 // ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ impl Shard {
             evicted += 1;
         }
         // Fresh blocks start unreferenced: only a re-touch earns the
-        // second chance, so a one-shot scan can't flush the hot set.
+        // second chance, so a burst of one-off reads can't flush the hot set.
         let slot = Slot { key, value, bytes, referenced: false };
         let i = match self.free.pop() {
             Some(i) => {

@@ -151,7 +151,7 @@ pub(crate) fn merge_tables(
     drop_tombstones: bool,
 ) -> Result<u64> {
     let expected: u64 = inputs.iter().map(|t| t.entry_count()).sum();
-    let sources: Vec<Source> = inputs.iter().map(|t| Box::new(t.iter()) as Source).collect();
+    let sources = inputs.iter().map(|t| Box::new(t.iter()) as Source<'_>).collect();
     let mut builder = TableBuilder::create(
         out_path,
         usize::try_from(expected).unwrap_or(usize::MAX),

@@ -17,8 +17,9 @@
 //!   live table through the same body. Either way the merge itself runs
 //!   *outside* the write lock. An engine with no worker attached never
 //!   compacts on its own;
-//! * point reads and range scans go through the shared
-//!   [`BlockCache`] when [`EngineOptions::cache`] is set.
+//! * point reads go through the shared [`BlockCache`] when
+//!   [`EngineOptions::cache`] is set; range scans stream each table's
+//!   blocks straight from its file, so a scan cannot flush the hot set.
 //!
 //! Recovery order on open: replay manifest → open listed tables →
 //! delete unlisted table files → replay the WAL's valid prefix into the
@@ -452,21 +453,16 @@ impl KvStore for LsmEngine {
             return Ok(Vec::new());
         }
         let inner = self.inner.read();
-        let mut sources: Vec<Source> = Vec::with_capacity(inner.tables.len() + 1);
-        let mem_entries: Vec<_> = inner
-            .mem
-            .range(start, end)
-            .map(|(k, v)| Ok((k.to_vec(), v.map(<[u8]>::to_vec))))
-            .collect();
-        sources.push(Box::new(mem_entries.into_iter()));
+        let mut sources: Vec<Source<'_>> = Vec::with_capacity(inner.tables.len() + 1);
+        sources.push(Box::new(
+            inner.mem.range(start, end).map(|(k, v)| Ok((k.to_vec(), v.map(<[u8]>::to_vec)))),
+        ));
         for handle in &inner.tables {
-            let entries = handle.table.scan_range(start, end)?;
-            sources.push(Box::new(entries.into_iter().map(Ok)));
+            sources.push(Box::new(handle.table.iter_range(start, end)));
         }
         let mut out = Vec::new();
         for item in MergeIter::new(sources) {
-            let (k, v) = item?;
-            if let Some(v) = v {
+            if let (k, Some(v)) = item? {
                 out.push((k, v));
             }
         }
@@ -872,6 +868,32 @@ mod tests {
         assert!(db.stats().compactions > 0);
         drop(db);
         check(&LsmEngine::open(dir.path(), small_opts()).unwrap());
+    }
+
+    #[test]
+    fn scans_bypass_the_block_cache() {
+        let dir = TempDir::new("lsm-scan-cache");
+        let cache = Arc::new(BlockCache::with_shards(32 << 10, 2));
+        let opts = EngineOptions { cache: Some(Arc::clone(&cache)), ..small_opts() };
+        let db = LsmEngine::open(dir.path(), opts).unwrap();
+        for i in 0..2_000u32 {
+            db.put(format!("key-{i:05}").as_bytes(), &[7u8; 64]).unwrap();
+        }
+        db.force_flush().unwrap();
+        assert!(db.stats().live_table_bytes > 4 * (32 << 10), "tables outgrow the cache");
+        assert_eq!(db.get(b"key-00010").unwrap(), Some(vec![7u8; 64]));
+        let hot = cache.stats();
+        assert!(hot.misses > 0 && hot.cached_bytes > 0, "{hot:?}");
+
+        assert_eq!(db.scan_prefix(b"key-").unwrap().len(), 2_000);
+        let after_scan = cache.stats();
+        assert_eq!(after_scan.misses, hot.misses, "a scan reads no block through the cache");
+        assert_eq!(after_scan.cached_bytes, hot.cached_bytes, "a scan caches nothing");
+
+        assert_eq!(db.get(b"key-01990").unwrap(), Some(vec![7u8; 64]));
+        let after_get = cache.stats();
+        assert!(after_get.misses > hot.misses, "{after_get:?}");
+        assert!(after_get.cached_bytes > hot.cached_bytes, "point reads still populate");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BinaryHeap;
 
 /// A sorted source of entries. Sources are ranked: index 0 is newest, and
 /// on duplicate keys the newest source's entry wins.
-pub type Source = Box<dyn Iterator<Item = Result<Entry>>>;
+pub type Source<'a> = Box<dyn Iterator<Item = Result<Entry>> + 'a>;
 
 struct HeapItem {
     key: Vec<u8>,
@@ -39,15 +39,15 @@ impl PartialOrd for HeapItem {
 /// Merges sorted sources, deduplicating keys with newest-wins precedence.
 /// Tombstones are *preserved* in the output (`None` values); the caller
 /// decides whether to drop them (full compactions do, reads must not).
-pub struct MergeIter {
-    sources: Vec<Source>,
+pub struct MergeIter<'a> {
+    sources: Vec<Source<'a>>,
     heap: BinaryHeap<HeapItem>,
     error: Option<crate::error::StorageError>,
 }
 
-impl MergeIter {
+impl<'a> MergeIter<'a> {
     /// Builds a merge over `sources` (index 0 = newest).
-    pub fn new(mut sources: Vec<Source>) -> Self {
+    pub fn new(mut sources: Vec<Source<'a>>) -> Self {
         let mut heap = BinaryHeap::new();
         let mut error = None;
         for (i, src) in sources.iter_mut().enumerate() {
@@ -73,7 +73,7 @@ impl MergeIter {
     }
 }
 
-impl Iterator for MergeIter {
+impl Iterator for MergeIter<'_> {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -101,7 +101,7 @@ impl Iterator for MergeIter {
 mod tests {
     use super::*;
 
-    fn src(entries: Vec<(&str, Option<&str>)>) -> Source {
+    fn src(entries: Vec<(&str, Option<&str>)>) -> Source<'static> {
         Box::new(
             entries
                 .into_iter()
@@ -111,7 +111,7 @@ mod tests {
         )
     }
 
-    fn collect(iter: MergeIter) -> Vec<(String, Option<String>)> {
+    fn collect(iter: MergeIter<'_>) -> Vec<(String, Option<String>)> {
         iter.map(|r| {
             let (k, v) = r.unwrap();
             (String::from_utf8(k).unwrap(), v.map(|v| String::from_utf8(v).unwrap()))
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn error_propagates_and_stops() {
-        let bad: Source = Box::new(
+        let bad: Source<'static> = Box::new(
             vec![
                 Ok((b"a".to_vec(), Some(b"1".to_vec()))),
                 Err(crate::error::StorageError::corrupt("x", "boom")),

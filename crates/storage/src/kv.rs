@@ -18,6 +18,11 @@ pub trait KvStore: Send + Sync {
 
     /// Entries with `start <= key < end`, in key order. `end = None` means
     /// unbounded. Tombstoned/absent keys are not returned.
+    ///
+    /// The result is materialised. Engines stream internally to build
+    /// it without touching their block cache, so a scan cannot flush the
+    /// blocks point reads keep hot; a block that fails verification
+    /// fails the whole scan rather than shortening it.
     fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
 
     /// Forces buffered state to stable storage (no-op for volatile backends).

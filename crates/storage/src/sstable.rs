@@ -226,8 +226,8 @@ impl SsTable {
         Self::open_with_cache(path, None)
     }
 
-    /// Opens and validates a table file; point reads and range scans go
-    /// through `cache` when one is given.
+    /// Opens and validates a table file; point reads go through `cache`
+    /// when one is given.
     pub fn open_with_cache(
         path: impl Into<PathBuf>,
         cache: Option<Arc<BlockCache>>,
@@ -375,47 +375,37 @@ impl SsTable {
     }
 
     /// Streams every entry in key order.
-    pub fn iter(self: &std::sync::Arc<Self>) -> TableIter {
-        TableIter { table: std::sync::Arc::clone(self), block: 0, entries: Vec::new(), pos: 0 }
+    pub fn iter(self: &Arc<Self>) -> TableIter {
+        self.iter_range(&[], None)
     }
 
-    /// Collects entries with `start <= key < end` (`end = None` ⇒ unbounded).
-    pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<Entry>> {
-        if self.index.is_empty() {
-            return Ok(Vec::new());
-        }
-        let first_block =
+    /// Streams the entries with `start <= key < end` (`end = None` ⇒
+    /// unbounded) in key order, one verified block at a time, straight
+    /// from the file: the first block is found through the index and
+    /// reading stops at the first key past `end`.
+    pub fn iter_range(self: &Arc<Self>, start: &[u8], end: Option<&[u8]>) -> TableIter {
+        let block =
             self.index.partition_point(|(first, _, _)| first.as_slice() <= start).saturating_sub(1);
-        let mut out = Vec::new();
-        for (i, (block_first, _, _)) in self.index.iter().enumerate().skip(first_block) {
-            if let Some(end) = end {
-                if block_first.as_slice() >= end {
-                    break;
-                }
-            }
-            for (k, v) in self.load_block(i)?.iter() {
-                if k.as_slice() < start {
-                    continue;
-                }
-                if let Some(end) = end {
-                    if k.as_slice() >= end {
-                        return Ok(out);
-                    }
-                }
-                out.push((k.clone(), v.clone()));
-            }
+        TableIter {
+            table: Arc::clone(self),
+            block,
+            entries: Vec::new(),
+            pos: 0,
+            start: start.to_vec(),
+            end: end.map(<[u8]>::to_vec),
         }
-        Ok(out)
     }
 }
 
-/// Streaming iterator over a table's entries; yields `Err` once and stops
-/// if a block fails verification mid-stream.
+/// Streaming iterator over a table's entries (see [`SsTable::iter_range`]);
+/// yields `Err` once and stops if a block fails verification mid-stream.
 pub struct TableIter {
-    table: std::sync::Arc<SsTable>,
+    table: Arc<SsTable>,
     block: usize,
     entries: Vec<Entry>,
     pos: usize,
+    start: Vec<u8>,
+    end: Option<Vec<u8>>,
 }
 
 impl Iterator for TableIter {
@@ -428,14 +418,18 @@ impl Iterator for TableIter {
                 self.pos += 1;
                 return Some(Ok(entry));
             }
-            if self.block >= self.table.index.len() {
+            let (first, _, _) = self.table.index.get(self.block)?;
+            if self.end.as_ref().is_some_and(|end| first >= end) {
                 return None;
             }
             match self.table.read_block(self.block) {
-                Ok(entries) => {
+                Ok(mut entries) => {
                     self.block += 1;
+                    if let Some(end) = &self.end {
+                        entries.truncate(entries.partition_point(|(k, _)| k < end));
+                    }
+                    self.pos = entries.partition_point(|(k, _)| *k < self.start);
                     self.entries = entries;
-                    self.pos = 0;
                 }
                 Err(e) => {
                     self.block = self.table.index.len();
@@ -549,17 +543,21 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_respects_bounds() {
+    fn iter_range_respects_bounds() {
         let dir = TempDir::new("sst-scan");
         let entries = sample_entries(300);
         let table = build_table(&dir, &entries);
-        let got = table.scan_range(b"key-000100", Some(b"key-000110")).unwrap();
+        let scan = |start: &[u8], end: Option<&[u8]>| -> Vec<Entry> {
+            table.iter_range(start, end).map(|r| r.unwrap()).collect()
+        };
+        let got = scan(b"key-000100", Some(b"key-000110"));
         assert_eq!(got.len(), 10);
         assert_eq!(got[0].0, b"key-000100".to_vec());
         assert_eq!(got[9].0, b"key-000109".to_vec());
         // Unbounded scan from a midpoint reaches the end.
-        let tail = table.scan_range(b"key-000295", None).unwrap();
-        assert_eq!(tail.len(), 5);
+        assert_eq!(scan(b"key-000295", None).len(), 5);
+        assert!(scan(b"key-000110", Some(b"key-000100")).is_empty(), "inverted bounds");
+        assert!(scan(b"zzz", None).is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
+use pass_storage::sstable::TableOptions;
 use pass_storage::tempdir::TempDir;
 use pass_storage::{EngineOptions, KvStore, LsmEngine, MemEngine, WriteBatch};
 use proptest::prelude::*;
@@ -194,6 +195,57 @@ proptest! {
         }
         let got = db.scan_range(&start, end.as_deref()).unwrap();
         let expected: Vec<(Vec<u8>, Vec<u8>)> = entries
+            .iter()
+            .filter(|(k, _)| k.as_slice() >= start.as_slice())
+            .filter(|(k, _)| end.as_ref().is_none_or(|e| k.as_slice() < e.as_slice()))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        prop_assert_eq!(got, expected);
+    }
+
+    /// The same bounds against an engine whose entries are spread over
+    /// several flushed tables and the memtable, with blocks so small that
+    /// bounds land mid-block and newer tombstones shadow older tables.
+    #[test]
+    fn lsm_scan_range_agrees_with_model_on_random_bounds(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec(
+                (arb_key(), proptest::option::of(proptest::collection::vec(any::<u8>(), 0..24))),
+                1..24,
+            ),
+            2..6,
+        ),
+        start in arb_key(),
+        end in proptest::option::of(arb_key()),
+    ) {
+        let dir = TempDir::new("prop-lsm-range");
+        let opts = EngineOptions {
+            table: TableOptions { block_bytes: 64, ..TableOptions::default() },
+            ..EngineOptions::default()
+        };
+        let db = LsmEngine::open(dir.path(), opts).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (i, round) in rounds.iter().enumerate() {
+            for (k, v) in round {
+                match v {
+                    Some(v) => {
+                        db.put(k, v).unwrap();
+                        model.insert(k.clone(), v.clone());
+                    }
+                    None => {
+                        db.delete(k).unwrap();
+                        model.remove(k);
+                    }
+                }
+            }
+            // Every round but the last becomes a table of its own.
+            if i + 1 < rounds.len() {
+                db.force_flush().unwrap();
+            }
+        }
+        prop_assert_eq!(db.stats().num_tables, rounds.len() - 1);
+        let got = db.scan_range(&start, end.as_deref()).unwrap();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
             .iter()
             .filter(|(k, _)| k.as_slice() >= start.as_slice())
             .filter(|(k, _)| end.as_ref().is_none_or(|e| k.as_slice() < e.as_slice()))
