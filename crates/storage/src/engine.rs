@@ -35,7 +35,7 @@ use crate::maintenance::Signal;
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
 use crate::memtable::MemTable;
 use crate::sstable::{SsTable, TableOptions};
-use crate::wal::{self, SyncPolicy, Wal};
+use crate::wal::{self, Stop, SyncPolicy, Wal};
 use parking_lot::{Mutex, RwLock};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -188,9 +188,11 @@ impl LsmEngine {
             }
         }
 
-        // Replay the WAL into a fresh memtable.
+        // Replay the WAL's valid prefix into a fresh memtable; any stop,
+        // torn or corrupt, is the end of the log.
         let wal_path = dir.join(WAL_FILE);
-        let recovery = wal::recover(&wal_path)?;
+        let bytes = wal::read(&wal_path)?;
+        let recovery = wal::scan(&bytes);
         let mut mem = MemTable::new();
         for payload in &recovery.records {
             let batch = WriteBatch::decode(payload).ok_or_else(|| {
@@ -200,11 +202,7 @@ impl LsmEngine {
             })?;
             apply_to_memtable(&mut mem, batch);
         }
-        let wal = if wal_path.exists() {
-            Wal::open_for_append(&wal_path, opts.sync, recovery.valid_len)?
-        } else {
-            Wal::create(&wal_path, opts.sync)?
-        };
+        let wal = Wal::open_for_append(&wal_path, opts.sync, recovery.valid_len)?;
 
         Ok(LsmEngine {
             inner: RwLock::new(Inner {
@@ -217,7 +215,7 @@ impl LsmEngine {
                 next_id: mstate.next_id,
                 flushes: 0,
                 compactions: 0,
-                recovered_torn_tail: recovery.torn_tail || mstate.recovered_torn_tail,
+                recovered_torn_tail: recovery.stop != Stop::End || mstate.recovered_torn_tail,
                 flush_signal: None,
             }),
             compact_lock: Mutex::new(()),

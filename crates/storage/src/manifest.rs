@@ -8,9 +8,10 @@
 //! between two editions of the table set, and rewriting a whole file
 //! per flush is wasteful under sustained ingest.
 //!
-//! The manifest here is a WAL-framed log (`MANIFEST.log`): each record
-//! is `[len u32 LE][crc32c u32 LE][payload]`, the same framing as
-//! [`crate::wal`]. Payloads are versioned edits:
+//! The manifest here is a record log (`MANIFEST.log`) written through
+//! the WAL's own handle ([`crate::wal`]): each record is
+//! `[len u32 LE][CRC-32C of len ‖ payload, u32 LE][payload]`, appended and
+//! fsynced with [`SyncPolicy::Always`]. Payloads are versioned edits:
 //!
 //! * **snapshot** (tag 1) — the full table set + the id allocator.
 //!   Written when the log is created and as a periodic checkpoint
@@ -20,23 +21,23 @@
 //! * **compact** (tag 3) — one added table replacing a contiguous run
 //!   of removed ids, at the position of the newest removed table.
 //!
-//! Recovery replays the log in order. A record that extends past EOF is
-//! the ordinary crash artifact (the edit never committed): it is
-//! discarded and the file truncated. A *complete* record whose CRC
-//! fails, or a checksummed record that does not decode, is corruption
-//! past the commit point and fails the open — losing a mid-file edit
-//! silently would unregister live tables and let the debris sweep
-//! delete real data.
+//! Recovery replays the log in order. A torn tail — a record that
+//! extends past EOF, or a run of zero bytes to EOF (an un-synced size
+//! extension) — is the ordinary crash artifact (the edit never
+//! committed): it is discarded and the file truncated. A *complete*,
+//! non-zero record whose CRC fails (or that exceeds the record bound),
+//! or a checksummed record that does not decode, is corruption past the
+//! commit point and fails the open — losing a mid-file edit silently
+//! would unregister live tables and let the debris sweep delete real
+//! data.
 //!
 //! Ordering invariant: the table list is kept newest-first, and every
 //! edit preserves recency order (a compaction output sits exactly where
 //! its newest input sat). Readers rely on this for newest-wins shadowing.
 
-use crate::batch::{put_varint, take_u32_le, take_varint};
-use crate::crc::crc32c;
+use crate::batch::{put_varint, take_varint};
 use crate::error::{Result, StorageError};
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use crate::wal::{self, Stop, SyncPolicy, Wal};
 use std::path::{Path, PathBuf};
 
 /// Current manifest log file name.
@@ -48,10 +49,6 @@ const TMP_NAME: &str = "MANIFEST.log.tmp";
 /// rewritten as a single snapshot.
 const CHECKPOINT_EVERY: usize = 64;
 
-/// Largest manifest record accepted (the table set at snapshot time;
-/// far beyond any realistic size).
-const MAX_RECORD_LEN: u32 = 64 << 20;
-
 const TAG_SNAPSHOT: u64 = 1;
 const TAG_FLUSH: u64 = 2;
 const TAG_COMPACT: u64 = 3;
@@ -59,7 +56,7 @@ const TAG_COMPACT: u64 = 3;
 /// One live SSTable as the manifest tracks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableMeta {
-    /// File id (the `sst-<id>.sst` name).
+    /// Table id (the `sst-<id>.sst` name).
     pub id: u64,
     /// Engine version the table was sealed at (0 when no version clock
     /// is wired in). Compaction uses it to gate tombstone drops against
@@ -100,7 +97,7 @@ pub struct ManifestState {
 #[derive(Debug)]
 pub struct Manifest {
     dir: PathBuf,
-    file: File,
+    log: Wal,
     edits_since_checkpoint: usize,
 }
 
@@ -123,67 +120,49 @@ impl Manifest {
                 .map_err(|e| StorageError::io("removing stale manifest temp file", e))?;
         }
 
-        if log_path.exists() {
-            return Self::open_existing(dir, &log_path, have_tables);
+        let bytes = wal::read(&log_path)?;
+        let scan = wal::scan(&bytes);
+        match scan.stop {
+            Stop::End | Stop::Torn => {}
+            Stop::Corrupt { offset } => {
+                return Err(StorageError::ChecksumMismatch { path: log_path, offset })
+            }
         }
-
-        if have_tables {
-            // Tables with no log to own them: the manifest was deleted.
-            // Refuse rather than open empty and sweep them as debris.
-            return Err(StorageError::corrupt(
-                &log_path,
-                "manifest log missing next to existing tables",
-            ));
-        }
-        let state = ManifestState { tables: Vec::new(), next_id: 1, recovered_torn_tail: false };
-        let manifest = Self::create_checkpoint(dir, &state)?;
-        Ok((manifest, state))
-    }
-
-    fn open_existing(
-        dir: &Path,
-        log_path: &Path,
-        have_tables: bool,
-    ) -> Result<(Manifest, ManifestState)> {
-        let bytes =
-            std::fs::read(log_path).map_err(|e| StorageError::io("reading manifest log", e))?;
-        let scan = scan_frames(log_path, &bytes)?;
-        if scan.records.is_empty() && have_tables {
-            // A log in which nothing decodes, next to real tables: this
-            // is not a create-crash (checkpoints install via rename, so
-            // a legitimate log always starts with one complete
-            // snapshot), it is a destroyed manifest. Refuse rather than
-            // sweep the tables as debris.
-            return Err(StorageError::corrupt(
-                log_path,
-                "manifest log holds tables' history but no decodable records",
-            ));
+        if scan.records.is_empty() {
+            if have_tables {
+                // Tables with no record to own them: the log was deleted
+                // or destroyed (checkpoints install via rename, so a
+                // legitimate log always starts with one complete
+                // snapshot). Refuse rather than sweep them as debris.
+                return Err(StorageError::corrupt(
+                    &log_path,
+                    "manifest log holds no decodable record next to existing tables",
+                ));
+            }
+            // A fresh directory, or a crash while its first log was
+            // being created.
+            let state = ManifestState {
+                tables: Vec::new(),
+                next_id: 1,
+                recovered_torn_tail: scan.stop == Stop::Torn,
+            };
+            return Ok((Self::create_checkpoint(dir, &state)?, state));
         }
         let mut state = ManifestState {
             next_id: 1,
-            recovered_torn_tail: scan.torn_tail,
+            recovered_torn_tail: scan.stop == Stop::Torn,
             ..ManifestState::default()
         };
         for payload in &scan.records {
-            apply_record(log_path, payload, &mut state)?;
+            apply_record(&log_path, payload, &mut state)?;
         }
         // The allocator can never sit at or below a live id.
         let max_live = state.tables.iter().map(|t| t.id).max().unwrap_or(0);
         state.next_id = state.next_id.max(max_live + 1);
 
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(log_path)
-            .map_err(|e| StorageError::io("opening manifest log for append", e))?;
-        if scan.torn_tail {
-            file.set_len(scan.valid_len)
-                .map_err(|e| StorageError::io("truncating torn manifest tail", e))?;
-        }
-        file.seek(SeekFrom::End(0)).map_err(|e| StorageError::io("seeking manifest log", e))?;
         let manifest = Manifest {
             dir: dir.to_path_buf(),
-            file,
+            log: Wal::open_for_append(&log_path, SyncPolicy::Always, scan.valid_len)?,
             edits_since_checkpoint: scan.records.len().saturating_sub(1),
         };
         Ok((manifest, state))
@@ -197,11 +176,7 @@ impl Manifest {
     /// `live` and `next_id` describe the post-edit state; they feed the
     /// periodic checkpoint rewrite.
     pub fn append(&mut self, edit: &ManifestEdit, live: &[TableMeta], next_id: u64) -> Result<()> {
-        let payload = encode_edit(edit, next_id);
-        self.file
-            .write_all(&frame(&payload))
-            .map_err(|e| StorageError::io("appending manifest edit", e))?;
-        self.file.sync_data().map_err(|e| StorageError::io("syncing manifest edit", e))?;
+        self.log.append(&encode_edit(edit, next_id))?;
         self.edits_since_checkpoint += 1;
         if self.edits_since_checkpoint >= CHECKPOINT_EVERY {
             self.checkpoint(live, next_id)?;
@@ -222,77 +197,14 @@ impl Manifest {
     fn create_checkpoint(dir: &Path, state: &ManifestState) -> Result<Manifest> {
         let tmp_path = dir.join(TMP_NAME);
         let log_path = dir.join(MANIFEST_NAME);
-        let payload = encode_snapshot(state);
-        {
-            let mut tmp = File::create(&tmp_path)
-                .map_err(|e| StorageError::io("creating manifest checkpoint", e))?;
-            tmp.write_all(&frame(&payload))
-                .map_err(|e| StorageError::io("writing manifest checkpoint", e))?;
-            tmp.sync_data().map_err(|e| StorageError::io("syncing manifest checkpoint", e))?;
-        }
+        let mut tmp = Wal::create(&tmp_path, SyncPolicy::Always)?;
+        tmp.append(&encode_snapshot(state))?;
+        let len = tmp.len();
+        drop(tmp);
         std::fs::rename(&tmp_path, &log_path)
             .map_err(|e| StorageError::io("installing manifest checkpoint", e))?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&log_path)
-            .map_err(|e| StorageError::io("reopening manifest log", e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| StorageError::io("seeking manifest log", e))?;
-        Ok(Manifest { dir: dir.to_path_buf(), file, edits_since_checkpoint: 0 })
-    }
-}
-
-/// Wraps `payload` in the `[len][crc][payload]` frame.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-struct FrameScan {
-    records: Vec<Vec<u8>>,
-    valid_len: u64,
-    torn_tail: bool,
-}
-
-/// Walks the framed records in `bytes`. A frame that extends past EOF
-/// is a torn tail (discarded, `torn_tail` set); a *complete* frame with
-/// a CRC mismatch is corruption and fails the scan.
-fn scan_frames(path: &Path, bytes: &[u8]) -> Result<FrameScan> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        if pos == bytes.len() {
-            return Ok(FrameScan { records, valid_len: pos as u64, torn_tail: false });
-        }
-        let (Some(len), Some(crc)) = (take_u32_le(bytes, pos), take_u32_le(bytes, pos + 4)) else {
-            // Half a header: torn.
-            return Ok(FrameScan { records, valid_len: pos as u64, torn_tail: true });
-        };
-        if len > MAX_RECORD_LEN {
-            return Err(StorageError::corrupt(
-                path,
-                format!("manifest record length {len} exceeds limit"),
-            ));
-        }
-        let start = pos + 8;
-        let Some(end) = start.checked_add(len as usize) else {
-            return Err(StorageError::corrupt(path, "manifest record length overflows"));
-        };
-        let Some(payload) = bytes.get(start..end) else {
-            // Payload cut short by the crash: torn.
-            return Ok(FrameScan { records, valid_len: pos as u64, torn_tail: true });
-        };
-        if crc32c(payload) != crc {
-            return Err(StorageError::ChecksumMismatch {
-                path: path.to_path_buf(),
-                offset: pos as u64,
-            });
-        }
-        records.push(payload.to_vec());
-        pos = end;
+        let log = Wal::open_for_append(&log_path, SyncPolicy::Always, len)?;
+        Ok(Manifest { dir: dir.to_path_buf(), log, edits_since_checkpoint: 0 })
     }
 }
 

@@ -20,14 +20,15 @@
 //!    CRC-framed by the WAL codec) and made durable per the sync
 //!    policy — this append is the commit point;
 //! 2. the per-shard sub-batches are applied to their shard engines;
-//! 3. the intent log is truncated to empty — the completion mark.
+//! 3. the intent log is reset to empty — the completion mark.
 //!
 //! Recovery at open replays a non-empty intent log: re-split the batch
 //! by the router and re-apply every sub-batch (puts and deletes are
 //! idempotent, so shards that already applied are unaffected). A torn
-//! intent record means the commit point was never reached — no shard
-//! was touched — and the log is discarded. Either way the commit is
-//! all-or-nothing.
+//! intent record (cut short, or a zero-filled tail) means the commit
+//! point was never reached — no shard was touched — and the log is
+//! discarded. Either way the commit is all-or-nothing. The log is one
+//! [`Wal`] handle, open from the store's open to its drop.
 //!
 //! Replay is only sound because nothing can overwrite the pending
 //! commit's keys between steps 1 and 3: the caller holds the commit
@@ -59,12 +60,7 @@ pub struct ShardedStore {
     router: ShardRouter,
     /// Cross-shard intent log; `None` for volatile children (no crash to
     /// recover from — cross-shard applies just run sequentially).
-    xlog: Option<Mutex<XLog>>,
-}
-
-struct XLog {
-    path: PathBuf,
-    sync: SyncPolicy,
+    xlog: Option<Mutex<Wal>>,
 }
 
 impl std::fmt::Debug for ShardedStore {
@@ -87,12 +83,10 @@ impl ShardedStore {
         sync: SyncPolicy,
     ) -> Result<Self> {
         assert!(shards.len() > 1, "a sharded store needs at least two shards");
-        let store = ShardedStore {
-            shards,
-            router,
-            xlog: xlog_path.map(|path| Mutex::new(XLog { path, sync })),
-        };
-        store.recover_pending()?;
+        let mut store = ShardedStore { shards, router, xlog: None };
+        if let Some(path) = xlog_path {
+            store.xlog = Some(Mutex::new(store.recover_pending(path, sync)?));
+        }
         Ok(store)
     }
 
@@ -158,7 +152,12 @@ impl ShardedStore {
         }
         match &self.xlog {
             Some(xlog) => {
-                let guard = xlog.lock();
+                let mut log = xlog.lock();
+                if !log.is_empty() {
+                    // An earlier commit failed after its commit point;
+                    // its intent must not replay after this one.
+                    log.reset()?;
+                }
                 // Step 1: durable intent — the commit point. The full
                 // batch goes in one WAL record; the router re-derives
                 // the split at recovery.
@@ -171,16 +170,14 @@ impl ShardedStore {
                         };
                     }
                 }
-                let mut intent = Wal::create(&guard.path, guard.sync)?;
-                intent.append(&combined.encode())?;
-                drop(intent);
+                log.append(&combined.encode())?;
                 // Step 2: per-shard applies (each its own WAL append).
                 for (shard, batch) in parts {
                     // pass-lint: allow(l7, reason="shard_at returns the per-shard engine, so this is LsmEngine::apply — name-based resolution aliases it to ShardedStore::apply, which would re-enter the intent log")
                     self.shard_at(shard)?.apply(batch)?;
                 }
-                // Step 3: completion mark — truncate the intent log.
-                Self::truncate_xlog(&guard)
+                // Step 3: completion mark — empty the intent log.
+                log.reset()
             }
             // Volatile children: nothing survives a crash, so there is
             // no torn state to reconcile — apply sequentially.
@@ -218,42 +215,34 @@ impl ShardedStore {
         per_shard.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect()
     }
 
-    /// Replays (roll-forward) a pending cross-shard commit, then clears
-    /// the intent log. A decodable intent record past its commit point
+    /// Replays (roll-forward) a pending cross-shard commit from the
+    /// intent log at `path`, empties the log, and returns it open for the
+    /// commits to come. A decodable intent record past its commit point
     /// re-applies idempotently; undecodable intent bytes with a valid
     /// CRC are real corruption and surface as an error, never a panic.
     ///
-    /// Lock order: runs at open, before any commit path exists; takes
-    /// only the intent-log mutex.
-    fn recover_pending(&self) -> Result<()> {
-        let Some(xlog) = &self.xlog else { return Ok(()) };
-        let guard = xlog.lock();
-        let recovery = wal::recover(&guard.path)?;
-        for payload in &recovery.records {
+    /// Lock order: runs inside `open`, before the store is shared; takes
+    /// no lock.
+    fn recover_pending(&self, path: PathBuf, sync: SyncPolicy) -> Result<Wal> {
+        let bytes = wal::read(&path)?;
+        // Any stop, torn or corrupt, ends the log: a record that does not
+        // scan never reached its commit point.
+        for payload in wal::scan(&bytes).records {
             let batch = WriteBatch::decode(payload).ok_or_else(|| {
-                StorageError::corrupt(&guard.path, "undecodable cross-shard intent record")
+                StorageError::corrupt(&path, "undecodable cross-shard intent record")
             })?;
             for (shard, sub) in self.partition(batch) {
                 self.shard_at(shard)?.apply(sub)?;
             }
         }
-        if recovery.valid_len > 0 || recovery.torn_tail {
-            Self::truncate_xlog(&guard)?;
+        // The intent must reach the OS before any shard applies, so a
+        // `Lazy` store still writes it through per record.
+        let policy = if sync == SyncPolicy::Lazy { SyncPolicy::OnWrite } else { sync };
+        let mut log = Wal::open_for_append(&path, policy, bytes.len() as u64)?;
+        if !log.is_empty() {
+            log.reset()?;
         }
-        Ok(())
-    }
-
-    fn truncate_xlog(xlog: &XLog) -> Result<()> {
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&xlog.path)
-            .map_err(|e| StorageError::io("truncating cross-shard intent log", e))?;
-        if xlog.sync == SyncPolicy::Always {
-            file.sync_data().map_err(|e| StorageError::io("syncing intent-log truncate", e))?;
-        }
-        Ok(())
+        Ok(log)
     }
 }
 

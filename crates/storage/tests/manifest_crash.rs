@@ -11,6 +11,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use pass_storage::crc::crc32c;
 use pass_storage::tempdir::TempDir;
 use pass_storage::{EngineOptions, KvStore, LsmEngine};
 use std::path::Path;
@@ -62,12 +63,14 @@ fn every_prefix_cut_reopens_a_consistent_edition_or_fails_cleanly() {
 
     let mut opened = 0usize;
     let mut refused = 0usize;
-    for cut in 0..=manifest_len {
-        let work = TempDir::new(&format!("manifest-cut-{cut}"));
+    // Each prefix is also tried with a zero-filled tail: what a crash
+    // leaves after an un-synced size extension.
+    for (cut, zeros) in (0..=manifest_len).flat_map(|cut| [(cut, 0usize), (cut, 4096)]) {
+        let work = TempDir::new(&format!("manifest-cut-{cut}-{zeros}"));
         copy_dir(pristine.path(), work.path());
         let log = work.path().join(MANIFEST_LOG);
         let bytes = std::fs::read(&log).unwrap();
-        std::fs::write(&log, &bytes[..cut]).unwrap();
+        std::fs::write(&log, [&bytes[..cut], &vec![0u8; zeros][..]].concat()).unwrap();
 
         match LsmEngine::open(work.path().to_path_buf(), small_opts()) {
             Ok(db) => {
@@ -81,8 +84,20 @@ fn every_prefix_cut_reopens_a_consistent_edition_or_fails_cleanly() {
                         assert!(round.parse::<u64>().unwrap() <= last_round);
                     }
                 }
+                if cut == manifest_len {
+                    // The whole log survives its zero tail, which the
+                    // open truncates away.
+                    for key in 0..120u64 {
+                        let got = db.get(format!("key-{key:04}").as_bytes()).unwrap();
+                        assert_eq!(got, Some(format!("{key}:{last_round}").into_bytes()));
+                    }
+                    assert_eq!(std::fs::metadata(&log).unwrap().len() as usize, manifest_len);
+                }
             }
-            Err(_) => refused += 1,
+            Err(e) => {
+                assert!(cut < manifest_len, "the full log (+{zeros} zero bytes) must open: {e}");
+                refused += 1;
+            }
         }
     }
     // The full-length log and at least the checkpoint prefix must open;
@@ -187,4 +202,48 @@ fn missing_manifest_log_next_to_tables_fails_the_open_and_keeps_them() {
         .expect_err("tables without a manifest log must fail the open");
     assert!(err.to_string().to_lowercase().contains("manifest"), "{err}");
     assert_eq!(tables(), before, "the table is left on disk");
+}
+
+/// Rewrites every frame of a log under the pre-change rule, where the
+/// CRC covered the payload alone.
+fn with_payload_only_crcs(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let payload = &bytes[pos + 8..pos + 8 + len];
+        out.extend_from_slice(&bytes[pos..pos + 4]);
+        out.extend_from_slice(&crc32c(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        pos += 8 + len;
+    }
+    out
+}
+
+/// A store written before the frame CRC covered the length prefix is
+/// not read: the open is refused at the manifest, before the WAL is
+/// scanned or truncated, and no table is swept.
+#[test]
+fn pre_change_store_is_refused_at_the_manifest_and_its_wal_left_untouched() {
+    let dir = TempDir::new("manifest-pre-change");
+    {
+        let db = LsmEngine::open(dir.path().to_path_buf(), small_opts()).unwrap();
+        db.put(b"flushed", b"1").unwrap();
+        db.flush().unwrap();
+        db.put(b"in-wal", b"2").unwrap();
+    }
+    for name in [MANIFEST_LOG, "wal.log"] {
+        let path = dir.path().join(name);
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(!bytes.is_empty(), "{name} holds records");
+        std::fs::write(&path, with_payload_only_crcs(&bytes)).unwrap();
+    }
+    let wal_before = std::fs::read(dir.path().join("wal.log")).unwrap();
+    let files_before = std::fs::read_dir(dir.path()).unwrap().count();
+
+    let err = LsmEngine::open(dir.path().to_path_buf(), small_opts())
+        .expect_err("a pre-change manifest must fail the open");
+    assert!(err.to_string().contains(MANIFEST_LOG), "refused at the manifest: {err}");
+    assert_eq!(std::fs::read(dir.path().join("wal.log")).unwrap(), wal_before);
+    assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), files_before, "nothing swept");
 }

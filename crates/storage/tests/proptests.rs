@@ -42,6 +42,18 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// Offsets at which a WAL frame (`[len u32 LE][crc u32 LE][payload]`)
+/// starts, plus the end of the log.
+fn frame_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = vec![0];
+    let mut pos = 0;
+    while pos + 8 <= bytes.len() {
+        pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        starts.push(pos);
+    }
+    starts
+}
+
 fn tiny_opts() -> EngineOptions {
     EngineOptions {
         memtable_bytes: 2 << 10, // flush constantly
@@ -149,6 +161,8 @@ proptest! {
             1..8
         ),
         cut_fraction in 0.0f64..1.0,
+        at_boundary in any::<bool>(),
+        zeros in prop_oneof![Just(0usize), 1usize..=4096],
     ) {
         let dir = TempDir::new("prop-torn");
         // Build prefix states: state[i] = model after first i batches.
@@ -169,8 +183,13 @@ proptest! {
         }
         let wal_path = dir.path().join("wal.log");
         let bytes = std::fs::read(&wal_path).unwrap();
-        let cut = ((bytes.len() as f64) * cut_fraction) as usize;
-        std::fs::write(&wal_path, &bytes[..cut]).unwrap();
+        let mut cut = ((bytes.len() as f64) * cut_fraction) as usize;
+        if at_boundary {
+            cut = frame_starts(&bytes).into_iter().filter(|&s| s <= cut).max().unwrap();
+        }
+        // A zero-filled tail is what an un-synced size extension leaves.
+        let torn = [&bytes[..cut], &vec![0u8; zeros][..]].concat();
+        std::fs::write(&wal_path, &torn).unwrap();
 
         let db = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();
         let recovered: BTreeMap<Vec<u8>, Vec<u8>> =

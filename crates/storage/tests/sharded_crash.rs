@@ -151,6 +151,30 @@ fn torn_intent_leaves_no_trace_of_the_commit() {
     assert_eq!(std::fs::metadata(&xlog).unwrap().len(), 0);
 }
 
+/// A zero-filled tail behind a durable intent (an un-synced size
+/// extension) is torn, not a record: the intent still rolls forward and
+/// the log is emptied.
+#[test]
+fn zero_filled_tail_after_a_durable_intent_still_rolls_forward() {
+    let dir = TempDir::new("xcrash-zero-tail");
+    let (store, dying) = store_with_victim(dir.path(), 3, 1);
+    dying.kill();
+    store.apply(spanning_batch(3, 9)).expect_err("shard 1 dies");
+    drop((store, dying));
+
+    let xlog = dir.path().join("xcommit.log");
+    let mut bytes = std::fs::read(&xlog).unwrap();
+    assert!(bytes.len() > 8, "the intent reached the log");
+    bytes.extend_from_slice(&[0u8; 4096]);
+    std::fs::write(&xlog, &bytes).unwrap();
+
+    let store = healthy_store(dir.path(), 3);
+    for s in 0..3u8 {
+        assert_eq!(store.get(&[s, 9]).unwrap(), Some(vec![b'v', s, 9]), "shard {s}");
+    }
+    assert_eq!(std::fs::metadata(&xlog).unwrap().len(), 0);
+}
+
 #[test]
 fn recovery_is_idempotent_across_repeated_opens() {
     let dir = TempDir::new("xcrash-idem");
