@@ -70,16 +70,16 @@ use crate::pins::{PinGuard, PinRegistry};
 use crate::shard::{self, Sharding};
 use crate::subscribe::{Hub, Subscription, WatchState, DEFAULT_SUBSCRIPTION_CAPACITY};
 use parking_lot::{Mutex, RwLock};
-use pass_index::{
-    AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
-    TimeIndex, TraverseOpts,
-};
+use pass_index::{NodeIdx, PostingList, TraverseOpts};
 use pass_model::codec::{Decode, Encode};
 use pass_model::{
-    keys, Annotation, Attributes, ModelError, ProvenanceBuilder, ProvenanceRecord, Reading, SiteId,
+    Annotation, Attributes, ModelError, ProvenanceBuilder, ProvenanceRecord, Reading, SiteId,
     TimeRange, Timestamp, ToolDescriptor, TupleSet, TupleSetId, Value,
 };
-use pass_query::{Cursor, LineageClause, PreparedQuery, Provider, Query, QueryEngine, QueryResult};
+use pass_query::{
+    Cursor, IndexDelta, LineageClause, PreparedQuery, Provider, Query, QueryEngine, QueryResult,
+    RecordIndex,
+};
 use pass_storage::{
     spawn_engine_worker, spawn_task_worker, KvStore, MaintenanceHandle, MaintenanceOptions,
     WriteBatch,
@@ -94,78 +94,21 @@ use std::sync::Arc;
 /// attribute rows and documents stay a small fraction of the indexes.
 const REBUILD_CHUNK: usize = 1024;
 
-/// Lazily-built created-order scans, shared by every cursor opened on
-/// one published [`State`]. Cloning (the copy-on-write path) and
-/// in-place mutation both reset it — see [`Pass::publish`].
-#[derive(Default)]
-struct CreatedScanCache {
-    asc: std::sync::OnceLock<std::sync::Arc<[NodeIdx]>>,
-    desc: std::sync::OnceLock<std::sync::Arc<[NodeIdx]>>,
-}
-
-impl Clone for CreatedScanCache {
-    fn clone(&self) -> Self {
-        CreatedScanCache::default()
-    }
-}
-
-/// In-memory index state: immutable once published, shared by snapshots.
-#[derive(Clone)]
+/// In-memory state: immutable once published, shared by snapshots.
+#[derive(Clone, Default)]
 struct State {
-    graph: AncestryGraph,
-    attrs: AttrIndex,
-    keywords: KeywordIndex,
-    time: TimeIndex,
-    records: HashMap<TupleSetId, ProvenanceRecord>,
+    /// Records and their indexes; cloning it (the copy-on-write path)
+    /// resets its cached created-order scans.
+    index: RecordIndex,
     data_present: HashSet<TupleSetId>,
-    created_scans: CreatedScanCache,
     /// Commit sequence number, assigned under the state write lock so a
     /// snapshot's state and version can never disagree.
     version: u64,
 }
 
 impl State {
-    /// Dense indexes of every record in creation-time order (ties by
-    /// tuple set id, ids ascending even under `desc`) — the `ORDER BY`
-    /// pushdown scan behind [`Provider::created_scan`]. Built once per
-    /// published state and shared by every cursor (O(n log n) on the
-    /// first ordered query after a commit, an `Arc` clone afterwards).
-    fn created_scan(&self, desc: bool) -> std::sync::Arc<[NodeIdx]> {
-        let cell = if desc { &self.created_scans.desc } else { &self.created_scans.asc };
-        cell.get_or_init(|| {
-            let keyed = self
-                .records
-                .iter()
-                .filter_map(|(id, r)| self.graph.lookup(*id).map(|idx| (r.created_at, *id, idx)))
-                .collect();
-            pass_query::created_order_scan(keyed, desc)
-        })
-        .clone()
-    }
-
     // -- Reads: the one read path behind `Pass`, `Snapshot`, and the
     // query `Provider` ------------------------------------------------
-
-    fn record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.records.get(&id).cloned()
-    }
-
-    fn fetch_record(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        self.record(self.graph.resolve(idx)?)
-    }
-
-    fn record_nodes(&self) -> PostingList {
-        PostingList::from_iter(self.records.keys().filter_map(|id| self.graph.lookup(*id)))
-    }
-
-    /// The lineage closure of `clause.root` by on-demand breadth-first
-    /// traversal, or `None` when the root is unknown.
-    fn closure_posting(&self, clause: &LineageClause) -> Option<PostingList> {
-        let root = self.graph.lookup(clause.root)?;
-        let opts = clause.traverse_opts();
-        let reach = BfsClosure.reachable(&self.graph, root, clause.direction, &opts);
-        Some(PostingList::from_iter(reach))
-    }
 
     fn lineage_records(
         &self,
@@ -180,137 +123,23 @@ impl State {
             stop_at_abstraction: opts.stop_at_abstraction,
             include_root: false,
         };
-        let posting = self.closure_posting(&clause).ok_or(PassError::NotFound(id))?;
-        Ok(posting.iter().filter_map(|idx| self.fetch_record(idx)).collect())
+        let posting = self.index.closure(&clause).ok_or(PassError::NotFound(id))?;
+        Ok(posting.iter().filter_map(|idx| self.index.fetch(idx)).collect())
     }
 
     fn index_stats(&self, ops: OpCounters) -> PassStats {
+        let graph = self.index.graph();
         PassStats {
-            records: self.records.len(),
+            records: self.index.len(),
             data_blobs: self.data_present.len(),
-            graph_nodes: self.graph.node_count(),
-            graph_edges: self.graph.edge_count(),
-            attr_entries: self.attrs.len(),
-            index_bytes: self.attrs.size_bytes()
-                + self.keywords.size_bytes()
-                + self.graph.size_bytes()
-                + self.time.size_bytes(),
+            graph_nodes: graph.node_count(),
+            graph_edges: graph.edge_count(),
+            attr_entries: self.index.attr_entries(),
+            index_bytes: self.index.size_bytes(),
             ingests: ops.ingests,
             batches: ops.batches,
             queries: ops.queries,
         }
-    }
-
-    fn empty() -> Self {
-        State {
-            graph: AncestryGraph::new(),
-            attrs: AttrIndex::new(),
-            keywords: KeywordIndex::new(),
-            time: TimeIndex::new(),
-            records: HashMap::new(),
-            data_present: HashSet::new(),
-            created_scans: CreatedScanCache::default(),
-            version: 0,
-        }
-    }
-
-    /// Indexes one record everywhere (single-record path: annotation
-    /// merges and archive imports).
-    fn index_record(&mut self, record: &ProvenanceRecord) -> NodeIdx {
-        let idx = self.apply_delta(IndexDelta::prepare(vec![record.clone()]))[0];
-        self.time.build();
-        idx
-    }
-
-    /// Applies a pre-extracted [`IndexDelta`]: graph edges per record,
-    /// then one sorted bulk insert per index so maintenance cost is
-    /// amortized over the batch (`AttrIndex::insert_bulk`,
-    /// `KeywordIndex::insert_bulk`). Only the parts that need `&mut self`
-    /// happen here — graph interning (which assigns the `NodeIdx` every
-    /// other entry is remapped onto) and the sorted bulk merges — so
-    /// shard-parallel writers keep the serialized publish section as
-    /// short as possible. Caller must finish with `self.time.build()`
-    /// once all deltas of a commit are in.
-    fn apply_delta(&mut self, delta: IndexDelta) -> Vec<NodeIdx> {
-        let mut idxs = Vec::with_capacity(delta.records.len());
-        for (slot, record) in delta.records.iter().enumerate() {
-            idxs.push(self.graph.insert(record.id, &delta.parents[slot]));
-        }
-        self.attrs.insert_bulk(
-            delta.attrs.into_iter().map(|(slot, name, value)| (idxs[slot], name, value)).collect(),
-        );
-        self.keywords
-            .insert_bulk(delta.docs.iter().map(|(slot, text)| (idxs[*slot], text.as_str())));
-        for (slot, range) in delta.ranges {
-            self.time.insert(idxs[slot], range);
-        }
-        for record in delta.records {
-            self.records.insert(record.id, record);
-        }
-        idxs
-    }
-}
-
-/// Everything a batch contributes to the in-memory indexes, extracted
-/// ahead of the publish critical section: the records themselves (owned,
-/// so the open-time rebuild moves decoded records in and only the
-/// borrowed ingest path clones), parent edge lists, attribute rows,
-/// keyword documents, and time ranges, each keyed by the record's *slot*
-/// (position in the batch). Slots are remapped to `NodeIdx` under the
-/// state lock — node indices are assigned by graph interning
-/// (placeholder reuse makes them non-monotone), so they cannot be
-/// precomputed outside it.
-struct IndexDelta {
-    records: Vec<ProvenanceRecord>,
-    parents: Vec<Vec<(TupleSetId, bool)>>,
-    attrs: Vec<(usize, String, Value)>,
-    docs: Vec<(usize, String)>,
-    ranges: Vec<(usize, TimeRange)>,
-}
-
-impl IndexDelta {
-    fn prepare(records: Vec<ProvenanceRecord>) -> IndexDelta {
-        let mut delta = IndexDelta {
-            records: Vec::new(),
-            parents: Vec::with_capacity(records.len()),
-            attrs: Vec::new(),
-            docs: Vec::new(),
-            ranges: Vec::new(),
-        };
-        for (slot, record) in records.iter().enumerate() {
-            delta
-                .parents
-                .push(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)).collect());
-            for (name, value) in record.attributes.iter() {
-                delta.attrs.push((slot, name.to_owned(), value.clone()));
-            }
-            for (name, value) in pass_query::ast::multi_valued_attrs(record) {
-                delta.attrs.push((slot, name.to_owned(), value));
-            }
-            // Pseudo-attributes, indexed so the planner can serve them.
-            delta.attrs.push((
-                slot,
-                "origin.site".to_owned(),
-                Value::Int(i64::from(record.origin.0)),
-            ));
-            delta.attrs.push((slot, "created_at".to_owned(), Value::Time(record.created_at)));
-            delta.attrs.push((
-                slot,
-                "ancestry.parents".to_owned(),
-                Value::Int(record.ancestry.len() as i64),
-            ));
-            for ann in &record.annotations {
-                delta.docs.push((slot, ann.text.clone()));
-            }
-            if let Some(desc) = record.attributes.get_str(keys::DESCRIPTION) {
-                delta.docs.push((slot, desc.to_owned()));
-            }
-            if let Some(range) = record.time_range() {
-                delta.ranges.push((slot, range));
-            }
-        }
-        delta.records = records;
-        delta
     }
 }
 
@@ -452,7 +281,7 @@ impl std::fmt::Debug for Pass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pass")
             .field("site", &self.config.site)
-            .field("records", &self.state.read().records.len())
+            .field("records", &self.state.read().index.len())
             .finish()
     }
 }
@@ -523,7 +352,7 @@ impl Pass {
         let pass = Pass {
             config,
             store,
-            state: RwLock::new(Arc::new(State::empty())),
+            state: RwLock::new(Arc::new(State::default())),
             sharding,
             publish_order: Mutex::new(()),
             version,
@@ -569,9 +398,9 @@ impl Pass {
     /// indexes as one [`IndexDelta`], so peak memory stays close to the
     /// resident state the open leaves behind.
     fn rebuild_indexes(&self) -> Result<()> {
-        let mut state = State::empty();
+        let mut state = State::default();
         let rows = self.store.scan_prefix(&[keyspace::RECORD])?;
-        state.records.reserve(rows.len());
+        state.index.reserve(rows.len());
         let mut chunk = Vec::with_capacity(REBUILD_CHUNK);
         for (key, value) in rows {
             let Some((_, id)) = keyspace::parse(&key) else {
@@ -582,11 +411,11 @@ impl Pass {
             chunk.push(record);
             if chunk.len() == REBUILD_CHUNK {
                 let full = std::mem::replace(&mut chunk, Vec::with_capacity(REBUILD_CHUNK));
-                state.apply_delta(IndexDelta::prepare(full));
+                state.index.insert_delta(IndexDelta::new(full));
             }
         }
-        state.apply_delta(IndexDelta::prepare(chunk));
-        state.time.build();
+        state.index.insert_delta(IndexDelta::new(chunk));
+        state.index.sort_time();
         for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
             if let Some((_, id)) = keyspace::parse(&key) {
                 state.data_present.insert(id);
@@ -617,10 +446,6 @@ impl Pass {
         let mut guard = self.state.write();
         let state = Arc::make_mut(&mut guard);
         let out = mutate(state);
-        // `make_mut` mutates in place when no snapshot holds the state,
-        // so the derived-scan cache must be reset explicitly (the
-        // copy-on-write path resets it via `Clone`).
-        state.created_scans = CreatedScanCache::default();
         state.version = self.next_version();
         (out, state.version)
     }
@@ -725,7 +550,7 @@ impl Pass {
             // PASS property 3: identical id ⇒ identical provenance.
             // Identity binds the content digest, so matching ids with
             // matching digests are the same tuple set.
-            if let Some(existing) = current.records.get(&record.id) {
+            if let Some(existing) = current.index.get(record.id) {
                 if existing.content_digest == record.content_digest {
                     continue; // idempotent re-ingest
                 }
@@ -776,12 +601,12 @@ impl Pass {
         // delta (record clones, attribute rows, tokenized docs) is
         // extracted *before* the serialized section; only graph
         // interning, the sorted merges, and the broadcast sit inside it.
-        let delta = IndexDelta::prepare(fresh.iter().map(|ts| ts.provenance.clone()).collect());
+        let delta = IndexDelta::new(fresh.iter().map(|ts| ts.provenance.clone()).collect());
         let new_ids: Vec<TupleSetId> = fresh.iter().map(|ts| ts.provenance.id).collect();
         let order = self.publish_order.lock();
         let ((), version) = self.publish(|state| {
-            state.apply_delta(delta);
-            state.time.build();
+            state.index.insert_delta(delta);
+            state.index.sort_time();
             for id in &new_ids {
                 state.data_present.insert(*id);
             }
@@ -864,15 +689,10 @@ impl Pass {
         record.annotate(annotation.clone());
         let encoded = record.encode_to_vec();
         self.store.put(&keyspace::key(keyspace::RECORD, id), &encoded)?;
-        self.publish(|state| {
-            // Both lookups were validated above and the shard lock pins
-            // them; a miss here means the state diverged, so skip rather
-            // than poison every later commit by panicking mid-publish.
-            let Some(idx) = state.graph.lookup(id) else { return };
-            let Some(record) = state.records.get_mut(&id) else { return };
-            record.annotate(annotation.clone());
-            state.keywords.insert(idx, &annotation.text);
-        });
+        // Presence was checked above and the shard lock pins it; a miss
+        // inside means the state diverged, and `annotate` skips it rather
+        // than panic mid-publish.
+        self.publish(|state| state.index.annotate(id, std::slice::from_ref(&annotation)));
         Ok(())
     }
 
@@ -880,7 +700,7 @@ impl Pass {
 
     /// The provenance record for `id`, if present.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.read().record(id)
+        self.state.read().index.get(id).cloned()
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -897,7 +717,7 @@ impl Pass {
 
     /// True when the record exists here.
     pub fn contains(&self, id: TupleSetId) -> bool {
-        self.state.read().records.contains_key(&id)
+        self.state.read().index.contains(id)
     }
 
     /// True when the readings are still present.
@@ -907,7 +727,7 @@ impl Pass {
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.state.read().records.len()
+        self.state.read().index.len()
     }
 
     /// True when no records are held.
@@ -917,7 +737,7 @@ impl Pass {
 
     /// All record ids (unordered).
     pub fn ids(&self) -> Vec<TupleSetId> {
-        self.state.read().records.keys().copied().collect()
+        self.state.read().index.records().map(|r| r.id).collect()
     }
 
     // -- Removal (PASS property 4) --------------------------------------
@@ -930,7 +750,7 @@ impl Pass {
     pub fn remove_data(&self, id: TupleSetId) -> Result<bool> {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(id));
         let current = self.state.read();
-        if !current.records.contains_key(&id) {
+        if !current.index.contains(id) {
             return Err(PassError::NotFound(id));
         }
         let had = current.data_present.contains(&id);
@@ -975,7 +795,7 @@ impl Pass {
         }
         let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
         let current = self.state.read();
-        if let Some(existing) = current.records.get(&record.id) {
+        if let Some(existing) = current.index.get(record.id) {
             if existing.content_digest != record.content_digest {
                 return Err(PassError::IdentityCollision(record.id));
             }
@@ -995,17 +815,7 @@ impl Pass {
             };
             drop(current);
             self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
-            self.publish(|state| {
-                // Presence was checked above under the shard lock; a miss
-                // here means divergence — skip instead of panicking while
-                // holding the publish write lock.
-                let Some(idx) = state.graph.lookup(record.id) else { return };
-                let Some(rec) = state.records.get_mut(&record.id) else { return };
-                rec.annotations.extend(fresh.iter().cloned());
-                for a in &fresh {
-                    state.keywords.insert(idx, &a.text);
-                }
-            });
+            self.publish(|state| state.index.annotate(record.id, &fresh));
             return Ok((false, fresh.len()));
         }
         // New record: persist and index, with no DATA/MARKER keys — the
@@ -1013,9 +823,7 @@ impl Pass {
         drop(current);
         self.store.put(&keyspace::key(keyspace::RECORD, record.id), &record.encode_to_vec())?;
         let order = self.publish_order.lock();
-        let (_, version) = self.publish(|state| {
-            state.index_record(record);
-        });
+        let (_, version) = self.publish(|state| state.index.insert(record));
         self.hub.broadcast(version, || vec![record.clone()]);
         drop(order);
         self.metrics.ingests.fetch_add(1, Ordering::Relaxed);
@@ -1036,7 +844,7 @@ impl Pass {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
         {
             let state = self.state.read();
-            let existing = state.records.get(&record.id).ok_or(PassError::NotFound(record.id))?;
+            let existing = state.index.get(record.id).ok_or(PassError::NotFound(record.id))?;
             if existing.content_digest != record.content_digest {
                 return Err(PassError::IdentityCollision(record.id));
             }
@@ -1068,7 +876,7 @@ impl Pass {
     pub fn export_archive(&self) -> Result<ArchiveExport> {
         let snapshot = self.snapshot();
         let mut out = ArchiveExport::default();
-        for record in snapshot.state.records.values() {
+        for record in snapshot.state.index.records() {
             let readings = if snapshot.state.data_present.contains(&record.id) {
                 self.get_data(record.id)?
             } else {
@@ -1320,7 +1128,7 @@ impl Pass {
         let victims: Vec<(TupleSetId, Vec<Reading>)> = {
             let snapshot = self.snapshot();
             let mut cold = Vec::new();
-            for record in snapshot.state.records.values() {
+            for record in snapshot.state.index.records() {
                 if record.created_at < older_than
                     && snapshot.state.data_present.contains(&record.id)
                 {
@@ -1461,7 +1269,7 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("version", &self.state.version)
-            .field("records", &self.state.records.len())
+            .field("records", &self.state.index.len())
             .finish()
     }
 }
@@ -1475,22 +1283,22 @@ impl Snapshot {
 
     /// Number of records visible.
     pub fn len(&self) -> usize {
-        self.state.records.len()
+        self.state.index.len()
     }
 
     /// True when no records are visible.
     pub fn is_empty(&self) -> bool {
-        self.state.records.is_empty()
+        self.state.index.is_empty()
     }
 
     /// True when the record is visible in this snapshot.
     pub fn contains(&self, id: TupleSetId) -> bool {
-        self.state.records.contains_key(&id)
+        self.state.index.contains(id)
     }
 
     /// The provenance record for `id`, if visible.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.record(id)
+        self.state.index.get(id).cloned()
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -1532,7 +1340,7 @@ impl Snapshot {
 
     /// All record ids visible in this snapshot (unordered).
     pub fn ids(&self) -> Vec<TupleSetId> {
-        self.state.records.keys().copied().collect()
+        self.state.index.records().map(|r| r.id).collect()
     }
 
     /// Store statistics as of this snapshot. Index sizes reflect the
@@ -1553,45 +1361,37 @@ impl Snapshot {
     }
 }
 
+/// Delegates to the snapshot's [`RecordIndex`].
 impl Provider for Snapshot {
     fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
-        self.state.attrs.eq(attr, value)
+        self.state.index.eq_lookup(attr, value)
     }
-
     fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
-        self.state.attrs.range(attr, low, high)
+        self.state.index.range_lookup(attr, low, high)
     }
-
     fn time_overlap(&self, range: TimeRange) -> PostingList {
-        self.state.time.overlapping(range)
+        self.state.index.time_overlap(range)
     }
-
     fn keyword_lookup(&self, phrase: &str) -> PostingList {
-        self.state.keywords.lookup_all(phrase)
+        self.state.index.keyword_lookup(phrase)
     }
-
     fn has_attr(&self, attr: &str) -> PostingList {
-        self.state.attrs.has_attr(attr)
+        self.state.index.has_attr(attr)
     }
-
     fn all_nodes(&self) -> PostingList {
-        self.state.record_nodes()
+        self.state.index.all_nodes()
     }
-
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
-        self.state.closure_posting(clause)
+        self.state.index.closure(clause)
     }
-
     fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
-        self.state.graph.lookup(id)
+        self.state.index.node_of(id)
     }
-
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        self.state.fetch_record(idx)
+        self.state.index.fetch(idx)
     }
-
     fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
-        Some(self.state.created_scan(desc))
+        self.state.index.created_scan(desc)
     }
 }
 
@@ -1615,7 +1415,7 @@ impl QueryEngine for Pass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_model::SensorId;
+    use pass_model::{keys, SensorId};
     use pass_storage::tempdir::TempDir;
 
     fn readings(seed: u64) -> Vec<Reading> {

@@ -6,11 +6,14 @@
 use pass_core::{keyspace, Pass, PassConfig, PassError};
 use pass_index::{Direction, TraverseOpts};
 use pass_model::{
-    keys, Annotation, Attributes, ProvenanceBuilder, Reading, SensorId, SiteId, Timestamp,
-    ToolDescriptor, TupleSet, TupleSetId,
+    keys, Annotation, Attributes, ProvenanceBuilder, ProvenanceRecord, Reading, SensorId, SiteId,
+    Timestamp, ToolDescriptor, TupleSet, TupleSetId,
 };
+use pass_query::Counted;
 use pass_storage::tempdir::TempDir;
 use pass_storage::{EngineOptions, KvStore, LsmEngine, StorageError};
+use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 fn readings(sensor: u64, n: usize, base_ms: u64) -> Vec<Reading> {
     (0..n)
@@ -430,4 +433,170 @@ fn explain_shows_plan_shape() {
     assert!(hits.stats.plan.contains("index"));
     assert!(hits.stats.plan.contains("recheck"));
     assert_eq!(hits.records.len(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// The record index behind every read path
+// ---------------------------------------------------------------------------
+
+/// An unfiltered lineage page costs O(closure): the closure is its only
+/// candidate list, so no page evaluates the whole store.
+#[test]
+fn unfiltered_lineage_pages_never_evaluate_the_whole_store() {
+    let (pass, raw, filtered, aggregated) = populated();
+    // Unrelated records, and a foreign parent the closures reach as a
+    // placeholder.
+    pass.capture_batch((0..50).map(|i| (traffic_attrs("paris"), readings(9, 2, i), Timestamp(i))))
+        .unwrap();
+    let merged = pass
+        .derive(
+            &[aggregated, TupleSetId(0xf00d)],
+            &ToolDescriptor::new("merge", "1"),
+            traffic_attrs("london"),
+            readings(7, 2, 0),
+            Timestamp(400),
+        )
+        .unwrap();
+    let counting = Counted::new(pass.snapshot());
+    for root in [raw, filtered, merged] {
+        for base in
+            ["ANCESTORS OF ts:{} WITH SELF", "DESCENDANTS OF ts:{} WITH SELF ORDER BY created DESC"]
+        {
+            let text = format!("FIND {}", base.replace("{}", &root.full_hex()));
+            let full = pass_query::execute_text(&text, &counting).unwrap().ids();
+            let mut paged: Vec<TupleSetId> = Vec::new();
+            loop {
+                let mut query = pass_query::parse(&text).unwrap().with_limit(1);
+                query.after = paged.last().copied();
+                let page = pass_query::execute(&query, &counting).unwrap().ids();
+                if page.is_empty() {
+                    break;
+                }
+                paged.extend(page);
+            }
+            assert_eq!(paged, full, "{text}");
+            assert!(!full.is_empty(), "{text}");
+        }
+    }
+    assert_eq!(counting.all_nodes_calls(), 0, "a lineage page scanned the store");
+    // The counter does see a whole-store scan.
+    pass_query::execute_text(r#"FIND WHERE NOT domain = "weather""#, &counting).unwrap();
+    assert_eq!(counting.all_nodes_calls(), 1);
+}
+
+const WORDS: &[&str] = &["drift", "recalibrated", "suspect", "verified"];
+const DOMAINS: &[&str] = &["traffic", "weather", "medical"];
+
+/// Record number `n`, derived from `parents`.
+fn numbered(n: u64, parents: &[TupleSetId], readings: &[Reading]) -> ProvenanceRecord {
+    let attrs = Attributes::new()
+        .with(keys::DOMAIN, DOMAINS[n as usize % DOMAINS.len()])
+        .with(keys::DESCRIPTION, format!("window {}", n % 4))
+        .with("count", (n % 5) as i64);
+    let mut builder = ProvenanceBuilder::new(SiteId((n % 3) as u32), Timestamp(n)).attrs(&attrs);
+    for parent in parents {
+        builder = builder.derived_from(*parent, ToolDescriptor::new("aggregate", "1"));
+    }
+    builder.build(TupleSet::content_digest_of(readings))
+}
+
+/// Ids reachable from `root` over the parent links of `records` (root
+/// excluded; foreign parents included).
+fn brute_closure(
+    records: &HashMap<TupleSetId, ProvenanceRecord>,
+    root: TupleSetId,
+    ancestors: bool,
+) -> HashSet<TupleSetId> {
+    let (mut seen, mut frontier) = (HashSet::new(), vec![root]);
+    while let Some(id) = frontier.pop() {
+        let next: Vec<TupleSetId> = match ancestors {
+            true => records.get(&id).map(|r| r.parents().collect()).unwrap_or_default(),
+            false => {
+                records.values().filter(|r| r.parents().any(|p| p == id)).map(|r| r.id).collect()
+            }
+        };
+        frontier.extend(next.into_iter().filter(|n| *n != root && seen.insert(*n)));
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Batch ingests, annotations, and record merges (of existing and of
+    /// new records) all feed one record index: afterwards keyword,
+    /// attribute, and lineage queries equal a brute-force
+    /// `Predicate::matches` filter over the snapshot's records.
+    #[test]
+    fn queries_match_brute_force_after_mixed_writes(
+        ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>(), 0usize..4), 1..24),
+    ) {
+        let pass = Pass::open_memory(SiteId(1));
+        let mut ids: Vec<TupleSetId> = Vec::new();
+        for (n, (kind, a, b, w)) in (1u64..).zip(ops) {
+            let note = Annotation::new(Timestamp(n), "ops", WORDS[w]);
+            let pick = ids.get(usize::from(a) % ids.len().max(1)).copied();
+            let mut parents: Vec<TupleSetId> = pick.filter(|_| b % 3 != 0).into_iter().collect();
+            if b % 4 == 0 {
+                parents.push(TupleSetId(0xf00d + u128::from(b % 3)));
+            }
+            match (kind, pick) {
+                (1, Some(id)) => pass.annotate(id, note).unwrap(),
+                (2, Some(id)) => {
+                    let mut record = pass.get_record(id).unwrap();
+                    record.annotate(note);
+                    pass.ingest_record(&record).unwrap();
+                }
+                (3, _) => ids.push(pass.ingest_record(&numbered(n, &parents, &[])).unwrap()),
+                _ => {
+                    let sets: Vec<TupleSet> = (0..=u64::from(a % 3))
+                        .map(|j| {
+                            let data = readings(n * 4 + j, 2, 0);
+                            TupleSet::new(numbered(n * 4 + j, &parents, &data), data).unwrap()
+                        })
+                        .collect();
+                    ids.extend(pass.ingest_batch(&sets).unwrap());
+                }
+            }
+        }
+
+        let snapshot = pass.snapshot();
+        let records: HashMap<TupleSetId, ProvenanceRecord> =
+            snapshot.ids().into_iter().map(|id| (id, snapshot.get_record(id).unwrap())).collect();
+        let mut texts: Vec<(String, Option<HashSet<TupleSetId>>)> = WORDS
+            .iter()
+            .chain(&["window 2"])
+            .map(|w| format!(r#"FIND WHERE ANNOTATION CONTAINS "{w}""#))
+            .chain(DOMAINS.iter().map(|d| format!(r#"FIND WHERE domain = "{d}""#)))
+            .chain(
+                ["count >= 3", "origin.site = 1", "ancestry.parents >= 1"]
+                    .map(|p| format!("FIND WHERE {p}")),
+            )
+            .map(|text| (text, None))
+            .collect();
+        for root in [ids.first(), ids.get(ids.len() / 2), ids.last()].into_iter().flatten() {
+            for (ancestors, lineage) in [(true, "ANCESTORS"), (false, "DESCENDANTS")] {
+                let closure = brute_closure(&records, *root, ancestors);
+                let with_self = closure.iter().chain([root]).copied().collect();
+                let of = format!("FIND {lineage} OF ts:{}", root.full_hex());
+                let drift = format!(r#"{of} WHERE ANNOTATION CONTAINS "drift""#);
+                texts.push((drift, Some(closure.clone())));
+                texts.push((format!("{of} WITH SELF"), Some(with_self)));
+                texts.push((of, Some(closure)));
+            }
+        }
+        for (text, scope) in texts {
+            let query = pass_query::parse(&text).unwrap();
+            let mut got = snapshot.query(&query).unwrap().ids();
+            got.sort();
+            let mut want: Vec<TupleSetId> = records
+                .values()
+                .filter(|r| scope.as_ref().is_none_or(|s| s.contains(&r.id)))
+                .filter(|r| query.filter.matches(r))
+                .map(|r| r.id)
+                .collect();
+            want.sort();
+            prop_assert_eq!(got, want, "{}", text);
+        }
+    }
 }

@@ -15,12 +15,11 @@
 
 use crate::arch::Architecture;
 use crate::harness::ArchSim;
-use crate::meta::MetaIndex;
 use crate::msg::{self, ArchMsg, QUERY_PAGE};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
 use pass_net::{Ctx, Input, NetMetrics, Node, NodeId, SimTime, Topology, TrafficClass};
-use pass_query::Query;
+use pass_query::{Query, RecordIndex};
 use std::collections::HashMap;
 
 /// The warehouse's node id.
@@ -48,7 +47,7 @@ impl PageFetch {
 
 struct CentralSite {
     me: NodeId,
-    index: MetaIndex,
+    index: RecordIndex,
     fetches: HashMap<u64, PageFetch>,
     /// Standing subscriptions (warehouse only): `(op, query, subscriber)`.
     subs: Vec<(u64, Query, NodeId)>,
@@ -283,7 +282,7 @@ impl Centralized {
             .map(|i| {
                 Box::new(CentralSite {
                     me: i,
-                    index: MetaIndex::new(),
+                    index: RecordIndex::new(),
                     fetches: HashMap::new(),
                     subs: Vec::new(),
                 }) as Box<dyn Node<ArchMsg>>

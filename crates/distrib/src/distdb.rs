@@ -11,13 +11,12 @@
 //! queries" made visible.
 
 use crate::arch::Architecture;
-use crate::harness::{ArchSim, Chase, Gather};
-use crate::meta::MetaIndex;
+use crate::harness::{reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
 use pass_net::{Ctx, Input, NetMetrics, Node, NodeId, SimTime, Topology, TrafficClass};
-use pass_query::Query;
+use pass_query::{Query, RecordIndex};
 use std::collections::HashMap;
 
 /// Home shard of a tuple set: low bits of its (already uniform) identity.
@@ -29,7 +28,7 @@ struct ShardSite {
     me: NodeId,
     sites: usize,
     batch: bool,
-    index: MetaIndex,
+    index: RecordIndex,
     gathers: HashMap<u64, Gather>,
     chases: HashMap<u64, Chase>,
 }
@@ -168,17 +167,7 @@ impl Node<ArchMsg> for ShardSite {
                 self.expand_round(ctx, op, vec![root]);
             }
             ArchMsg::LineageExpand { op, ids, reply_to } => {
-                let pairs: Vec<(TupleSetId, Vec<TupleSetId>)> = ids
-                    .into_iter()
-                    .filter_map(|id| self.index.parents_of(id).map(|p| (id, p)))
-                    .collect();
-                let bytes = 16 + pairs.iter().map(|(_, p)| 16 + 16 * p.len() as u64).sum::<u64>();
-                ctx.send(
-                    reply_to,
-                    ArchMsg::LineageParents { op, pairs },
-                    bytes,
-                    TrafficClass::Query,
-                );
+                reply_parents(ctx, &self.index, op, ids, reply_to);
             }
             ArchMsg::LineageParents { op, pairs } => {
                 self.chase_step(ctx, op, pairs);
@@ -204,7 +193,7 @@ impl DistributedDb {
                     me: i,
                     sites,
                     batch,
-                    index: MetaIndex::new(),
+                    index: RecordIndex::new(),
                     gathers: HashMap::new(),
                     chases: HashMap::new(),
                 }) as Box<dyn Node<ArchMsg>>

@@ -25,13 +25,12 @@
 //! clients that just want a bounded sample use plain `LIMIT`.
 
 use crate::arch::Architecture;
-use crate::harness::{ArchSim, Chase, Gather};
-use crate::meta::MetaIndex;
+use crate::harness::{reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg, QUERY_PAGE};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
 use pass_net::{Ctx, Input, NetMetrics, Node, NodeId, SimTime, Topology, TrafficClass};
-use pass_query::Query;
+use pass_query::{Query, RecordIndex};
 use std::collections::HashMap;
 
 /// Extra bytes per subquery for schema translation between autonomous
@@ -76,7 +75,7 @@ struct FullFetch {
 struct FederatedSite {
     me: NodeId,
     sites: usize,
-    index: MetaIndex,
+    index: RecordIndex,
     gathers: HashMap<u64, PagedGather>,
     /// Full-result gathers (the `AFTER` fallback path).
     full_gathers: HashMap<u64, FullFetch>,
@@ -238,17 +237,7 @@ impl Node<ArchMsg> for FederatedSite {
                 self.expand_round(ctx, op, vec![root]);
             }
             ArchMsg::LineageExpand { op, ids, reply_to } => {
-                let pairs: Vec<(TupleSetId, Vec<TupleSetId>)> = ids
-                    .into_iter()
-                    .filter_map(|id| self.index.parents_of(id).map(|p| (id, p)))
-                    .collect();
-                let bytes = 16 + pairs.iter().map(|(_, p)| 16 + 16 * p.len() as u64).sum::<u64>();
-                ctx.send(
-                    reply_to,
-                    ArchMsg::LineageParents { op, pairs },
-                    bytes,
-                    TrafficClass::Query,
-                );
+                reply_parents(ctx, &self.index, op, ids, reply_to);
             }
             ArchMsg::LineageParents { op, pairs } => {
                 let Some(chase) = self.chases.get_mut(&op) else {
@@ -286,7 +275,7 @@ impl Federated {
                 Box::new(FederatedSite {
                     me: i,
                     sites,
-                    index: MetaIndex::new(),
+                    index: RecordIndex::new(),
                     gathers: HashMap::new(),
                     full_gathers: HashMap::new(),
                     chases: HashMap::new(),

@@ -2,7 +2,8 @@
 
 use crate::msg::ArchMsg;
 use crate::outcome::Outcome;
-use pass_net::{NetMetrics, Node, SimTime, Simulator, Topology};
+use pass_net::{Ctx, NetMetrics, Node, NodeId, SimTime, Simulator, Topology, TrafficClass};
+use pass_query::RecordIndex;
 
 /// Wraps a simulator with op-id allocation and outcome conversion.
 pub(crate) struct ArchSim {
@@ -213,4 +214,19 @@ impl Chase {
         self.acc.dedup();
         self.acc
     }
+}
+
+/// A site's half of a lineage chase: answers `LineageExpand` with the
+/// direct parents of every requested id its index holds.
+pub(crate) fn reply_parents(
+    ctx: &mut Ctx<'_, ArchMsg>,
+    index: &RecordIndex,
+    op: u64,
+    ids: Vec<pass_model::TupleSetId>,
+    reply_to: NodeId,
+) {
+    let pairs: Vec<_> =
+        ids.into_iter().filter_map(|id| Some((id, index.parents_of(id)?))).collect();
+    let bytes = 16 + pairs.iter().map(|(_, p)| 16 + 16 * p.len() as u64).sum::<u64>();
+    ctx.send(reply_to, ArchMsg::LineageParents { op, pairs }, bytes, TrafficClass::Query);
 }

@@ -13,13 +13,12 @@
 //! penalty.
 
 use crate::arch::Architecture;
-use crate::harness::{ArchSim, Chase, Gather};
-use crate::meta::MetaIndex;
+use crate::harness::{reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_model::{keys, ProvenanceRecord, TupleSetId};
 use pass_net::{Ctx, Input, NetMetrics, Node, NodeId, SimTime, Topology, TrafficClass};
-use pass_query::{Predicate, Query};
+use pass_query::{Predicate, Query, RecordIndex};
 use std::collections::HashMap;
 
 /// Owner of a namespace path prefix.
@@ -60,7 +59,7 @@ pub fn path_constraints(p: &Predicate) -> (Option<&str>, Option<&str>) {
 struct HierSite {
     me: NodeId,
     sites: usize,
-    index: MetaIndex,
+    index: RecordIndex,
     gathers: HashMap<u64, Gather>,
     chases: HashMap<u64, Chase>,
 }
@@ -153,17 +152,7 @@ impl Node<ArchMsg> for HierSite {
                 self.expand_round(ctx, op, vec![root]);
             }
             ArchMsg::LineageExpand { op, ids, reply_to } => {
-                let pairs: Vec<(TupleSetId, Vec<TupleSetId>)> = ids
-                    .into_iter()
-                    .filter_map(|id| self.index.parents_of(id).map(|p| (id, p)))
-                    .collect();
-                let bytes = 16 + pairs.iter().map(|(_, p)| 16 + 16 * p.len() as u64).sum::<u64>();
-                ctx.send(
-                    reply_to,
-                    ArchMsg::LineageParents { op, pairs },
-                    bytes,
-                    TrafficClass::Query,
-                );
+                reply_parents(ctx, &self.index, op, ids, reply_to);
             }
             ArchMsg::LineageParents { op, pairs } => {
                 let Some(chase) = self.chases.get_mut(&op) else {
@@ -201,7 +190,7 @@ impl Hierarchical {
                 Box::new(HierSite {
                     me: i,
                     sites,
-                    index: MetaIndex::new(),
+                    index: RecordIndex::new(),
                     gathers: HashMap::new(),
                     chases: HashMap::new(),
                 }) as Box<dyn Node<ArchMsg>>

@@ -16,9 +16,11 @@
 //!
 //! All six implement the [`Architecture`] trait; [`runner`] drives the
 //! same deterministic workload through each and reports latency, traffic
-//! split, and precision/recall. [`meta::MetaIndex`] is the per-site
-//! provenance index (records only — §IV-A's warehouse "would not store
-//! actual sensor data").
+//! split, and precision/recall. Every site (warehouse, catalog, shard,
+//! replica) indexes provenance in a [`pass_query::RecordIndex`], the
+//! same record index and query executor the local PASS serves from,
+//! minus the storage engine: records only, since §IV-A's warehouse
+//! "would not store actual sensor data".
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,7 +32,6 @@ pub mod distdb;
 pub mod federated;
 mod harness;
 pub mod hierarchy;
-pub mod meta;
 pub mod msg;
 pub mod outcome;
 pub mod replicated;
@@ -44,7 +45,6 @@ pub use dhtarch::DhtIndex;
 pub use distdb::DistributedDb;
 pub use federated::Federated;
 pub use hierarchy::Hierarchical;
-pub use meta::MetaIndex;
 pub use msg::ArchMsg;
 pub use outcome::{LatencyStats, Outcome, ResultQuality};
 pub use replicated::{Replicated, ReplicationStrategy};

@@ -27,13 +27,12 @@
 //! the paper's own result-quality criterion.
 
 use crate::arch::Architecture;
-use crate::harness::{ArchSim, Chase, Gather};
-use crate::meta::MetaIndex;
+use crate::harness::{reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
 use pass_net::{Ctx, Input, NetMetrics, Node, NodeId, SimTime, Topology, TrafficClass};
-use pass_query::Query;
+use pass_query::{Query, RecordIndex};
 use std::collections::{HashMap, HashSet};
 
 /// How records propagate beyond their origin site.
@@ -79,7 +78,7 @@ struct ReplicatedSite {
     sites: usize,
     strategy: ReplicationStrategy,
     timeout_us: u64,
-    index: MetaIndex,
+    index: RecordIndex,
     gathers: HashMap<u64, TimedGather>,
     chases: HashMap<u64, Chase>,
     /// OnRead: queries whose full result set is locally cached.
@@ -251,18 +250,7 @@ impl Node<ArchMsg> for ReplicatedSite {
                     self.expand_round(ctx, op, vec![root]);
                 }
                 ArchMsg::LineageExpand { op, ids, reply_to } => {
-                    let pairs: Vec<(TupleSetId, Vec<TupleSetId>)> = ids
-                        .into_iter()
-                        .filter_map(|id| self.index.parents_of(id).map(|p| (id, p)))
-                        .collect();
-                    let bytes =
-                        16 + pairs.iter().map(|(_, p)| 16 + 16 * p.len() as u64).sum::<u64>();
-                    ctx.send(
-                        reply_to,
-                        ArchMsg::LineageParents { op, pairs },
-                        bytes,
-                        TrafficClass::Query,
-                    );
+                    reply_parents(ctx, &self.index, op, ids, reply_to);
                 }
                 ArchMsg::LineageParents { op, pairs } => {
                     let Some(chase) = self.chases.get_mut(&op) else {
@@ -327,7 +315,7 @@ impl Replicated {
                     sites,
                     strategy,
                     timeout_us: timeout_ms * 1_000,
-                    index: MetaIndex::new(),
+                    index: RecordIndex::new(),
                     gathers: HashMap::new(),
                     chases: HashMap::new(),
                     cached_queries: HashSet::new(),

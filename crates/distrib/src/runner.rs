@@ -14,7 +14,6 @@ use crate::dhtarch::DhtIndex;
 use crate::distdb::DistributedDb;
 use crate::federated::Federated;
 use crate::hierarchy::Hierarchical;
-use crate::meta::MetaIndex;
 use crate::outcome::{LatencyStats, ResultQuality};
 use crate::softstate::SoftState;
 use pass_model::{
@@ -22,7 +21,7 @@ use pass_model::{
     TupleSet, TupleSetId,
 };
 use pass_net::{ClassCounters, SimTime, Topology, TrafficClass};
-use pass_query::{parse, Query};
+use pass_query::{parse, Query, RecordIndex};
 use pass_sensor::gen::rng_for;
 use pass_sensor::traffic::{self, TrafficConfig};
 use pass_sensor::weather::{self, WeatherConfig};
@@ -88,7 +87,7 @@ pub struct Corpus {
     /// `(origin site, record)` in publish order.
     pub records: Vec<(usize, ProvenanceRecord)>,
     /// Ground-truth index over every record.
-    pub truth: MetaIndex,
+    pub truth: RecordIndex,
     /// Region labels, one per cluster.
     pub regions: Vec<String>,
     /// Ids of lineage-chain leaves (chase roots).
@@ -98,7 +97,7 @@ pub struct Corpus {
 /// Builds the corpus for a spec.
 pub fn build_corpus(spec: &WorkloadSpec) -> Corpus {
     let mut records: Vec<(usize, ProvenanceRecord)> = Vec::new();
-    let mut truth = MetaIndex::new();
+    let mut truth = RecordIndex::new();
     let mut regions = Vec::with_capacity(spec.clusters);
     let mut leaves = Vec::new();
 

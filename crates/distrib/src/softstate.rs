@@ -14,13 +14,12 @@
 
 use crate::arch::Architecture;
 use crate::harness::ArchSim;
-use crate::meta::MetaIndex;
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_index::Direction;
 use pass_model::{ProvenanceRecord, TupleSetId};
 use pass_net::{Ctx, Input, NetMetrics, Node, NodeId, SimTime, Topology, TrafficClass};
-use pass_query::Query;
+use pass_query::{Query, RecordIndex};
 
 const TIMER_REFRESH: u64 = 1;
 
@@ -31,9 +30,9 @@ struct SoftSite {
     is_catalog: bool,
     refresh_us: u64,
     /// Own records (always fresh).
-    local: MetaIndex,
+    local: RecordIndex,
     /// Global soft state (catalogs only).
-    soft: MetaIndex,
+    soft: RecordIndex,
     /// Records published since the last digest.
     buffer: Vec<ProvenanceRecord>,
 }
@@ -160,8 +159,8 @@ impl SoftState {
                     catalogs: catalogs.clone(),
                     is_catalog: catalogs.contains(&i),
                     refresh_us: refresh.as_micros().max(1),
-                    local: MetaIndex::new(),
-                    soft: MetaIndex::new(),
+                    local: RecordIndex::new(),
+                    soft: RecordIndex::new(),
                     buffer: Vec::new(),
                 }) as Box<dyn Node<ArchMsg>>
             })

@@ -117,7 +117,7 @@ fn each_attr_value(record: &ProvenanceRecord, attr: &str, test: impl Fn(&Value) 
 }
 
 /// Pseudo-attributes materialized from record structure. Indexable like
-/// real attributes (`pass-core` indexes them at ingest) and evaluable here
+/// real attributes ([`crate::RecordIndex`] indexes them) and evaluable here
 /// for ground truth:
 ///
 /// * `tool.name` / `tool.version` — any derivation's tool (multi-valued:

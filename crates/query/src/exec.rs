@@ -1,13 +1,15 @@
 //! Streaming query execution over a provider.
 //!
 //! The executor is storage-agnostic: anything implementing [`Provider`]
-//! (the local PASS, a remote site proxy, a test fixture) can serve
-//! queries. Execution is pull-based: [`prepare`] plans a query once,
-//! [`Cursor`] (obtained from [`QueryEngine::open`] or [`Cursor::over`])
-//! then yields matching records one `next()` at a time. Posting-list
-//! intersection, residual predicate re-checks, and the `LIMIT`/`AFTER`
-//! cut all happen per pull, so a `LIMIT 10` query over a million-record
-//! store touches ~10 records instead of materializing all of them.
+//! can serve queries. [`RecordIndex`](crate::RecordIndex) is the one
+//! implementation that builds indexes; the local PASS's snapshots and
+//! [`Counted`] delegate to one. Execution is pull-based: [`prepare`]
+//! plans a query once, [`Cursor`] (obtained from [`QueryEngine::open`]
+//! or [`Cursor::over`]) then yields matching records one `next()` at a
+//! time. Posting-list intersection, residual predicate re-checks, and
+//! the `LIMIT`/`AFTER` cut all happen per pull, so a `LIMIT 10` query
+//! over a million-record store touches ~10 records instead of
+//! materializing all of them.
 //!
 //! [`execute`] remains as a thin collect-the-cursor compatibility
 //! wrapper; its output is identical to draining the cursor.
@@ -21,17 +23,22 @@
 //! the cursor stops pulling the moment the limit is satisfied. Lineage
 //! closures are likewise computed as id sets at open (the closure is
 //! needed in full to intersect correctly); only their record fetches
-//! stream. `ORDER BY` is pushed into the plan when the provider can
-//! serve a creation-time-ordered scan ([`Provider::created_scan`]) and
-//! the candidate source is the whole store; selective sources fall back
-//! to fetch-sort-emit, which buffers on the first pull.
+//! stream. A closure ([`Provider::lineage`]) holds stored records only,
+//! so an unfiltered `FIND ANCESTORS|DESCENDANTS OF` uses it as its only
+//! candidate list and never evaluates the whole store: a lineage page
+//! costs O(closure), not O(store). `ORDER BY` is pushed into the plan
+//! when the provider can serve a creation-time-ordered scan
+//! ([`Provider::created_scan`]) and the candidate source is the whole
+//! store; selective sources fall back to fetch-sort-emit, which buffers
+//! on the first pull.
 
 use crate::ast::{LineageClause, OrderBy, Predicate, Query};
 use crate::error::{QueryError, Result};
 use crate::plan::{plan, IndexExpr, Plan, PlanSource};
 use pass_index::{NodeIdx, PostingList};
-use pass_model::{ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
+use pass_model::{ProvenanceRecord, TimeRange, TupleSetId, Value};
 use std::ops::Bound;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The index/storage surface the executor runs against.
@@ -49,8 +56,13 @@ pub trait Provider {
     fn has_attr(&self, attr: &str) -> PostingList;
     /// Every record in the store.
     fn all_nodes(&self) -> PostingList;
-    /// Lineage closure of the clause's root (excluding the root), or
-    /// `None` when the root is unknown here.
+    /// Lineage closure of the clause's root over *stored* records: every
+    /// record the traversal reaches (placeholder nodes — parents that are
+    /// referenced but not stored here — are traversed but never
+    /// returned), plus the root itself when `clause.include_root` is set
+    /// and the root is stored. `None` when the root is unknown here. A
+    /// lineage query without a filter uses this list as its only
+    /// candidate source, so a page costs O(closure), not O(store).
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList>;
     /// Dense index of a tuple set id, if present.
     fn node_of(&self, id: pass_model::TupleSetId) -> Option<NodeIdx>;
@@ -62,31 +74,89 @@ pub trait Provider {
     /// `desc = true`). `None` when the provider cannot serve ordered
     /// scans; the cursor then falls back to fetch-and-sort. This is the
     /// `ORDER BY` pushdown hook: a "latest N" query over a store that
-    /// implements it fetches N records, not all of them. Build the
-    /// ordering with [`created_order_scan`] so it always matches the
-    /// executor's sort fallback, and return a cached `Arc` when the
-    /// store is immutable between commits — cursors share it without
-    /// copying.
+    /// implements it fetches N records, not all of them. Sort by the
+    /// executor's own key (`exec::order_key`) so the scan always matches
+    /// its sort fallback, and return a cached `Arc` when the store is
+    /// immutable between commits — cursors share it without copying.
     fn created_scan(&self, desc: bool) -> Option<Arc<[NodeIdx]>> {
         let _ = desc;
         None
     }
 }
 
-/// Builds the [`Provider::created_scan`] ordering from
-/// `(created_at, id, dense index)` triples: creation time then id, ids
-/// ascending within a tie even when `desc` reverses the time order.
-/// Providers implement `created_scan` with this one function so their
-/// order can never diverge from the executor's sort fallback (which
-/// sorts records by the same key).
-pub fn created_order_scan(
-    mut entries: Vec<(Timestamp, TupleSetId, NodeIdx)>,
-    desc: bool,
-) -> Arc<[NodeIdx]> {
-    entries.sort_unstable_by_key(|(t, id, _)| {
-        (if desc { -i128::from(t.0) } else { i128::from(t.0) }, *id)
-    });
-    entries.into_iter().map(|(_, _, idx)| idx).collect()
+/// A [`Provider`] decorator that counts record fetches and whole-store
+/// evaluations ([`Provider::all_nodes`]) and delegates everything else.
+/// It is the probe behind the executor's cost contracts, which hold by
+/// count on any host: a `LIMIT k` page fetches about `k` records, and a
+/// lineage page never evaluates the whole store.
+#[derive(Debug, Default)]
+pub struct Counted<P> {
+    inner: P,
+    fetches: AtomicUsize,
+    all_nodes: AtomicUsize,
+}
+
+impl<P: Provider> Counted<P> {
+    /// Wraps `inner` with both counters at zero.
+    pub fn new(inner: P) -> Self {
+        Counted { inner, fetches: AtomicUsize::new(0), all_nodes: AtomicUsize::new(0) }
+    }
+
+    /// The wrapped provider.
+    pub fn inner(&self) -> &P {
+        &self.inner
+    }
+
+    /// [`Provider::fetch`] calls so far.
+    pub fn fetches(&self) -> usize {
+        self.fetches.load(Ordering::Relaxed)
+    }
+
+    /// [`Provider::all_nodes`] calls so far.
+    pub fn all_nodes_calls(&self) -> usize {
+        self.all_nodes.load(Ordering::Relaxed)
+    }
+}
+
+impl<P: Provider> Provider for Counted<P> {
+    fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
+        self.inner.eq_lookup(attr, value)
+    }
+    fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
+        self.inner.range_lookup(attr, low, high)
+    }
+    fn time_overlap(&self, range: TimeRange) -> PostingList {
+        self.inner.time_overlap(range)
+    }
+    fn keyword_lookup(&self, phrase: &str) -> PostingList {
+        self.inner.keyword_lookup(phrase)
+    }
+    fn has_attr(&self, attr: &str) -> PostingList {
+        self.inner.has_attr(attr)
+    }
+    fn all_nodes(&self) -> PostingList {
+        self.all_nodes.fetch_add(1, Ordering::Relaxed);
+        self.inner.all_nodes()
+    }
+    fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
+        self.inner.lineage(clause)
+    }
+    fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
+        self.inner.node_of(id)
+    }
+    fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
+        self.fetches.fetch_add(1, Ordering::Relaxed);
+        self.inner.fetch(idx)
+    }
+    fn created_scan(&self, desc: bool) -> Option<Arc<[NodeIdx]>> {
+        self.inner.created_scan(desc)
+    }
+}
+
+impl<P: Provider> QueryEngine for Counted<P> {
+    fn open(&self, prepared: &PreparedQuery) -> Result<Cursor<'_>> {
+        Cursor::over(self, prepared)
+    }
 }
 
 /// Execution counters, surfaced from the cursor and returned with every
@@ -332,9 +402,9 @@ impl CandidateStream {
     }
 }
 
-/// Per-record ordering key reproducing the classic sort: creation time,
-/// ties by id; `desc` reverses creation time but keeps ids ascending.
-fn order_key(record: &ProvenanceRecord, desc: bool) -> (i128, TupleSetId) {
+/// The `ORDER BY created` key: creation time, ties by id; `desc`
+/// reverses creation time but keeps ids ascending.
+pub(crate) fn order_key(record: &ProvenanceRecord, desc: bool) -> (i128, TupleSetId) {
     let t = i128::from(record.created_at.0);
     (if desc { -t } else { t }, record.id)
 }
@@ -344,7 +414,7 @@ enum CursorState {
     Stream(CandidateStream),
     /// `ORDER BY` over a filtered source: drain, sort, and cut on the
     /// first pull, then emit from the buffer.
-    SortPending { stream: CandidateStream, desc: bool, after: Option<(Timestamp, TupleSetId)> },
+    SortPending { stream: CandidateStream, desc: bool, after: Option<(i128, TupleSetId)> },
     /// Sorted buffer being emitted.
     Buffered(std::vec::IntoIter<ProvenanceRecord>),
 }
@@ -390,14 +460,22 @@ impl<'a> Cursor<'a> {
             PlanSource::Scan => false,
         };
 
+        // Both the `All` index expression and a full scan draw
+        // candidates from every record.
+        let scans_all =
+            matches!(&plan.source, PlanSource::Index(IndexExpr::All) | PlanSource::Scan);
+
         // Candidate sources, kept as separate lists so the intersection
         // can leapfrog lazily. A top-level AND contributes one list per
         // child; nested expressions within a child evaluate eagerly
-        // (they are id-set algebra, not record work). Evaluated only by
-        // the strategies that consume them — the ordered pushdown path
-        // never touches the unfiltered source.
+        // (they are id-set algebra, not record work). A lineage closure
+        // holds stored records only, so it replaces a whole-store source
+        // instead of being intersected with it. Evaluated only by the
+        // strategies that consume them — the ordered pushdown path never
+        // touches the unfiltered source.
         let build_lists = || -> Result<Vec<PostingList>> {
             let mut lists: Vec<PostingList> = match &plan.source {
+                _ if scans_all && plan.lineage.is_some() => Vec::new(),
                 PlanSource::Index(IndexExpr::And(children)) => {
                     children.iter().map(|c| eval_index_expr(c, p)).collect()
                 }
@@ -405,25 +483,15 @@ impl<'a> Cursor<'a> {
                 PlanSource::Scan => vec![p.all_nodes()],
             };
             if let Some(clause) = &plan.lineage {
-                let mut closure =
-                    p.lineage(clause).ok_or(QueryError::UnknownTupleSet(clause.root))?;
-                if clause.include_root {
-                    if let Some(root_idx) = p.node_of(clause.root) {
-                        closure.insert(root_idx);
-                    }
-                }
-                lists.push(closure);
+                lists.push(p.lineage(clause).ok_or(QueryError::UnknownTupleSet(clause.root))?);
             }
             Ok(lists)
         };
 
         let needs_recheck = !plan.is_exact();
-        // Both the `All` index expression and a full scan draw
-        // candidates from every record, so a created-order scan serves
-        // them directly (residuals still re-check per pull).
-        let whole_store =
-            matches!(&plan.source, PlanSource::Index(IndexExpr::All) | PlanSource::Scan)
-                && plan.lineage.is_none();
+        // A whole-store source is served directly by a created-order
+        // scan (residuals still re-check per pull).
+        let whole_store = scans_all && plan.lineage.is_none();
 
         let state = match plan.order {
             OrderBy::None => {
@@ -463,7 +531,7 @@ impl<'a> Cursor<'a> {
                                     p.node_of(after).ok_or(QueryError::UnknownTupleSet(after))?;
                                 let record =
                                     p.fetch(idx).ok_or(QueryError::UnknownTupleSet(after))?;
-                                Some((record.created_at, record.id))
+                                Some(order_key(&record, desc))
                             }
                         };
                         CursorState::SortPending {
@@ -545,11 +613,7 @@ impl Iterator for Cursor<'_> {
                 records.push(record);
             }
             records.sort_by_key(|r| order_key(r, desc));
-            if let Some((t, id)) = after {
-                let key = {
-                    let t = i128::from(t.0);
-                    (if desc { -t } else { t }, id)
-                };
+            if let Some(key) = after {
                 let skip = records.partition_point(|r| order_key(r, desc) <= key);
                 records.drain(..skip);
             }
@@ -598,109 +662,18 @@ mod tests {
     use super::*;
     use crate::ast::Predicate;
     use crate::parser::parse;
-    use pass_index::{
-        AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, ReachStrategy, TimeIndex,
-    };
+    use crate::RecordIndex;
     use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, ToolDescriptor, TupleSetId};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
-    /// A small in-memory provider for executor tests.
-    struct FixtureProvider {
-        records: Vec<ProvenanceRecord>,
-        attrs: AttrIndex,
-        time: Mutex<TimeIndex>,
-        keywords: KeywordIndex,
-        graph: AncestryGraph,
-        fetches: AtomicUsize,
-    }
+    /// A fetch-counting [`RecordIndex`] over a small corpus.
+    type FixtureProvider = Counted<RecordIndex>;
 
-    impl FixtureProvider {
-        fn new(records: Vec<ProvenanceRecord>) -> Self {
-            let mut attrs = AttrIndex::new();
-            let mut time = TimeIndex::new();
-            let mut keywords = KeywordIndex::new();
-            let mut graph = AncestryGraph::new();
-            for record in &records {
-                let parents: Vec<(TupleSetId, bool)> =
-                    record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)).collect();
-                let idx = graph.insert(record.id, &parents);
-                attrs.insert_attrs(idx, &record.attributes);
-                for (name, value) in crate::ast::multi_valued_attrs(record) {
-                    attrs.insert(idx, name, value);
-                }
-                if let Some(range) = record.time_range() {
-                    time.insert(idx, range);
-                }
-                for ann in &record.annotations {
-                    keywords.insert(idx, &ann.text);
-                }
-                if let Some(desc) = record.attributes.get_str(pass_model::keys::DESCRIPTION) {
-                    keywords.insert(idx, desc);
-                }
-            }
-            FixtureProvider {
-                records,
-                attrs,
-                time: Mutex::new(time),
-                keywords,
-                graph,
-                fetches: AtomicUsize::new(0),
-            }
+    fn index_of(records: Vec<ProvenanceRecord>) -> FixtureProvider {
+        let mut index = RecordIndex::new();
+        for record in &records {
+            index.insert(record);
         }
-
-        fn fetch_count(&self) -> usize {
-            self.fetches.load(Ordering::Relaxed)
-        }
-    }
-
-    impl Provider for FixtureProvider {
-        fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
-            self.attrs.eq(attr, value)
-        }
-        fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
-            self.attrs.range(attr, low, high)
-        }
-        fn time_overlap(&self, range: TimeRange) -> PostingList {
-            self.time.lock().unwrap().overlapping(range)
-        }
-        fn keyword_lookup(&self, phrase: &str) -> PostingList {
-            self.keywords.lookup_all(phrase)
-        }
-        fn has_attr(&self, attr: &str) -> PostingList {
-            self.attrs.has_attr(attr)
-        }
-        fn all_nodes(&self) -> PostingList {
-            PostingList::from_iter(self.records.iter().filter_map(|r| self.graph.lookup(r.id)))
-        }
-        fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
-            let root = self.graph.lookup(clause.root)?;
-            let reach =
-                BfsClosure.reachable(&self.graph, root, clause.direction, &clause.traverse_opts());
-            Some(PostingList::from_iter(reach))
-        }
-        fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
-            self.graph.lookup(id)
-        }
-        fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-            self.fetches.fetch_add(1, Ordering::Relaxed);
-            let id = self.graph.resolve(idx)?;
-            self.records.iter().find(|r| r.id == id).cloned()
-        }
-        fn created_scan(&self, desc: bool) -> Option<Arc<[NodeIdx]>> {
-            let keyed = self
-                .records
-                .iter()
-                .filter_map(|r| self.graph.lookup(r.id).map(|idx| (r.created_at, r.id, idx)))
-                .collect();
-            Some(created_order_scan(keyed, desc))
-        }
-    }
-
-    impl QueryEngine for FixtureProvider {
-        fn open(&self, prepared: &PreparedQuery) -> Result<Cursor<'_>> {
-            Cursor::over(self, prepared)
-        }
+        Counted::new(index)
     }
 
     fn fixture() -> (FixtureProvider, Vec<TupleSetId>) {
@@ -726,7 +699,7 @@ mod tests {
             .attr("region", "london")
             .build(Digest128::of(b"other"));
         let ids = vec![raw.id, mid.id, leaf.id, other.id];
-        (FixtureProvider::new(vec![raw, mid, leaf, other]), ids)
+        (index_of(vec![raw, mid, leaf, other]), ids)
     }
 
     fn run(provider: &FixtureProvider, text: &str) -> QueryResult {
@@ -863,11 +836,14 @@ mod tests {
             r#"FIND WHERE HAS count"#,
             r#"FIND WHERE domain = "traffic" OR domain = "weather""#,
             r#"FIND WHERE time OVERLAPS [0, 1000]"#,
+            r#"FIND WHERE origin.site = 1"#,
+            r#"FIND WHERE created_at >= 200"#,
+            r#"FIND WHERE ancestry.parents = 1"#,
         ] {
             let query = parse(text).unwrap();
             let res = execute(&query, &p).unwrap();
             let want: Vec<TupleSetId> =
-                p.records.iter().filter(|r| query.filter.matches(r)).map(|r| r.id).collect();
+                p.inner().records().filter(|r| query.filter.matches(r)).map(|r| r.id).collect();
             let mut got = res.ids();
             got.sort();
             let mut want = want;
@@ -913,13 +889,13 @@ mod tests {
     #[test]
     fn cursor_is_lazy_per_pull() {
         let (p, _) = fixture();
-        let before = p.fetch_count();
+        let before = p.fetches();
         let mut cursor = p.open_text(r#"FIND WHERE domain = "traffic""#).unwrap();
-        assert_eq!(p.fetch_count(), before, "open fetches nothing");
+        assert_eq!(p.fetches(), before, "open fetches nothing");
         cursor.next().unwrap();
-        assert_eq!(p.fetch_count(), before + 1, "one pull, one fetch");
+        assert_eq!(p.fetches(), before + 1, "one pull, one fetch");
         drop(cursor); // abandoning mid-stream does no further work
-        assert_eq!(p.fetch_count(), before + 1);
+        assert_eq!(p.fetches(), before + 1);
     }
 
     #[test]
@@ -965,7 +941,7 @@ mod tests {
         let c = build(b"c", "traffic", 30);
         let d = build(b"d", "traffic", 40);
         let (b_id, c_id, d_id) = (b.id, c.id, d.id);
-        let p = FixtureProvider::new(vec![a, b, c, d]);
+        let p = index_of(vec![a, b, c, d]);
 
         // B does not match the traffic filter, but its dense position
         // (1) still anchors the page: the result is exactly the suffix
@@ -983,11 +959,11 @@ mod tests {
     #[test]
     fn ordered_pushdown_touches_only_limit_records() {
         let (p, ids) = fixture();
-        let before = p.fetch_count();
+        let before = p.fetches();
         let drained: Vec<ProvenanceRecord> =
             p.open_text("FIND ORDER BY created DESC LIMIT 1").unwrap().collect();
         assert_eq!(drained[0].id, ids[2]);
-        assert_eq!(p.fetch_count() - before, 1, "ordered scan + limit fetches one record");
+        assert_eq!(p.fetches() - before, 1, "ordered scan + limit fetches one record");
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   store, remote proxy, test fixture): [`prepare`] plans once,
 //!   [`QueryEngine::open`] yields a pull-based [`Cursor`], and
 //!   [`execute`] remains as a collect-the-cursor compatibility wrapper.
+//! * [`record_index`] — [`RecordIndex`], the in-memory record index and
+//!   the one [`Provider`] that builds indexes: the local store, every
+//!   architecture site, and the test fixtures serve queries from it.
 //!
 //! The executor's contract is checked two ways: residual predicates are
 //! re-evaluated with the same `matches` function that defines semantics,
@@ -149,12 +152,14 @@ pub mod exec;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod record_index;
 
 pub use ast::{CmpOp, LineageClause, OrderBy, Predicate, Query, Subscribe};
 pub use error::{QueryError, Result};
 pub use exec::{
-    created_order_scan, execute, execute_plan, execute_text, prepare, Cursor, ExecStats,
-    PreparedQuery, Provider, QueryEngine, QueryResult,
+    execute, execute_plan, execute_text, prepare, Counted, Cursor, ExecStats, PreparedQuery,
+    Provider, QueryEngine, QueryResult,
 };
 pub use parser::{parse, parse_predicate, parse_subscribe};
 pub use plan::{plan, IndexExpr, Plan, PlanSource};
+pub use record_index::{IndexDelta, RecordIndex};

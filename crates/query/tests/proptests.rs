@@ -2,110 +2,23 @@
 //! agree with brute-force predicate evaluation on arbitrary predicates
 //! and corpora — the superset-plus-residual contract, fuzzed.
 
-use pass_index::{
-    AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
-    TimeIndex,
-};
+use pass_index::{BfsClosure, Direction, PostingList, ReachStrategy};
 use pass_model::{
-    Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp, TupleSetId, Value,
+    Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp, ToolDescriptor,
+    TupleSetId, Value,
 };
-use pass_query::{execute, CmpOp, LineageClause, OrderBy, Predicate, Provider, Query, QueryEngine};
+use pass_query::{
+    execute, CmpOp, LineageClause, OrderBy, Predicate, Provider, Query, QueryEngine, RecordIndex,
+};
 use proptest::prelude::*;
-use std::ops::Bound;
-use std::sync::Mutex;
 
-/// Minimal in-memory provider mirroring the core's indexing rules.
-struct Fixture {
-    records: Vec<ProvenanceRecord>,
-    attrs: AttrIndex,
-    time: Mutex<TimeIndex>,
-    keywords: KeywordIndex,
-    graph: AncestryGraph,
-}
-
-impl Fixture {
-    fn new(records: Vec<ProvenanceRecord>) -> Self {
-        let mut attrs = AttrIndex::new();
-        let mut time = TimeIndex::new();
-        let mut keywords = KeywordIndex::new();
-        let mut graph = AncestryGraph::new();
-        for record in &records {
-            let parents: Vec<(TupleSetId, bool)> =
-                record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)).collect();
-            let idx = graph.insert(record.id, &parents);
-            attrs.insert_attrs(idx, &record.attributes);
-            for (name, value) in pass_query::ast::multi_valued_attrs(record) {
-                attrs.insert(idx, name, value);
-            }
-            attrs.insert(idx, "origin.site", Value::Int(i64::from(record.origin.0)));
-            attrs.insert(idx, "created_at", Value::Time(record.created_at));
-            attrs.insert(idx, "ancestry.parents", Value::Int(record.ancestry.len() as i64));
-            if let Some(range) = record.time_range() {
-                time.insert(idx, range);
-            }
-            for ann in &record.annotations {
-                keywords.insert(idx, &ann.text);
-            }
-            if let Some(desc) = record.attributes.get_str(pass_model::keys::DESCRIPTION) {
-                keywords.insert(idx, desc);
-            }
-        }
-        Fixture { records, attrs, time: Mutex::new(time), keywords, graph }
+/// The record index every store serves queries from, over `records`.
+fn index_of(records: &[ProvenanceRecord]) -> RecordIndex {
+    let mut index = RecordIndex::new();
+    for record in records {
+        index.insert(record);
     }
-}
-
-impl Provider for Fixture {
-    fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
-        self.attrs.eq(attr, value)
-    }
-    fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
-        self.attrs.range(attr, low, high)
-    }
-    fn time_overlap(&self, range: TimeRange) -> PostingList {
-        self.time.lock().unwrap().overlapping(range)
-    }
-    fn keyword_lookup(&self, phrase: &str) -> PostingList {
-        self.keywords.lookup_all(phrase)
-    }
-    fn has_attr(&self, attr: &str) -> PostingList {
-        self.attrs.has_attr(attr)
-    }
-    fn all_nodes(&self) -> PostingList {
-        PostingList::from_iter(self.records.iter().filter_map(|r| self.graph.lookup(r.id)))
-    }
-    fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
-        let root = self.graph.lookup(clause.root)?;
-        Some(PostingList::from_iter(BfsClosure.reachable(
-            &self.graph,
-            root,
-            clause.direction,
-            &clause.traverse_opts(),
-        )))
-    }
-    fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
-        self.graph.lookup(id)
-    }
-    fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        let id = self.graph.resolve(idx)?;
-        self.records.iter().find(|r| r.id == id).cloned()
-    }
-    fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
-        let keyed = self
-            .records
-            .iter()
-            .filter_map(|r| self.graph.lookup(r.id).map(|idx| (r.created_at, r.id, idx)))
-            .collect();
-        Some(pass_query::created_order_scan(keyed, desc))
-    }
-}
-
-impl QueryEngine for Fixture {
-    fn open(
-        &self,
-        prepared: &pass_query::PreparedQuery,
-    ) -> pass_query::Result<pass_query::Cursor<'_>> {
-        pass_query::Cursor::over(self, prepared)
-    }
+    index
 }
 
 const ATTRS: &[&str] = &["domain", "region", "kind", "level"];
@@ -176,14 +89,141 @@ fn arb_corpus() -> impl Strategy<Value = Vec<ProvenanceRecord>> {
     })
 }
 
+/// Foreign parents (referenced, never stored) come from a small pool, so
+/// several records can share one and a lineage root can be one.
+const FOREIGN: u128 = 0xf00d_0000;
+const FOREIGN_POOL: usize = 3;
+
+/// A corpus with ancestry: record `seed` derives from up to three earlier
+/// records or foreign parents, some through abstracted tools. Creation
+/// times repeat, so ordered pages break ties by id.
+fn arb_lineage_corpus() -> impl Strategy<Value = Vec<ProvenanceRecord>> {
+    let parent = (any::<u8>(), 0u8..4, any::<bool>());
+    proptest::collection::vec(proptest::collection::vec(parent, 0..4), 3..16).prop_map(|specs| {
+        let mut records: Vec<ProvenanceRecord> = Vec::with_capacity(specs.len());
+        for (seed, parents) in specs.into_iter().enumerate() {
+            let mut builder = ProvenanceBuilder::new(SiteId(0), Timestamp(seed as u64 % 5))
+                .attr("domain", STR_VALUES[seed % STR_VALUES.len()])
+                .attr("level", (seed % 7) as i64);
+            for (pick, kind, abstracted) in parents {
+                let parent = match records.len() {
+                    len if kind == 0 || len == 0 => {
+                        TupleSetId(FOREIGN + u128::from(pick) % FOREIGN_POOL as u128)
+                    }
+                    len => records[usize::from(pick) % len].id,
+                };
+                let tool = if abstracted {
+                    ToolDescriptor::abstracted("etl", "2")
+                } else {
+                    ToolDescriptor::new("aggregate", "1")
+                };
+                builder = builder.derived_from(parent, tool);
+            }
+            records.push(builder.build(Digest128::of(&seed.to_be_bytes())));
+        }
+        records
+    })
+}
+
+/// The lineage result as the executor computed it when closures still
+/// held placeholders: the raw closure (plus the root under `WITH SELF`)
+/// intersected with every stored record, then filtered and ordered.
+/// `None` when the root is unknown.
+fn filter_then_intersect(index: &RecordIndex, query: &Query) -> Option<Vec<TupleSetId>> {
+    let clause = query.lineage.as_ref()?;
+    let root = index.graph().lookup(clause.root)?;
+    let opts = clause.traverse_opts();
+    let mut closure =
+        PostingList::from_iter(BfsClosure.reachable(index.graph(), root, clause.direction, &opts));
+    if clause.include_root {
+        closure.insert(root);
+    }
+    let mut records: Vec<ProvenanceRecord> = index
+        .all_nodes()
+        .intersect(&closure)
+        .iter()
+        .filter_map(|idx| index.fetch(idx))
+        .filter(|r| query.filter.matches(r))
+        .collect();
+    match query.order {
+        OrderBy::None => {}
+        OrderBy::CreatedAsc => records.sort_by_key(|r| (r.created_at, r.id)),
+        OrderBy::CreatedDesc => records.sort_by_key(|r| (std::cmp::Reverse(r.created_at), r.id)),
+    }
+    Some(records.iter().map(|r| r.id).collect())
+}
+
+fn order_of(order: u8) -> OrderBy {
+    match order {
+        0 => OrderBy::None,
+        1 => OrderBy::CreatedAsc,
+        _ => OrderBy::CreatedDesc,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Lineage closures hold stored records only, and an unfiltered
+    /// lineage query uses the closure as its only candidate list. Over
+    /// closures that reach placeholders (foreign parents, a foreign
+    /// root), under depth limits, abstraction stops and `WITH SELF`,
+    /// the result and its `AFTER` pages equal the old
+    /// filter-then-intersect answer.
+    #[test]
+    fn lineage_pages_equal_filter_then_intersect(
+        corpus in arb_lineage_corpus(),
+        root_pick in any::<u8>(),
+        ancestors in any::<bool>(),
+        max_depth in proptest::option::of(0u32..4),
+        stop_at_abstraction in any::<bool>(),
+        include_root in any::<bool>(),
+        filter in prop_oneof![Just(Predicate::True), arb_predicate()],
+        order in 0u8..3,
+        page in 1usize..5,
+    ) {
+        let index = index_of(&corpus);
+        let pick = usize::from(root_pick) % (corpus.len() + FOREIGN_POOL);
+        let root = corpus
+            .get(pick)
+            .map_or_else(|| TupleSetId(FOREIGN + (pick - corpus.len()) as u128), |r| r.id);
+        let mut query = Query::filtered(filter);
+        query.lineage = Some(LineageClause {
+            root,
+            direction: if ancestors { Direction::Ancestors } else { Direction::Descendants },
+            max_depth,
+            stop_at_abstraction,
+            include_root,
+        });
+        query.order = order_of(order);
+        if let Some(closure) = query.lineage.as_ref().and_then(|c| index.lineage(c)) {
+            prop_assert!(closure.iter().all(|idx| index.fetch(idx).is_some()), "placeholder kept");
+        }
+        let want = filter_then_intersect(&index, &query);
+        prop_assert_eq!(execute(&query, &index).ok().map(|r| r.ids()), want.clone());
+
+        if let Some(want) = want {
+            let mut paged = Vec::new();
+            let mut after: Option<TupleSetId> = None;
+            for _ in 0..=want.len() {
+                let mut page_query = query.clone().with_limit(page);
+                page_query.after = after;
+                let batch = execute(&page_query, &index).unwrap().ids();
+                if batch.is_empty() {
+                    break;
+                }
+                after = batch.last().copied();
+                paged.extend(batch);
+            }
+            prop_assert_eq!(paged, want);
+        }
+    }
 
     /// The fundamental contract: executor output == brute-force filter,
     /// for every predicate shape the planner might see.
     #[test]
     fn executor_matches_brute_force(corpus in arb_corpus(), pred in arb_predicate()) {
-        let fixture = Fixture::new(corpus.clone());
+        let fixture = index_of(&corpus);
         let query = Query::filtered(pred.clone());
         let result = execute(&query, &fixture).unwrap();
         let mut got = result.ids();
@@ -204,7 +244,7 @@ proptest! {
         pred in arb_predicate(),
         limit in 0usize..10,
     ) {
-        let fixture = Fixture::new(corpus);
+        let fixture = index_of(&corpus);
         let full = execute(&Query::filtered(pred.clone()), &fixture).unwrap();
         let cut = execute(&Query::filtered(pred).with_limit(limit), &fixture).unwrap();
         prop_assert!(cut.records.len() <= limit);
@@ -215,7 +255,7 @@ proptest! {
     /// Double negation is a no-op.
     #[test]
     fn double_negation_is_identity(corpus in arb_corpus(), pred in arb_predicate()) {
-        let fixture = Fixture::new(corpus);
+        let fixture = index_of(&corpus);
         let direct = execute(&Query::filtered(pred.clone()), &fixture).unwrap();
         let doubled = execute(
             &Query::filtered(Predicate::Not(Box::new(Predicate::Not(Box::new(pred))))),
@@ -244,13 +284,9 @@ proptest! {
         order in 0u8..3,
         limit in proptest::option::of(0usize..12),
     ) {
-        let fixture = Fixture::new(corpus);
+        let fixture = index_of(&corpus);
         let mut query = Query::filtered(pred);
-        query.order = match order {
-            0 => OrderBy::None,
-            1 => OrderBy::CreatedAsc,
-            _ => OrderBy::CreatedDesc,
-        };
+        query.order = order_of(order);
         query.limit = limit;
         let executed = execute(&query, &fixture).unwrap().records;
         let drained: Vec<ProvenanceRecord> =
@@ -268,13 +304,9 @@ proptest! {
         page in 1usize..6,
         order in 0u8..3,
     ) {
-        let fixture = Fixture::new(corpus);
+        let fixture = index_of(&corpus);
         let mut query = Query::filtered(pred);
-        query.order = match order {
-            0 => OrderBy::None,
-            1 => OrderBy::CreatedAsc,
-            _ => OrderBy::CreatedDesc,
-        };
+        query.order = order_of(order);
         let full = execute(&query, &fixture).unwrap().records;
 
         let mut paged: Vec<ProvenanceRecord> = Vec::new();

@@ -2,104 +2,31 @@
 //! must keep per-query work proportional to what the caller consumes,
 //! measured with a counting provider over a 100k-record store.
 
-use pass_index::{AncestryGraph, AttrIndex, NodeIdx, PostingList};
-use pass_model::{
-    Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp, TupleSetId, Value,
-};
-use pass_query::{parse, LineageClause, Provider, QueryEngine};
-use std::ops::Bound;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, TupleSetId};
+use pass_query::{parse, Counted, IndexDelta, QueryEngine, RecordIndex};
 
 const STORE_SIZE: usize = 100_000;
 
-/// A large in-memory provider that counts every record fetch.
-struct BigStore {
-    records: Vec<ProvenanceRecord>,
-    by_id: std::collections::HashMap<TupleSetId, usize>,
-    attrs: AttrIndex,
-    graph: AncestryGraph,
-    fetches: AtomicUsize,
-}
-
-impl BigStore {
-    fn build(n: usize) -> BigStore {
-        let mut attrs = AttrIndex::new();
-        let mut graph = AncestryGraph::new();
-        let mut records = Vec::with_capacity(n);
-        let mut by_id = std::collections::HashMap::with_capacity(n);
-        for i in 0..n {
-            let record = ProvenanceBuilder::new(SiteId(1), Timestamp(i as u64))
+/// A fetch-counting record index over `n` records.
+fn big_store(n: usize) -> Counted<RecordIndex> {
+    let records = (0..n)
+        .map(|i| {
+            ProvenanceBuilder::new(SiteId(1), Timestamp(i as u64))
                 .attr("domain", if i % 2 == 0 { "traffic" } else { "weather" })
                 .attr("zone", (i % 64) as i64)
-                .build(Digest128::of(&(i as u64).to_be_bytes()));
-            let idx = graph.insert(record.id, &[]);
-            attrs.insert_attrs(idx, &record.attributes);
-            attrs.insert(idx, "created_at", Value::Time(record.created_at));
-            by_id.insert(record.id, i);
-            records.push(record);
-        }
-        BigStore { records, by_id, attrs, graph, fetches: AtomicUsize::new(0) }
-    }
-
-    fn fetches(&self) -> usize {
-        self.fetches.load(Ordering::Relaxed)
-    }
-}
-
-impl Provider for BigStore {
-    fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
-        self.attrs.eq(attr, value)
-    }
-    fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
-        self.attrs.range(attr, low, high)
-    }
-    fn time_overlap(&self, _range: TimeRange) -> PostingList {
-        PostingList::new()
-    }
-    fn keyword_lookup(&self, _phrase: &str) -> PostingList {
-        PostingList::new()
-    }
-    fn has_attr(&self, attr: &str) -> PostingList {
-        self.attrs.has_attr(attr)
-    }
-    fn all_nodes(&self) -> PostingList {
-        PostingList::from_iter(self.records.iter().filter_map(|r| self.graph.lookup(r.id)))
-    }
-    fn lineage(&self, _clause: &LineageClause) -> Option<PostingList> {
-        None
-    }
-    fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
-        self.graph.lookup(id)
-    }
-    fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        let id = self.graph.resolve(idx)?;
-        self.by_id.get(&id).map(|&at| self.records[at].clone())
-    }
-    fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
-        let keyed = self
-            .records
-            .iter()
-            .filter_map(|r| self.graph.lookup(r.id).map(|idx| (r.created_at, r.id, idx)))
-            .collect();
-        Some(pass_query::created_order_scan(keyed, desc))
-    }
-}
-
-impl QueryEngine for BigStore {
-    fn open(
-        &self,
-        prepared: &pass_query::PreparedQuery,
-    ) -> pass_query::Result<pass_query::Cursor<'_>> {
-        pass_query::Cursor::over(self, prepared)
-    }
+                .build(Digest128::of(&(i as u64).to_be_bytes()))
+        })
+        .collect();
+    let mut index = RecordIndex::new();
+    index.insert_delta(IndexDelta::new(records));
+    Counted::new(index)
 }
 
 /// The headline acceptance criterion: a `LIMIT 10` attribute query over
 /// a 100k-record store fetches ≤ ~10 records.
 #[test]
 fn limit_10_over_100k_touches_10_records() {
-    let store = BigStore::build(STORE_SIZE);
+    let store = big_store(STORE_SIZE);
     let before = store.fetches();
     let mut cursor =
         store.open_query(&parse(r#"FIND WHERE domain = "traffic" LIMIT 10"#).unwrap()).unwrap();
@@ -118,7 +45,7 @@ fn limit_10_over_100k_touches_10_records() {
 /// Limit pushdown holds through a lazy conjunction too.
 #[test]
 fn conjunctive_limit_is_bounded() {
-    let store = BigStore::build(STORE_SIZE);
+    let store = big_store(STORE_SIZE);
     let before = store.fetches();
     let query = parse(r#"FIND WHERE domain = "traffic" AND zone = 0 LIMIT 5"#).unwrap();
     let mut cursor = store.open_query(&query).unwrap();
@@ -132,7 +59,7 @@ fn conjunctive_limit_is_bounded() {
 /// scan instead of fetching everything.
 #[test]
 fn order_by_limit_is_bounded() {
-    let store = BigStore::build(STORE_SIZE);
+    let store = big_store(STORE_SIZE);
     let before = store.fetches();
     let got: Vec<_> =
         store.open_query(&parse("FIND ORDER BY created DESC LIMIT 10").unwrap()).unwrap().collect();
@@ -149,7 +76,7 @@ fn order_by_limit_is_bounded() {
 /// pages equal the one-shot result.
 #[test]
 fn keyset_pages_are_bounded_and_lossless() {
-    let store = BigStore::build(10_000);
+    let store = big_store(10_000);
     let full: Vec<TupleSetId> = store
         .open_query(&parse(r#"FIND WHERE zone = 3"#).unwrap())
         .unwrap()
@@ -178,7 +105,7 @@ fn keyset_pages_are_bounded_and_lossless() {
 /// records to draining the cursor.
 #[test]
 fn execute_equals_cursor_drain_on_big_store() {
-    let store = BigStore::build(10_000);
+    let store = big_store(10_000);
     for text in [
         r#"FIND WHERE zone = 9"#,
         r#"FIND WHERE domain = "weather" AND zone = 11 ORDER BY created DESC"#,
