@@ -70,7 +70,7 @@ use crate::pins::{PinGuard, PinRegistry};
 use crate::shard::{self, Sharding};
 use crate::subscribe::{Hub, Subscription, WatchState, DEFAULT_SUBSCRIPTION_CAPACITY};
 use parking_lot::{Mutex, RwLock};
-use pass_index::{NodeIdx, PostingList, TraverseOpts};
+use pass_index::{BitSet, NodeIdx, PostingList, TraverseOpts};
 use pass_model::codec::{Decode, Encode};
 use pass_model::{
     Annotation, Attributes, ModelError, ProvenanceBuilder, ProvenanceRecord, Reading, SiteId,
@@ -100,7 +100,9 @@ struct State {
     /// Records and their indexes; cloning it (the copy-on-write path)
     /// resets its cached created-order scans.
     index: RecordIndex,
-    data_present: HashSet<TupleSetId>,
+    /// The stored records whose readings are present, by the index's
+    /// `NodeIdx`.
+    data_present: BitSet,
     /// Commit sequence number, assigned under the state write lock so a
     /// snapshot's state and version can never disagree.
     version: u64,
@@ -127,15 +129,30 @@ impl State {
         Ok(posting.iter().filter_map(|idx| self.index.fetch(idx)).collect())
     }
 
+    fn readings_present(&self, id: TupleSetId) -> bool {
+        self.index.node_of(id).is_some_and(|idx| self.data_present.contains(idx))
+    }
+
+    /// Marks the readings of a stored record present or absent.
+    fn set_data(&mut self, id: TupleSetId, present: bool) {
+        let Some(idx) = self.index.node_of(id) else { return };
+        if present {
+            self.data_present.insert_growing(idx);
+        } else {
+            self.data_present.remove(idx);
+        }
+    }
+
     fn index_stats(&self, ops: OpCounters) -> PassStats {
         let graph = self.index.graph();
         PassStats {
             records: self.index.len(),
-            data_blobs: self.data_present.len(),
+            data_blobs: self.data_present.count(),
             graph_nodes: graph.node_count(),
             graph_edges: graph.edge_count(),
             attr_entries: self.index.attr_entries(),
             index_bytes: self.index.size_bytes(),
+            record_bytes: self.index.record_bytes(),
             ingests: ops.ingests,
             batches: ops.batches,
             queries: ops.queries,
@@ -202,6 +219,9 @@ pub struct PassStats {
     pub attr_entries: u64,
     /// Approximate bytes held by the in-memory indexes.
     pub index_bytes: usize,
+    /// Bytes of the resident record encodings: each stored record is
+    /// kept once, as the canonical bytes written under its key.
+    pub record_bytes: usize,
     /// Ingests since open (tuple sets, not batches).
     pub ingests: u64,
     /// Group commits since open (an N-set `ingest_batch` counts once).
@@ -393,32 +413,36 @@ impl Pass {
     }
 
     /// Rebuilds the in-memory indexes from the stored records in one
-    /// streaming pass: each scanned row is decoded once and its bytes
-    /// dropped, and every [`REBUILD_CHUNK`] records are moved into the
-    /// indexes as one [`IndexDelta`], so peak memory stays close to the
-    /// resident state the open leaves behind.
+    /// streaming pass: each scanned row is decoded once for its index
+    /// entries, its value buffer moves into the record table, and every
+    /// [`REBUILD_CHUNK`] records are merged into the indexes as one
+    /// [`IndexDelta`], so peak memory stays close to the resident state
+    /// the open leaves behind.
     fn rebuild_indexes(&self) -> Result<()> {
         let mut state = State::default();
         let rows = self.store.scan_prefix(&[keyspace::RECORD])?;
         state.index.reserve(rows.len());
-        let mut chunk = Vec::with_capacity(REBUILD_CHUNK);
+        let mut delta = IndexDelta::with_capacity(REBUILD_CHUNK);
         for (key, value) in rows {
             let Some((_, id)) = keyspace::parse(&key) else {
                 continue;
             };
             let record = ProvenanceRecord::decode_all(&value)?;
             debug_assert_eq!(record.id, id, "key/record id agreement");
-            chunk.push(record);
-            if chunk.len() == REBUILD_CHUNK {
-                let full = std::mem::replace(&mut chunk, Vec::with_capacity(REBUILD_CHUNK));
-                state.index.insert_delta(IndexDelta::new(full));
+            delta.push(&record, value.into_boxed_slice());
+            if delta.len() == REBUILD_CHUNK {
+                let full = std::mem::replace(&mut delta, IndexDelta::with_capacity(REBUILD_CHUNK));
+                state.index.insert_delta(full);
             }
         }
-        state.index.insert_delta(IndexDelta::new(chunk));
+        state.index.insert_delta(delta);
         state.index.sort_time();
         for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
-            if let Some((_, id)) = keyspace::parse(&key) {
-                state.data_present.insert(id);
+            // A marker whose record is missing sets no bit; the audit
+            // (`verify_consistency`) reports it from storage.
+            match keyspace::parse(&key) {
+                Some((_, id)) if state.index.contains(id) => state.set_data(id, true),
+                _ => {}
             }
         }
         let mut guard = self.state.write();
@@ -578,9 +602,13 @@ impl Pass {
         // fsync, exactly the old single-store commit. A cross-shard
         // batch goes through the intent-log protocol, which keeps the
         // multi-WAL write all-or-nothing across crashes (see
-        // [`pass_storage::sharded`]).
+        // [`pass_storage::sharded`]). Each record is encoded once: the
+        // bytes go to storage and a copy to the index delta, which
+        // extracts the index entries here, ahead of the serialized
+        // section.
         let mut parts: Vec<(usize, WriteBatch)> = Vec::new();
         let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        let mut delta = IndexDelta::with_capacity(fresh.len());
         for ts in &fresh {
             let record = &ts.provenance;
             let shard = self.sharding.shard_of(record.id);
@@ -591,24 +619,24 @@ impl Pass {
             let batch = &mut parts[slot].1;
             let mut data_buf = Vec::with_capacity(ts.readings.len() * 24 + 8);
             ts.readings.encode_into(&mut data_buf);
-            batch.put(keyspace::key(keyspace::RECORD, record.id).to_vec(), record.encode_to_vec());
+            let encoded = record.encode_to_vec();
+            delta.push(record, encoded.as_slice().into());
+            batch.put(keyspace::key(keyspace::RECORD, record.id).to_vec(), encoded);
             batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data_buf);
             batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
         }
         self.sharding.apply_parts(&self.store, parts)?;
 
         // Phase 3: one bulk index publish under the global version. The
-        // delta (record clones, attribute rows, tokenized docs) is
+        // delta (record bytes, attribute rows, tokenized docs) was
         // extracted *before* the serialized section; only graph
         // interning, the sorted merges, and the broadcast sit inside it.
-        let delta = IndexDelta::new(fresh.iter().map(|ts| ts.provenance.clone()).collect());
-        let new_ids: Vec<TupleSetId> = fresh.iter().map(|ts| ts.provenance.id).collect();
         let order = self.publish_order.lock();
         let ((), version) = self.publish(|state| {
             state.index.insert_delta(delta);
             state.index.sort_time();
-            for id in &new_ids {
-                state.data_present.insert(*id);
+            for ts in &fresh {
+                state.set_data(ts.provenance.id, true);
             }
         });
         // Broadcast while still holding the publish-order lock so
@@ -687,20 +715,21 @@ impl Pass {
             return Err(PassError::NotFound(id));
         };
         record.annotate(annotation.clone());
-        let encoded = record.encode_to_vec();
+        let encoded: Box<[u8]> = record.encode_to_vec().into();
         self.store.put(&keyspace::key(keyspace::RECORD, id), &encoded)?;
         // Presence was checked above and the shard lock pins it; a miss
         // inside means the state diverged, and `annotate` skips it rather
         // than panic mid-publish.
-        self.publish(|state| state.index.annotate(id, std::slice::from_ref(&annotation)));
+        self.publish(|state| state.index.annotate(id, std::slice::from_ref(&annotation), encoded));
         Ok(())
     }
 
     // -- Retrieval -----------------------------------------------------
 
-    /// The provenance record for `id`, if present.
+    /// The provenance record for `id`, if present (decoded from its
+    /// resident bytes).
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.read().index.get(id).cloned()
+        self.state.read().index.get(id)
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -722,7 +751,7 @@ impl Pass {
 
     /// True when the readings are still present.
     pub fn has_data(&self, id: TupleSetId) -> bool {
-        self.state.read().data_present.contains(&id)
+        self.state.read().readings_present(id)
     }
 
     /// Number of records held.
@@ -737,7 +766,7 @@ impl Pass {
 
     /// All record ids (unordered).
     pub fn ids(&self) -> Vec<TupleSetId> {
-        self.state.read().index.records().map(|r| r.id).collect()
+        self.state.read().index.record_ids().collect()
     }
 
     // -- Removal (PASS property 4) --------------------------------------
@@ -753,16 +782,14 @@ impl Pass {
         if !current.index.contains(id) {
             return Err(PassError::NotFound(id));
         }
-        let had = current.data_present.contains(&id);
+        let had = current.readings_present(id);
         drop(current);
         if had {
             let mut batch = WriteBatch::new();
             batch.delete(keyspace::key(keyspace::DATA, id).to_vec());
             batch.delete(keyspace::key(keyspace::MARKER, id).to_vec());
             self.store.apply(batch)?;
-            self.publish(|state| {
-                state.data_present.remove(&id);
-            });
+            self.publish(|state| state.set_data(id, false));
         }
         Ok(had)
     }
@@ -808,22 +835,27 @@ impl Pass {
             if fresh.is_empty() {
                 return Ok((false, 0));
             }
-            let encoded = {
-                let mut rec = existing.clone();
-                rec.annotations.extend(fresh.iter().cloned());
-                rec.encode_to_vec()
-            };
             drop(current);
+            let mut merged = existing;
+            merged.annotations.extend(fresh.iter().cloned());
+            let encoded: Box<[u8]> = merged.encode_to_vec().into();
             self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
-            self.publish(|state| state.index.annotate(record.id, &fresh));
+            self.publish(|state| state.index.annotate(record.id, &fresh, encoded));
             return Ok((false, fresh.len()));
         }
         // New record: persist and index, with no DATA/MARKER keys — the
-        // readings live elsewhere (or were removed; PASS property 4).
+        // readings live elsewhere (or were removed; PASS property 4). The
+        // shard lock keeps the id absent until the publish below.
         drop(current);
-        self.store.put(&keyspace::key(keyspace::RECORD, record.id), &record.encode_to_vec())?;
+        let encoded: Box<[u8]> = record.encode_to_vec().into();
+        self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
+        let mut delta = IndexDelta::with_capacity(1);
+        delta.push(record, encoded);
         let order = self.publish_order.lock();
-        let (_, version) = self.publish(|state| state.index.insert(record));
+        let ((), version) = self.publish(|state| {
+            state.index.insert_delta(delta);
+            state.index.sort_time();
+        });
         self.hub.broadcast(version, || vec![record.clone()]);
         drop(order);
         self.metrics.ingests.fetch_add(1, Ordering::Relaxed);
@@ -848,7 +880,7 @@ impl Pass {
             if existing.content_digest != record.content_digest {
                 return Err(PassError::IdentityCollision(record.id));
             }
-            if state.data_present.contains(&record.id) {
+            if state.readings_present(record.id) {
                 return Ok(false);
             }
         }
@@ -864,9 +896,7 @@ impl Pass {
         batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data_buf);
         batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
         self.store.apply(batch)?;
-        self.publish(|state| {
-            state.data_present.insert(record.id);
-        });
+        self.publish(|state| state.set_data(record.id, true));
         Ok(true)
     }
 
@@ -877,16 +907,14 @@ impl Pass {
         let snapshot = self.snapshot();
         let mut out = ArchiveExport::default();
         for record in snapshot.state.index.records() {
-            let readings = if snapshot.state.data_present.contains(&record.id) {
+            let readings = if snapshot.state.readings_present(record.id) {
                 self.get_data(record.id)?
             } else {
                 None
             };
             match readings {
-                Some(readings) => {
-                    out.tuple_sets.push(TupleSet::new_unchecked(record.clone(), readings))
-                }
-                None => out.records_only.push(record.clone()),
+                Some(readings) => out.tuple_sets.push(TupleSet::new_unchecked(record, readings)),
+                None => out.records_only.push(record),
             }
         }
         out.tuple_sets.sort_by_key(|t| t.provenance.id);
@@ -1129,9 +1157,7 @@ impl Pass {
             let snapshot = self.snapshot();
             let mut cold = Vec::new();
             for record in snapshot.state.index.records() {
-                if record.created_at < older_than
-                    && snapshot.state.data_present.contains(&record.id)
-                {
+                if record.created_at < older_than && snapshot.state.readings_present(record.id) {
                     if let Some(readings) = snapshot.get_data(record.id)? {
                         cold.push((record.id, readings));
                     }
@@ -1298,7 +1324,7 @@ impl Snapshot {
 
     /// The provenance record for `id`, if visible.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.index.get(id).cloned()
+        self.state.index.get(id)
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -1311,7 +1337,7 @@ impl Snapshot {
 
     /// True when the readings were present at snapshot time.
     pub fn has_data(&self, id: TupleSetId) -> bool {
-        self.state.data_present.contains(&id)
+        self.state.readings_present(id)
     }
 
     /// Record + readings together, when both exist — the snapshot twin
@@ -1340,7 +1366,7 @@ impl Snapshot {
 
     /// All record ids visible in this snapshot (unordered).
     pub fn ids(&self) -> Vec<TupleSetId> {
-        self.state.index.records().map(|r| r.id).collect()
+        self.state.index.record_ids().collect()
     }
 
     /// Store statistics as of this snapshot. Index sizes reflect the

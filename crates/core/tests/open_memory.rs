@@ -3,6 +3,9 @@
 //! runs. A counting global allocator tracks live heap bytes and their
 //! high-water mark; the open's peak, above the heap in use before it,
 //! must stay within [`PEAK_OVER_LIVE`] × the heap the opened store keeps.
+//! That live heap itself must stay within [`LIVE_PER_SET`] bytes per
+//! set: each record is resident once, as its canonical bytes, beside
+//! the indexes (a table of decoded records took about 1.9 kB per set).
 //!
 //! The allocator counts every thread of the process, so this binary
 //! holds exactly one test.
@@ -23,6 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const SETS: usize = 8_192;
 /// Allowed ratio of the open's peak heap to the heap it leaves live.
 const PEAK_OVER_LIVE: f64 = 1.3;
+/// Allowed heap the opened store keeps, per set (about 1.0 kB today).
+const LIVE_PER_SET: usize = 1_300;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -149,5 +154,10 @@ fn open_peak_heap_stays_near_the_live_state() {
     assert!(
         ratio <= PEAK_OVER_LIVE,
         "open peaked at {peak} B over a live state of {live} B ({ratio:.2} > {PEAK_OVER_LIVE})"
+    );
+    assert!(
+        live <= LIVE_PER_SET * SETS,
+        "the open store keeps {} B/set (> {LIVE_PER_SET})",
+        live / SETS
     );
 }

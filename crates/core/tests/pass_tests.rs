@@ -359,6 +359,53 @@ fn abstracted_toolchain_collapses_in_lineage() {
     assert_eq!(gcc_edge.tool.label(), "gcc v3.3.3");
 }
 
+#[test]
+fn annotated_and_merged_records_reopen_unchanged() {
+    let dir = TempDir::new("core-resident-bytes");
+    let encoded_len = |r: &ProvenanceRecord| pass_model::codec::Encode::encode_to_vec(r).len();
+    let (ids, before, record_bytes) = {
+        let pass = Pass::open(PassConfig::disk(SiteId(4), dir.path())).unwrap();
+        let raw = pass.capture(traffic_attrs("boston"), readings(1, 8, 0), Timestamp(10)).unwrap();
+        let derived = pass
+            .derive(
+                &[raw, raw],
+                &ToolDescriptor::new("clean", "0.9"),
+                traffic_attrs("boston"),
+                readings(1, 4, 0),
+                Timestamp(20),
+            )
+            .unwrap();
+        pass.annotate(raw, Annotation::new(Timestamp(30), "ops", "calibration drift noted"))
+            .unwrap();
+        // `merge_record` on a stored record: its annotations union in.
+        let mut replica = pass.get_record(derived).unwrap();
+        replica.annotate(Annotation::new(Timestamp(40), "hub", "checked upstream"));
+        pass.ingest_record(&replica).unwrap();
+        // `merge_record` on a new record, annotated afterwards.
+        let bare = ProvenanceBuilder::new(SiteId(9), Timestamp(50))
+            .attr(keys::DOMAIN, "traffic")
+            .derived_from(derived, ToolDescriptor::new("rollup", "1"))
+            .build(pass_model::Digest128::of(b"elsewhere"));
+        pass.ingest_record(&bare).unwrap();
+        pass.annotate(bare.id, Annotation::new(Timestamp(60), "ops", "readings archived")).unwrap();
+        let ids = [raw, derived, bare.id];
+        let before: Vec<ProvenanceRecord> =
+            ids.iter().map(|id| pass.get_record(*id).unwrap()).collect();
+        let annotations: Vec<usize> = before.iter().map(|r| r.annotations.len()).collect();
+        assert_eq!(annotations, [1, 1, 1]);
+        let record_bytes = pass.stats().record_bytes;
+        assert_eq!(record_bytes, before.iter().map(encoded_len).sum::<usize>());
+        (ids, before, record_bytes)
+    };
+    let pass = Pass::open(PassConfig::disk(SiteId(4), dir.path())).unwrap();
+    let after: Vec<ProvenanceRecord> = ids.iter().map(|id| pass.get_record(*id).unwrap()).collect();
+    assert_eq!(after, before);
+    assert_eq!(pass.stats().record_bytes, record_bytes);
+    assert_eq!(pass.stats().data_blobs, 2, "the bare record has no readings");
+    let hits = pass.query_text(r#"FIND WHERE ANNOTATION CONTAINS "upstream""#).unwrap();
+    assert_eq!(hits.ids(), vec![ids[1]]);
+}
+
 // ---------------------------------------------------------------------------
 // Stats & misc
 // ---------------------------------------------------------------------------
@@ -374,6 +421,12 @@ fn stats_reflect_activity() {
     assert_eq!(stats.graph_edges, 2);
     assert!(stats.attr_entries > 0);
     assert!(stats.index_bytes > 0);
+    let ids = pass.ids();
+    let encoded: usize = ids
+        .iter()
+        .map(|id| pass_model::codec::Encode::encode_to_vec(&pass.get_record(*id).unwrap()).len())
+        .sum();
+    assert_eq!(stats.record_bytes, encoded);
     assert_eq!(stats.ingests, 3);
     assert!(stats.queries >= 1);
 }

@@ -14,7 +14,7 @@
 //! client consumes (E21).
 
 use crate::arch::Architecture;
-use crate::harness::ArchSim;
+use crate::harness::{index_record, ArchSim};
 use crate::msg::{self, ArchMsg, QUERY_PAGE};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
@@ -128,7 +128,7 @@ impl Node<ArchMsg> for CentralSite {
         };
         match msg {
             ArchMsg::ClientPublish { op, record } => {
-                self.index.insert(&record); // local copy stays at the origin
+                index_record(&mut self.index, &record); // local copy stays at the origin
                 if self.me == WAREHOUSE {
                     self.notify_subscribers(ctx, std::slice::from_ref(&record));
                     ctx.complete_with(op, true, ArchMsg::Done { op, ok: true, ids: vec![] });
@@ -144,7 +144,7 @@ impl Node<ArchMsg> for CentralSite {
             }
             ArchMsg::ClientPublishBatch { op, records } => {
                 for record in &records {
-                    self.index.insert(record); // local copies stay at the origin
+                    index_record(&mut self.index, record); // local copies stay at the origin
                 }
                 if self.me == WAREHOUSE {
                     self.notify_subscribers(ctx, &records);
@@ -162,13 +162,13 @@ impl Node<ArchMsg> for CentralSite {
                 }
             }
             ArchMsg::StoreRecord { op, record, ack_to } => {
-                self.index.insert(&record);
+                index_record(&mut self.index, &record);
                 self.notify_subscribers(ctx, std::slice::from_ref(&record));
                 ctx.send(ack_to, ArchMsg::StoreAck { op }, 24, TrafficClass::Update);
             }
             ArchMsg::StoreBatch { op, records, ack_to } => {
                 for record in &records {
-                    self.index.insert(record);
+                    index_record(&mut self.index, record);
                 }
                 self.notify_subscribers(ctx, &records);
                 ctx.send(ack_to, ArchMsg::StoreAck { op }, 24, TrafficClass::Update);

@@ -11,7 +11,7 @@
 //! queries" made visible.
 
 use crate::arch::Architecture;
-use crate::harness::{reply_parents, ArchSim, Chase, Gather};
+use crate::harness::{index_record, reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
@@ -98,7 +98,7 @@ impl Node<ArchMsg> for ShardSite {
                 let home = home_of(record.id, self.sites);
                 let bytes = msg::record_bytes(&record);
                 if home == self.me {
-                    self.index.insert(&record);
+                    index_record(&mut self.index, &record);
                     // Synchronous replica to the next shard; it acks us.
                     let replica = (self.me + 1) % self.sites;
                     ctx.send(
@@ -117,7 +117,7 @@ impl Node<ArchMsg> for ShardSite {
                 }
             }
             ArchMsg::StoreRecord { op, record, ack_to } => {
-                self.index.insert(&record);
+                index_record(&mut self.index, &record);
                 if home_of(record.id, self.sites) == self.me {
                     // We are the home: forward to the replica, which acks
                     // the original client (chain replication of length 2).

@@ -25,7 +25,7 @@
 //! clients that just want a bounded sample use plain `LIMIT`.
 
 use crate::arch::Architecture;
-use crate::harness::{reply_parents, ArchSim, Chase, Gather};
+use crate::harness::{index_record, reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg, QUERY_PAGE};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
@@ -131,7 +131,7 @@ impl Node<ArchMsg> for FederatedSite {
         match msg {
             ArchMsg::ClientPublish { op, record } => {
                 // Autonomy: the record stays home. Publishing is local.
-                self.index.insert(&record);
+                index_record(&mut self.index, &record);
                 ctx.complete_with(op, true, ArchMsg::Done { op, ok: true, ids: vec![] });
             }
             ArchMsg::ClientQuery { op, query } => {

@@ -13,7 +13,7 @@
 //! penalty.
 
 use crate::arch::Architecture;
-use crate::harness::{reply_parents, ArchSim, Chase, Gather};
+use crate::harness::{index_record, reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_model::{keys, ProvenanceRecord, TupleSetId};
@@ -94,7 +94,7 @@ impl Node<ArchMsg> for HierSite {
                 let region = record.attributes.get_str(keys::REGION).unwrap_or("");
                 let owner = owner_of(domain, region, self.sites);
                 if owner == self.me {
-                    self.index.insert(&record);
+                    index_record(&mut self.index, &record);
                     ctx.complete_with(op, true, ArchMsg::Done { op, ok: true, ids: vec![] });
                 } else {
                     let bytes = msg::record_bytes(&record);
@@ -107,7 +107,7 @@ impl Node<ArchMsg> for HierSite {
                 }
             }
             ArchMsg::StoreRecord { op, record, ack_to } => {
-                self.index.insert(&record);
+                index_record(&mut self.index, &record);
                 ctx.send(ack_to, ArchMsg::StoreAck { op }, 24, TrafficClass::Update);
             }
             ArchMsg::StoreAck { op } => {

@@ -27,7 +27,7 @@
 //! the paper's own result-quality criterion.
 
 use crate::arch::Architecture;
-use crate::harness::{reply_parents, ArchSim, Chase, Gather};
+use crate::harness::{index_record, reply_parents, ArchSim, Chase, Gather};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_model::{ProvenanceRecord, TupleSetId};
@@ -108,7 +108,7 @@ impl ReplicatedSite {
         let Some(gather) = self.gathers.remove(&op) else { return };
         if let ReplicationStrategy::OnRead = self.strategy {
             for record in &gather.records {
-                self.index.insert(record);
+                index_record(&mut self.index, record);
             }
             // Only a gather that heard from every member proves the
             // cached answer is complete; timeouts must not poison the
@@ -159,7 +159,7 @@ impl Node<ArchMsg> for ReplicatedSite {
             }
             Input::Message { from: _, msg } => match msg {
                 ArchMsg::ClientPublish { op, record } => {
-                    self.index.insert(&record);
+                    index_record(&mut self.index, &record);
                     let bytes = msg::record_bytes(&record);
                     for mirror in self.eager_holders(self.me) {
                         ctx.send(
@@ -172,7 +172,7 @@ impl Node<ArchMsg> for ReplicatedSite {
                     ctx.complete_with(op, true, ArchMsg::Done { op, ok: true, ids: vec![] });
                 }
                 ArchMsg::Replica { record } => {
-                    self.index.insert(&record);
+                    index_record(&mut self.index, &record);
                 }
                 ArchMsg::ClientQuery { op, query } => {
                     let key = query_key(&query);
@@ -206,7 +206,7 @@ impl Node<ArchMsg> for ReplicatedSite {
                     match self.strategy {
                         ReplicationStrategy::OnRead => {
                             let records: Vec<ProvenanceRecord> =
-                                ids.iter().filter_map(|&id| self.index.get(id).cloned()).collect();
+                                ids.iter().filter_map(|&id| self.index.get(id)).collect();
                             let bytes = 16 + records.iter().map(msg::record_bytes).sum::<u64>();
                             ctx.send(
                                 reply_to,

@@ -13,6 +13,7 @@ use crate::centralized::Centralized;
 use crate::dhtarch::DhtIndex;
 use crate::distdb::DistributedDb;
 use crate::federated::Federated;
+use crate::harness::index_record;
 use crate::hierarchy::Hierarchical;
 use crate::outcome::{LatencyStats, ResultQuality};
 use crate::softstate::SoftState;
@@ -137,7 +138,7 @@ pub fn build_corpus(spec: &WorkloadSpec) -> Corpus {
                 let record = ProvenanceBuilder::new(SiteId(site as u32), capture.at)
                     .attrs(&capture.attrs)
                     .build(TupleSet::content_digest_of(&capture.readings));
-                truth.insert(&record);
+                index_record(&mut truth, &record);
                 site_ids.push(record.id);
                 records.push((site, record));
             }
@@ -159,7 +160,7 @@ pub fn build_corpus(spec: &WorkloadSpec) -> Corpus {
                 }
                 let record = builder
                     .build(pass_model::Digest128::of(format!("rollup-{site}-{level}").as_bytes()));
-                truth.insert(&record);
+                index_record(&mut truth, &record);
                 records.push((site, record.clone()));
                 if level == spec.lineage_depth {
                     leaves.push(record.id);

@@ -13,7 +13,7 @@
 //! staleness-vs-recall trade.
 
 use crate::arch::Architecture;
-use crate::harness::ArchSim;
+use crate::harness::{index_record, ArchSim};
 use crate::msg::{self, ArchMsg};
 use crate::outcome::Outcome;
 use pass_index::Direction;
@@ -53,7 +53,7 @@ impl Node<ArchMsg> for SoftSite {
                     for &catalog in &self.catalogs {
                         if catalog == self.me {
                             for r in &records {
-                                self.soft.insert(r);
+                                index_record(&mut self.soft, r);
                             }
                         } else {
                             ctx.send(
@@ -72,13 +72,13 @@ impl Node<ArchMsg> for SoftSite {
                 ArchMsg::ClientPublish { op, record } => {
                     // Availability over consistency: acknowledge as soon as
                     // the local store has it; the index catches up later.
-                    self.local.insert(&record);
+                    index_record(&mut self.local, &record);
                     self.buffer.push(record);
                     ctx.complete_with(op, true, ArchMsg::Done { op, ok: true, ids: vec![] });
                 }
                 ArchMsg::Digest { from: _, records } if self.is_catalog => {
                     for r in &records {
-                        self.soft.insert(r);
+                        index_record(&mut self.soft, r);
                     }
                 }
                 ArchMsg::ClientQuery { op, query } => {

@@ -1,7 +1,8 @@
-//! A minimal fixed-capacity bitset for reachability closures.
+//! A minimal bitset over dense node indexes: fixed-capacity for
+//! reachability closures, growable for per-node flags.
 
 /// A bitset over dense node indexes `0..capacity`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -19,6 +20,25 @@ impl BitSet {
         let i = i as usize;
         assert!(i < self.capacity, "bit {i} out of capacity {}", self.capacity);
         self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    /// Sets bit `i`, growing the capacity to cover it (for flags over
+    /// an arena that keeps interning nodes).
+    pub fn insert_growing(&mut self, i: u32) {
+        let i = i as usize;
+        if i >= self.capacity {
+            self.capacity = i + 1;
+            self.words.resize(self.capacity.div_ceil(64), 0);
+        }
+        self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    /// Clears bit `i` (out-of-range is a no-op).
+    pub fn remove(&mut self, i: u32) {
+        let i = i as usize;
+        if i < self.capacity {
+            self.words[i / 64] &= !(1u64 << (i % 64));
+        }
     }
 
     /// Tests bit `i` (out-of-range reads are simply false).
@@ -69,6 +89,22 @@ impl BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn growable_insert_and_remove() {
+        let mut b = BitSet::default();
+        assert!(!b.contains(5));
+        b.remove(5); // out of range: a no-op
+        for i in [5u32, 64, 300] {
+            b.insert_growing(i);
+        }
+        assert_eq!(b.to_vec(), vec![5, 64, 300]);
+        b.remove(64);
+        b.insert_growing(5);
+        assert_eq!(b.to_vec(), vec![5, 300]);
+        assert_eq!(b.count(), 2);
+        assert!(b.contains(300) && !b.contains(301));
+    }
 
     #[test]
     fn insert_contains_iter() {

@@ -65,6 +65,12 @@ impl Attributes {
         self.0.keys().map(String::as_str)
     }
 
+    /// The greatest name, which the decoder checks each next name
+    /// against.
+    pub(crate) fn last_name(&self) -> Option<&str> {
+        self.0.keys().next_back().map(String::as_str)
+    }
+
     /// Merges `other` into `self`; on conflict `other` wins. Used when a
     /// derived tuple set inherits, then overrides, parent attributes.
     pub fn merge(&mut self, other: &Attributes) {

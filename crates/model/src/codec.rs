@@ -469,6 +469,13 @@ impl Decode for Attributes {
         let mut attrs = Attributes::new();
         for _ in 0..n {
             let k = take_string(r, "attribute name")?;
+            // One record, one byte string: names must arrive in the
+            // sorted order the encoder writes, each once.
+            if attrs.last_name().is_some_and(|last| last >= k.as_str()) {
+                return Err(ModelError::Invalid(format!(
+                    "attribute {k:?} is out of order or repeated"
+                )));
+            }
             let v = Value::decode_from(r)?;
             attrs.set(k, v);
         }
@@ -536,6 +543,29 @@ mod tests {
         let a = Attributes::new().with("b", 2i64).with("a", 1i64);
         let b = Attributes::new().with("a", 1i64).with("b", 2i64);
         assert_eq!(a.encode_to_vec(), b.encode_to_vec());
+    }
+
+    #[test]
+    fn attributes_decode_rejects_non_canonical_names() {
+        // Hand-built encodings with a repeated name and with names out
+        // of order: each would be a second byte string for a map that
+        // already has a canonical one.
+        let encode = |pairs: &[(&str, i64)]| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, pairs.len() as u64);
+            for (k, v) in pairs {
+                put_str(&mut buf, k);
+                Value::Int(*v).encode_into(&mut buf);
+            }
+            buf
+        };
+        for pairs in [[("a", 1), ("a", 2)], [("b", 2), ("a", 1)]] {
+            let err = Attributes::decode_all(&encode(&pairs)).unwrap_err();
+            assert!(matches!(err, ModelError::Invalid(_)), "{pairs:?}: {err}");
+        }
+        let sorted = Attributes::new().with("a", 1i64).with("b", 2i64);
+        assert_eq!(encode(&[("a", 1), ("b", 2)]), sorted.encode_to_vec());
+        assert_eq!(Attributes::decode_all(&sorted.encode_to_vec()).unwrap(), sorted);
     }
 
     #[test]

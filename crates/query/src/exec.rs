@@ -36,7 +36,7 @@ use crate::ast::{LineageClause, OrderBy, Predicate, Query};
 use crate::error::{QueryError, Result};
 use crate::plan::{plan, IndexExpr, Plan, PlanSource};
 use pass_index::{NodeIdx, PostingList};
-use pass_model::{ProvenanceRecord, TimeRange, TupleSetId, Value};
+use pass_model::{ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -66,7 +66,9 @@ pub trait Provider {
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList>;
     /// Dense index of a tuple set id, if present.
     fn node_of(&self, id: pass_model::TupleSetId) -> Option<NodeIdx>;
-    /// Fetches the record behind a dense index.
+    /// Fetches the record behind a dense index, as an owned value.
+    /// [`RecordIndex`](crate::RecordIndex) keeps each record as its
+    /// canonical bytes, so every call decodes one.
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord>;
     /// Every record's dense index in creation-time order (ties broken by
     /// tuple set id, both ascending for `desc = false`, creation time
@@ -404,9 +406,9 @@ impl CandidateStream {
 
 /// The `ORDER BY created` key: creation time, ties by id; `desc`
 /// reverses creation time but keeps ids ascending.
-pub(crate) fn order_key(record: &ProvenanceRecord, desc: bool) -> (i128, TupleSetId) {
-    let t = i128::from(record.created_at.0);
-    (if desc { -t } else { t }, record.id)
+pub(crate) fn order_key(created_at: Timestamp, id: TupleSetId, desc: bool) -> (i128, TupleSetId) {
+    let t = i128::from(created_at.0);
+    (if desc { -t } else { t }, id)
 }
 
 enum CursorState {
@@ -531,7 +533,7 @@ impl<'a> Cursor<'a> {
                                     p.node_of(after).ok_or(QueryError::UnknownTupleSet(after))?;
                                 let record =
                                     p.fetch(idx).ok_or(QueryError::UnknownTupleSet(after))?;
-                                Some(order_key(&record, desc))
+                                Some(order_key(record.created_at, record.id, desc))
                             }
                         };
                         CursorState::SortPending {
@@ -612,9 +614,9 @@ impl Iterator for Cursor<'_> {
             ) {
                 records.push(record);
             }
-            records.sort_by_key(|r| order_key(r, desc));
+            records.sort_by_key(|r| order_key(r.created_at, r.id, desc));
             if let Some(key) = after {
-                let skip = records.partition_point(|r| order_key(r, desc) <= key);
+                let skip = records.partition_point(|r| order_key(r.created_at, r.id, desc) <= key);
                 records.drain(..skip);
             }
             self.state = CursorState::Buffered(records.into_iter());
@@ -663,6 +665,7 @@ mod tests {
     use crate::ast::Predicate;
     use crate::parser::parse;
     use crate::RecordIndex;
+    use pass_model::codec::Encode;
     use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, ToolDescriptor, TupleSetId};
 
     /// A fetch-counting [`RecordIndex`] over a small corpus.
@@ -671,7 +674,7 @@ mod tests {
     fn index_of(records: Vec<ProvenanceRecord>) -> FixtureProvider {
         let mut index = RecordIndex::new();
         for record in &records {
-            index.insert(record);
+            index.insert(record, record.encode_to_vec().into());
         }
         Counted::new(index)
     }

@@ -5,7 +5,14 @@
 //! the one [`Provider`] that builds indexes: `pass-core` wraps it with
 //! readings and commit versions, and `pass-distrib`'s sites hold it bare
 //! (§IV-A: index sites keep "provenance, not readings"). What a record
-//! contributes to the indexes is decided in one place, [`IndexDelta::new`].
+//! contributes to the indexes is decided in one place, [`IndexDelta::push`].
+//!
+//! Each stored record is resident once, as its canonical encoding (the
+//! same bytes a store writes under the record's key), in a table indexed
+//! by the graph's [`NodeIdx`]. Counting, membership, ids, parents and the
+//! created-order scan never touch those bytes: they read the graph and a
+//! `created_at` column. [`RecordIndex::get`], [`RecordIndex::records`]
+//! and [`Provider::fetch`] decode a record on every call.
 
 use crate::ast::{multi_valued_attrs, LineageClause, Query};
 use crate::error::Result;
@@ -14,19 +21,20 @@ use pass_index::{
     AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
     TimeIndex,
 };
-use pass_model::{keys, Annotation, ProvenanceRecord, TimeRange, TupleSetId, Value};
-use std::collections::HashMap;
+use pass_model::codec::Decode;
+use pass_model::{keys, Annotation, ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
-/// Everything a batch of records contributes to the indexes, keyed by
-/// each record's position in the batch. It is built without touching the
-/// index, so a store can extract it ahead of its serialized publish step;
-/// positions become `NodeIdx`es in [`RecordIndex::insert_delta`], where
-/// graph interning assigns them.
+/// Everything a batch of records contributes to the index, keyed by
+/// each record's position in the batch: its id, creation time and
+/// canonical encoding, plus the index entries extracted from it. It is
+/// built without touching the index, so a store can extract it ahead of
+/// its serialized publish step; positions become `NodeIdx`es in
+/// [`RecordIndex::insert_delta`], where graph interning assigns them.
 #[derive(Default)]
 pub struct IndexDelta {
-    records: Vec<ProvenanceRecord>,
+    records: Vec<(TupleSetId, Timestamp, Box<[u8]>)>,
     parents: Vec<Vec<(TupleSetId, bool)>>,
     attrs: Vec<(usize, String, Value)>,
     docs: Vec<(usize, String)>,
@@ -34,39 +42,65 @@ pub struct IndexDelta {
 }
 
 impl IndexDelta {
-    /// Extracts the index entries of `records`: their attributes, the
-    /// multi-valued tool attributes, the `origin.site` / `created_at` /
-    /// `ancestry.parents` pseudo-attributes, annotation and description
-    /// text, and declared time windows.
-    pub fn new(records: Vec<ProvenanceRecord>) -> IndexDelta {
-        let mut delta = IndexDelta::default();
-        for (slot, record) in records.iter().enumerate() {
-            delta
-                .parents
-                .push(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)).collect());
-            // Pseudo-attributes, indexed so the planner can serve them.
-            let pseudo = [
-                ("origin.site", Value::Int(i64::from(record.origin.0))),
-                ("created_at", Value::Time(record.created_at)),
-                ("ancestry.parents", Value::Int(record.ancestry.len() as i64)),
-            ];
-            let own = record.attributes.iter().map(|(name, value)| (name, value.clone()));
-            for (name, value) in own.chain(multi_valued_attrs(record)).chain(pseudo) {
-                delta.attrs.push((slot, name.to_owned(), value));
-            }
-            for ann in &record.annotations {
-                delta.docs.push((slot, ann.text.clone()));
-            }
-            if let Some(desc) = record.attributes.get_str(keys::DESCRIPTION) {
-                delta.docs.push((slot, desc.to_owned()));
-            }
-            if let Some(range) = record.time_range() {
-                delta.ranges.push((slot, range));
-            }
+    /// An empty delta with room for `records` records.
+    pub fn with_capacity(records: usize) -> IndexDelta {
+        IndexDelta {
+            records: Vec::with_capacity(records),
+            parents: Vec::with_capacity(records),
+            ..IndexDelta::default()
         }
-        delta.records = records;
-        delta
     }
+
+    /// Adds `record`, to be held as `encoding`, which must be its
+    /// canonical encoding (callers already have it: the bytes they write
+    /// to storage, or read back from it). Extracts the record's index
+    /// entries: its attributes, the multi-valued tool attributes, the
+    /// `origin.site` / `created_at` / `ancestry.parents`
+    /// pseudo-attributes, annotation and description text, and its
+    /// declared time window.
+    pub fn push(&mut self, record: &ProvenanceRecord, encoding: Box<[u8]>) {
+        let slot = self.records.len();
+        self.records.push((record.id, record.created_at, encoding));
+        self.parents.push(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)).collect());
+        // Pseudo-attributes, indexed so the planner can serve them.
+        let pseudo = [
+            ("origin.site", Value::Int(i64::from(record.origin.0))),
+            ("created_at", Value::Time(record.created_at)),
+            ("ancestry.parents", Value::Int(record.ancestry.len() as i64)),
+        ];
+        let own = record.attributes.iter().map(|(name, value)| (name, value.clone()));
+        for (name, value) in own.chain(multi_valued_attrs(record)).chain(pseudo) {
+            self.attrs.push((slot, name.to_owned(), value));
+        }
+        for ann in &record.annotations {
+            self.docs.push((slot, ann.text.clone()));
+        }
+        if let Some(desc) = record.attributes.get_str(keys::DESCRIPTION) {
+            self.docs.push((slot, desc.to_owned()));
+        }
+        if let Some(range) = record.time_range() {
+            self.ranges.push((slot, range));
+        }
+    }
+
+    /// Number of records in the delta.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the delta holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
+/// Decodes a resident encoding. Resident bytes came from the encoder or
+/// from a checksummed scan that already decoded them once, so a failure
+/// here is a bug, not bad input.
+fn decode(bytes: &[u8]) -> Option<ProvenanceRecord> {
+    let record = ProvenanceRecord::decode_all(bytes);
+    debug_assert!(record.is_ok(), "resident record fails to decode: {record:?}");
+    record.ok()
 }
 
 /// Lazily-built created-order scans, shared by every cursor opened on one
@@ -91,7 +125,17 @@ pub struct RecordIndex {
     attrs: AttrIndex,
     keywords: KeywordIndex,
     time: TimeIndex,
-    records: HashMap<TupleSetId, ProvenanceRecord>,
+    /// Each stored record's canonical encoding, by `NodeIdx`; `None` for
+    /// placeholders (parents referenced but not stored here). As long as
+    /// the graph.
+    records: Vec<Option<Box<[u8]>>>,
+    /// Each stored record's `created_at`, by `NodeIdx`: the created-order
+    /// scan's sort key, read without decoding.
+    created: Vec<Timestamp>,
+    /// Number of `Some` entries in `records`.
+    stored: usize,
+    /// Total length of the encodings in `records`.
+    record_bytes: usize,
     created_scans: CreatedScanCache,
 }
 
@@ -101,29 +145,43 @@ impl RecordIndex {
         RecordIndex::default()
     }
 
-    /// Indexes one record and sorts the time index; a no-op when the id
-    /// is already indexed.
-    pub fn insert(&mut self, record: &ProvenanceRecord) {
-        if self.records.contains_key(&record.id) {
+    /// Indexes one record, held as `encoding` (its canonical encoding,
+    /// built by the caller), and sorts the time index; a no-op when the
+    /// id is already stored.
+    pub fn insert(&mut self, record: &ProvenanceRecord, encoding: Box<[u8]>) {
+        if self.contains(record.id) {
             return;
         }
-        self.insert_delta(IndexDelta::new(vec![record.clone()]));
+        let mut delta = IndexDelta::with_capacity(1);
+        delta.push(record, encoding);
+        self.insert_delta(delta);
         self.sort_time();
     }
 
-    /// Merges a pre-extracted batch: graph edges per record, then one
-    /// sorted bulk insert per index, so maintenance cost is amortized
-    /// over the batch. The caller must not pass ids already indexed.
-    /// The time index is left unsorted (overlap queries still answer,
-    /// by a linear scan) until [`RecordIndex::sort_time`], so a bulk
-    /// load of many deltas sorts it once.
+    /// Merges a pre-extracted batch: each record's bytes and graph edges,
+    /// then one sorted bulk insert per index, so maintenance cost is
+    /// amortized over the batch. The caller must not pass ids already
+    /// stored. The time index is left unsorted (overlap queries still
+    /// answer, by a linear scan) until [`RecordIndex::sort_time`], so a
+    /// bulk load of many deltas sorts it once.
     pub fn insert_delta(&mut self, delta: IndexDelta) {
-        let idxs: Vec<NodeIdx> = delta
-            .records
-            .iter()
-            .zip(&delta.parents)
-            .map(|(record, parents)| self.graph.insert(record.id, parents))
-            .collect();
+        let mut idxs = Vec::with_capacity(delta.records.len());
+        for ((id, created_at, encoding), parents) in delta.records.into_iter().zip(&delta.parents) {
+            let idx = self.graph.insert(id, parents);
+            // Interning may have added placeholder parents too.
+            let nodes = self.graph.node_count();
+            self.records.resize_with(nodes, || None);
+            self.created.resize(nodes, Timestamp(0));
+            self.record_bytes += encoding.len();
+            let previous = self.records[idx as usize].replace(encoding);
+            debug_assert!(previous.is_none(), "{id} was already stored");
+            match previous {
+                Some(old) => self.record_bytes -= old.len(),
+                None => self.stored += 1,
+            }
+            self.created[idx as usize] = created_at;
+            idxs.push(idx);
+        }
         self.attrs.insert_bulk(
             delta.attrs.into_iter().map(|(slot, name, value)| (idxs[slot], name, value)).collect(),
         );
@@ -131,9 +189,6 @@ impl RecordIndex {
             .insert_bulk(delta.docs.iter().map(|(slot, text)| (idxs[*slot], text.as_str())));
         for (slot, range) in delta.ranges {
             self.time.insert(idxs[slot], range);
-        }
-        for record in delta.records {
-            self.records.insert(record.id, record);
         }
         self.created_scans = CreatedScanCache::default();
     }
@@ -143,14 +198,25 @@ impl RecordIndex {
         self.time.build();
     }
 
-    /// Appends annotations to an indexed record and indexes their text.
-    /// Returns false (and changes nothing) when `id` is not indexed.
-    pub fn annotate(&mut self, id: TupleSetId, annotations: &[Annotation]) -> bool {
-        let (Some(idx), Some(record)) = (self.graph.lookup(id), self.records.get_mut(&id)) else {
+    /// Replaces a stored record's bytes with `encoding`, which must be
+    /// the canonical encoding of the record with `annotations` appended
+    /// (the caller builds it for its storage write), and indexes the
+    /// annotations' text. Returns false (and changes nothing) when `id`
+    /// is not stored.
+    pub fn annotate(
+        &mut self,
+        id: TupleSetId,
+        annotations: &[Annotation],
+        encoding: Box<[u8]>,
+    ) -> bool {
+        let Some(idx) = self.stored_node(id) else {
             return false;
         };
+        self.record_bytes += encoding.len();
+        if let Some(old) = self.records[idx as usize].replace(encoding) {
+            self.record_bytes -= old.len();
+        }
         for ann in annotations {
-            record.annotate(ann.clone());
             self.keywords.insert(idx, &ann.text);
         }
         true
@@ -159,36 +225,63 @@ impl RecordIndex {
     /// Reserves room for `additional` more records.
     pub fn reserve(&mut self, additional: usize) {
         self.records.reserve(additional);
+        self.created.reserve(additional);
     }
 
-    /// Number of records indexed.
+    /// Number of records stored.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.stored
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.stored == 0
     }
 
-    /// Record lookup.
-    pub fn get(&self, id: TupleSetId) -> Option<&ProvenanceRecord> {
-        self.records.get(&id)
+    /// The node of a stored record (`None` for placeholders and unknown
+    /// ids).
+    fn stored_node(&self, id: TupleSetId) -> Option<NodeIdx> {
+        self.graph.lookup(id).filter(|&idx| self.encoding_at(idx).is_some())
     }
 
-    /// True when the record is indexed here.
+    fn encoding_at(&self, idx: NodeIdx) -> Option<&[u8]> {
+        self.records.get(idx as usize)?.as_deref()
+    }
+
+    /// Nodes of stored records, ascending.
+    fn stored_nodes(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.records
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(idx, _)| idx as NodeIdx)
+    }
+
+    /// The record stored under `id`, decoded.
+    pub fn get(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
+        decode(self.encoding_at(self.stored_node(id)?)?)
+    }
+
+    /// True when the record is stored here.
     pub fn contains(&self, id: TupleSetId) -> bool {
-        self.records.contains_key(&id)
+        self.stored_node(id).is_some()
     }
 
-    /// Every indexed record (unordered).
-    pub fn records(&self) -> impl Iterator<Item = &ProvenanceRecord> {
-        self.records.values()
+    /// Every stored record, decoded one at a time (in node order).
+    pub fn records(&self) -> impl Iterator<Item = ProvenanceRecord> + '_ {
+        self.records.iter().filter_map(|slot| decode(slot.as_deref()?))
     }
 
-    /// Direct parents of an id, when indexed here.
+    /// Every stored record's id (in node order).
+    pub fn record_ids(&self) -> impl Iterator<Item = TupleSetId> + '_ {
+        self.stored_nodes().filter_map(|idx| self.graph.resolve(idx))
+    }
+
+    /// Direct parents of a stored record, in ancestry order (a parent
+    /// named twice is listed twice).
     pub fn parents_of(&self, id: TupleSetId) -> Option<Vec<TupleSetId>> {
-        self.records.get(&id).map(|r| r.parents().collect())
+        let idx = self.stored_node(id)?;
+        Some(self.graph.parents_of(idx).iter().filter_map(|e| self.graph.resolve(e.node)).collect())
     }
 
     /// The ancestry graph (placeholders included).
@@ -201,12 +294,19 @@ impl RecordIndex {
         self.attrs.len()
     }
 
-    /// Approximate bytes held by the indexes (records excluded).
+    /// Approximate bytes held by the indexes and the `created_at` column
+    /// (record encodings excluded; see [`RecordIndex::record_bytes`]).
     pub fn size_bytes(&self) -> usize {
         self.attrs.size_bytes()
             + self.keywords.size_bytes()
             + self.graph.size_bytes()
             + self.time.size_bytes()
+            + self.created.capacity() * std::mem::size_of::<Timestamp>()
+    }
+
+    /// Total bytes of the resident record encodings.
+    pub fn record_bytes(&self) -> usize {
+        self.record_bytes
     }
 
     /// [`Provider::lineage`]: breadth-first over the graph; placeholder
@@ -264,7 +364,7 @@ impl Provider for RecordIndex {
         self.attrs.has_attr(attr)
     }
     fn all_nodes(&self) -> PostingList {
-        PostingList::from_iter(self.records.keys().filter_map(|id| self.graph.lookup(*id)))
+        PostingList::from_sorted(self.stored_nodes().collect())
     }
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
         self.closure(clause)
@@ -272,18 +372,22 @@ impl Provider for RecordIndex {
     fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
         self.graph.lookup(id)
     }
+    /// Decodes the record's resident bytes.
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        self.records.get(&self.graph.resolve(idx)?).cloned()
+        decode(self.encoding_at(idx)?)
     }
-    /// Built once per index state and shared by every cursor (O(n log n)
-    /// on the first ordered query after an insert, an `Arc` clone after).
+    /// Built once per index state from the `created_at` column and
+    /// shared by every cursor (O(n log n) on the first ordered query
+    /// after an insert, an `Arc` clone after).
     fn created_scan(&self, desc: bool) -> Option<Arc<[NodeIdx]>> {
         let cell = if desc { &self.created_scans.desc } else { &self.created_scans.asc };
         let scan = cell.get_or_init(|| {
             let mut keyed: Vec<_> = self
-                .records
-                .values()
-                .filter_map(|r| Some((order_key(r, desc), self.graph.lookup(r.id)?)))
+                .stored_nodes()
+                .filter_map(|idx| {
+                    let id = self.graph.resolve(idx)?;
+                    Some((order_key(self.created[idx as usize], id, desc), idx))
+                })
                 .collect();
             keyed.sort_unstable_by_key(|&(key, _)| key);
             keyed.into_iter().map(|(_, idx)| idx).collect()
@@ -301,7 +405,10 @@ impl QueryEngine for RecordIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, ToolDescriptor};
+    use pass_model::codec::Encode;
+    use pass_model::{Digest128, ProvenanceBuilder, SiteId, ToolDescriptor};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn record(domain: &str, n: u8) -> ProvenanceRecord {
         ProvenanceBuilder::new(SiteId(1), Timestamp(u64::from(n)))
@@ -309,15 +416,20 @@ mod tests {
             .build(Digest128::of(&[n]))
     }
 
+    fn bytes(record: &ProvenanceRecord) -> Box<[u8]> {
+        record.encode_to_vec().into()
+    }
+
     #[test]
     fn insert_and_query() {
         let mut index = RecordIndex::new();
         let a = record("traffic", 1);
         let b = record("weather", 2);
-        index.insert(&a);
-        index.insert(&b);
-        index.insert(&a); // idempotent
+        index.insert(&a, bytes(&a));
+        index.insert(&b, bytes(&b));
+        index.insert(&a, bytes(&a)); // idempotent
         assert_eq!(index.len(), 2);
+        assert_eq!(index.record_bytes(), bytes(&a).len() + bytes(&b).len());
         let res = index.query(&crate::parse(r#"FIND WHERE domain = "traffic""#).unwrap()).unwrap();
         assert_eq!(res.ids(), vec![a.id]);
     }
@@ -330,12 +442,168 @@ mod tests {
             .attr("domain", "x")
             .derived_from(root.id, ToolDescriptor::new("t", "1"))
             .build(Digest128::of(b"c"));
-        index.insert(&root);
-        index.insert(&child);
+        index.insert(&root, bytes(&root));
+        index.insert(&child, bytes(&child));
         let q = crate::parse(&format!("FIND ANCESTORS OF ts:{}", child.id.full_hex())).unwrap();
         let res = index.query(&q).unwrap();
         assert_eq!(res.ids(), vec![root.id]);
         assert_eq!(index.parents_of(child.id), Some(vec![root.id]));
         assert_eq!(index.parents_of(TupleSetId(999)), None);
+    }
+
+    /// A parent no pool record is: it stays a placeholder for good.
+    const FOREIGN: TupleSetId = TupleSetId(0xf0_0000);
+
+    /// Record `i` of the pool, per its spec `(kind, pick, created, user
+    /// created_at attribute, value)`. `kind` 0 is a raw capture; 1
+    /// derives from an earlier pool record, 2 names that parent twice,
+    /// 3 adds [`FOREIGN`]. Creation times come from a range of four, so
+    /// ties are common.
+    fn pool(specs: &[(u8, usize, u64, bool, i64)]) -> Vec<ProvenanceRecord> {
+        let mut out: Vec<ProvenanceRecord> = Vec::with_capacity(specs.len());
+        for (i, &(kind, pick, created, user_created, value)) in specs.iter().enumerate() {
+            let mut builder =
+                ProvenanceBuilder::new(SiteId(1 + (i % 2) as u32), Timestamp(created))
+                    .attr("domain", ["traffic", "weather"][i % 2])
+                    .attr("seq", i as i64);
+            if user_created {
+                builder = builder.attr("created_at", value);
+            }
+            if value % 2 == 0 {
+                builder = builder.attr(keys::DESCRIPTION, format!("window {value}"));
+            }
+            if kind > 0 && i > 0 {
+                let tool = ToolDescriptor::new("agg", "1");
+                let parent = out[pick % i].id;
+                builder = builder.derived_from(parent, tool.clone());
+                match kind {
+                    2 => builder = builder.derived_from(parent, tool),
+                    3 => builder = builder.derived_from(FOREIGN, tool),
+                    _ => {}
+                }
+            }
+            out.push(builder.build(Digest128::of(&(i as u64).to_be_bytes())));
+        }
+        out
+    }
+
+    /// Everything the index answers, checked against the decoded oracle.
+    fn assert_agrees(index: &RecordIndex, oracle: &BTreeMap<TupleSetId, ProvenanceRecord>) {
+        assert_eq!(index.len(), oracle.len());
+        assert_eq!(index.is_empty(), oracle.is_empty());
+        let encoded: usize = oracle.values().map(|r| r.encode_to_vec().len()).sum();
+        assert_eq!(index.record_bytes(), encoded);
+        let mut ids: Vec<TupleSetId> = index.record_ids().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, oracle.keys().copied().collect::<Vec<_>>());
+        let mut records: Vec<ProvenanceRecord> = index.records().collect();
+        records.sort_by_key(|r| r.id);
+        assert_eq!(records, oracle.values().cloned().collect::<Vec<_>>());
+        let mut all: Vec<TupleSetId> =
+            index.all_nodes().iter().filter_map(|idx| index.graph().resolve(idx)).collect();
+        all.sort_unstable();
+        assert_eq!(all, ids);
+        for (&id, record) in oracle {
+            assert!(index.contains(id));
+            assert_eq!(index.get(id).as_ref(), Some(record));
+            let idx = index.node_of(id).expect("stored records have a node");
+            assert_eq!(index.fetch(idx).as_ref(), Some(record));
+            assert_eq!(index.parents_of(id), Some(record.parents().collect()));
+        }
+        for desc in [false, true] {
+            let mut expect: Vec<&ProvenanceRecord> = oracle.values().collect();
+            expect.sort_by_key(|r| order_key(r.created_at, r.id, desc));
+            let expect: Vec<TupleSetId> = expect.iter().map(|r| r.id).collect();
+            let scan = index.created_scan(desc).expect("the index serves ordered scans");
+            assert_eq!(index.graph().resolve_all(&scan), expect, "created scan, desc = {desc}");
+        }
+    }
+
+    /// Asserts `index` holds nothing for an id it does not store.
+    fn assert_absent(index: &RecordIndex, id: TupleSetId) {
+        assert!(!index.contains(id));
+        assert_eq!(index.get(id), None);
+        assert_eq!(index.parents_of(id), None);
+        if let Some(idx) = index.node_of(id) {
+            assert!(index.graph().is_placeholder(idx));
+            assert_eq!(index.fetch(idx), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The byte table answers exactly what a map of decoded records
+        /// would, under random one-record inserts, batch deltas,
+        /// annotations with caller-built encodings, and clone-then-insert
+        /// (which must not reuse the original's cached scans). Records
+        /// meet their parents as placeholders first whenever the insert
+        /// order puts a child ahead; a user attribute named `created_at`
+        /// shows why the created scan cannot read the attribute postings.
+        #[test]
+        fn byte_table_agrees_with_decoded_records(
+            specs in proptest::collection::vec(
+                (0u8..4, 0usize..64, 0u64..4, any::<bool>(), 0i64..6), 2..20),
+            ops in proptest::collection::vec((0u8..5, 0usize..64, 0usize..64), 1..30),
+        ) {
+            let pool = pool(&specs);
+            let n = pool.len();
+            let mut index = RecordIndex::new();
+            let mut oracle: BTreeMap<TupleSetId, ProvenanceRecord> = BTreeMap::new();
+            for (op, a, b) in ops {
+                let pick = &pool[a % n];
+                match op {
+                    0 => {
+                        // Stored records keep their (annotated) bytes.
+                        index.insert(pick, bytes(pick));
+                        oracle.entry(pick.id).or_insert_with(|| pick.clone());
+                    }
+                    1 => {
+                        let mut delta = IndexDelta::default();
+                        for record in (0..=b % 4).map(|k| &pool[(a + k) % n]) {
+                            oracle.entry(record.id).or_insert_with(|| {
+                                delta.push(record, bytes(record));
+                                record.clone()
+                            });
+                        }
+                        index.insert_delta(delta);
+                        index.sort_time();
+                    }
+                    2 => {
+                        let note = Annotation::new(Timestamp(7), "ops", format!("note {b}"));
+                        match oracle.get_mut(&pick.id) {
+                            Some(record) => {
+                                record.annotate(note.clone());
+                                let encoding = bytes(record);
+                                prop_assert!(index.annotate(pick.id, &[note], encoding));
+                            }
+                            None => {
+                                prop_assert!(!index.annotate(pick.id, &[note], bytes(pick)));
+                            }
+                        }
+                    }
+                    3 => {
+                        // Warm the original's scans, then insert into a clone.
+                        let before = (index.created_scan(false), index.created_scan(true));
+                        let mut copy = index.clone();
+                        copy.insert(pick, bytes(pick));
+                        prop_assert_eq!((index.created_scan(false), index.created_scan(true)), before);
+                        assert_agrees(&index, &oracle);
+                        oracle.entry(pick.id).or_insert_with(|| pick.clone());
+                        index = copy;
+                    }
+                    _ => {
+                        // A read between writes caches scans a later insert must reset.
+                        index.created_scan(false);
+                        index.created_scan(true);
+                    }
+                }
+                assert_agrees(&index, &oracle);
+            }
+            for record in pool.iter().filter(|r| !oracle.contains_key(&r.id)) {
+                assert_absent(&index, record.id);
+            }
+            assert_absent(&index, FOREIGN);
+        }
     }
 }

@@ -3,6 +3,7 @@
 //! and corpora — the superset-plus-residual contract, fuzzed.
 
 use pass_index::{BfsClosure, Direction, PostingList, ReachStrategy};
+use pass_model::codec::Encode;
 use pass_model::{
     Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp, ToolDescriptor,
     TupleSetId, Value,
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 fn index_of(records: &[ProvenanceRecord]) -> RecordIndex {
     let mut index = RecordIndex::new();
     for record in records {
-        index.insert(record);
+        index.insert(record, record.encode_to_vec().into());
     }
     index
 }
