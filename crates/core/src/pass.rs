@@ -90,9 +90,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Records per [`IndexDelta`] in the open-time rebuild: large enough to
-/// amortize the sorted bulk merges, small enough that the delta's
-/// attribute rows and documents stay a small fraction of the indexes.
-const REBUILD_CHUNK: usize = 1024;
+/// amortize the sorted bulk merges, small enough that the delta's owned
+/// attribute names, values and texts (about 1.2 kB per record) stay a
+/// small fraction of the indexes.
+const REBUILD_CHUNK: usize = 256;
 
 /// In-memory state: immutable once published, shared by snapshots.
 #[derive(Clone, Default)]
@@ -437,6 +438,7 @@ impl Pass {
         }
         state.index.insert_delta(delta);
         state.index.sort_time();
+        state.index.shrink_to_fit();
         for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
             // A marker whose record is missing sets no bit; the audit
             // (`verify_consistency`) reports it from storage.
@@ -1155,11 +1157,15 @@ impl Pass {
     pub fn age_data(&self, older_than: Timestamp) -> Result<AgeReport> {
         let victims: Vec<(TupleSetId, Vec<Reading>)> = {
             let snapshot = self.snapshot();
+            let state = &snapshot.state;
             let mut cold = Vec::new();
-            for record in snapshot.state.index.records() {
-                if record.created_at < older_than && snapshot.state.readings_present(record.id) {
-                    if let Some(readings) = snapshot.get_data(record.id)? {
-                        cold.push((record.id, readings));
+            // Only stored records have a data bit; their `created_at`
+            // column picks the victims without decoding a record.
+            for idx in state.data_present.iter() {
+                let Some((id, created_at)) = state.index.created_of(idx) else { continue };
+                if created_at < older_than {
+                    if let Some(readings) = snapshot.get_data(id)? {
+                        cold.push((id, readings));
                     }
                 }
             }

@@ -157,6 +157,41 @@ fn age_data_moves_cold_readings_into_a_restorable_export() {
     assert!(pass.get_tuple_set(cold).unwrap().is_some());
 }
 
+/// Aging picks its victims by creation time alone: every record created
+/// strictly before the cutoff whose readings are present is aged, and
+/// nothing else — not a record created at the cutoff, not one whose
+/// readings are already gone. Enough records that the readings bitset
+/// spans several words.
+#[test]
+fn age_data_takes_exactly_the_present_records_created_before_the_cutoff() {
+    let pass = Pass::open(PassConfig::memory(SiteId(3))).unwrap();
+    let cutoff = 150;
+    let ids = pass
+        .capture_batch(
+            (0..200u64)
+                .map(|t| (Attributes::new().with("t", t as i64), vec![reading(t)], Timestamp(t))),
+        )
+        .unwrap();
+    // Readings already gone: 7, 64 and 149 are before the cutoff.
+    for t in [7, 64, 149, 170] {
+        assert!(pass.remove_data(ids[t]).unwrap());
+    }
+
+    let report = pass.age_data(Timestamp(cutoff)).unwrap();
+    let mut want: Vec<_> =
+        (0..cutoff as usize).filter(|t| ![7, 64, 149].contains(t)).map(|t| ids[t]).collect();
+    want.sort();
+    let aged: Vec<_> = report.export.tuple_sets.iter().map(|t| t.provenance.id).collect();
+    assert_eq!(report.aged, want.len());
+    assert_eq!(aged, want);
+    assert!(report.export.records_only.is_empty());
+    assert!(pass.has_data(ids[cutoff as usize]), "created at the cutoff: not aged");
+    for (t, &id) in ids.iter().enumerate() {
+        assert_eq!(pass.has_data(id), t as u64 >= cutoff && t != 170, "record created at {t}");
+        assert!(pass.contains(id));
+    }
+}
+
 /// The aging worker sweeps on its own tick and hands exports to the
 /// sink; it holds only a weak reference and stops with its handle.
 #[test]

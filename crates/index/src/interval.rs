@@ -54,7 +54,6 @@ impl Labeling {
         for &v in &order {
             let tree_parent = g
                 .neighbors(v, pred_dir)
-                .iter()
                 .find(|e| !(skip_abstracted && e.abstracted))
                 .map(|e| e.node);
             match tree_parent {

@@ -222,10 +222,23 @@ impl RecordIndex {
         true
     }
 
-    /// Reserves room for `additional` more records.
+    /// Reserves room for `additional` more records: their graph nodes,
+    /// byte slots and `created_at` entries. Derivation edges are not
+    /// reserved: how many a record names is known only once it is
+    /// decoded. [`RecordIndex::shrink_to_fit`] trims the growth slack.
     pub fn reserve(&mut self, additional: usize) {
+        self.graph.reserve(additional);
         self.records.reserve(additional);
         self.created.reserve(additional);
+    }
+
+    /// Drops spare capacity after a bulk load: the edge tables' growth
+    /// slack, and the node tables' where placeholder parents outgrew a
+    /// [`RecordIndex::reserve`].
+    pub fn shrink_to_fit(&mut self) {
+        self.graph.shrink_to_fit();
+        self.records.shrink_to_fit();
+        self.created.shrink_to_fit();
     }
 
     /// Number of records stored.
@@ -255,6 +268,13 @@ impl RecordIndex {
             .enumerate()
             .filter(|(_, slot)| slot.is_some())
             .map(|(idx, _)| idx as NodeIdx)
+    }
+
+    /// The id and `created_at` of the record stored at `idx`, read
+    /// without decoding (`None` for placeholders and unknown nodes).
+    pub fn created_of(&self, idx: NodeIdx) -> Option<(TupleSetId, Timestamp)> {
+        self.encoding_at(idx)?;
+        Some((self.graph.resolve(idx)?, self.created[idx as usize]))
     }
 
     /// The record stored under `id`, decoded.
