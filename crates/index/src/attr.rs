@@ -37,25 +37,25 @@ impl AttrIndex {
         self.entries += 1;
     }
 
-    /// Bulk-indexes `(node, attribute, value)` triples from a whole ingest
-    /// batch. Entries are sorted once and merged group-by-group into the
-    /// posting lists (`PostingList::extend_sorted`), so index maintenance
-    /// costs one sort plus one merge per touched `(attr, value)` pair
-    /// instead of one ordered insert per triple.
-    pub fn insert_bulk(&mut self, mut entries: Vec<(NodeIdx, String, Value)>) {
-        self.entries += entries.len() as u64;
-        entries.sort_unstable_by(|a, b| {
-            a.1.cmp(&b.1).then_with(|| a.2.cmp(&b.2)).then_with(|| a.0.cmp(&b.0))
-        });
-        let mut entries = entries.into_iter().peekable();
+    /// Bulk-indexes one attribute's `(value, node)` rows from a whole
+    /// ingest batch. The rows are sorted once and merged value-group by
+    /// value-group into the posting lists (`PostingList::extend_sorted`),
+    /// so the batch pays one owned `name` and one `by_attr` lookup per
+    /// attribute, and one sort plus one merge per touched value, instead
+    /// of one ordered insert per row.
+    pub fn insert_bulk(&mut self, name: String, mut rows: Vec<(Value, NodeIdx)>) {
+        self.entries += rows.len() as u64;
+        rows.sort_unstable();
+        let values = self.by_attr.entry(name).or_default();
+        let mut rows = rows.into_iter().peekable();
         let mut run: Vec<NodeIdx> = Vec::new();
-        while let Some((idx, name, value)) = entries.next() {
+        while let Some((value, idx)) = rows.next() {
             run.clear();
             run.push(idx);
-            while let Some((nidx, _, _)) = entries.next_if(|(_, n, v)| *n == name && *v == value) {
+            while let Some((_, nidx)) = rows.next_if(|(v, _)| *v == value) {
                 run.push(nidx);
             }
-            self.by_attr.entry(name).or_default().entry(value).or_default().extend_sorted(&run);
+            values.entry(value).or_default().extend_sorted(&run);
         }
     }
 

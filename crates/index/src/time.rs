@@ -13,11 +13,13 @@ use pass_model::TimeRange;
 /// An index over closed time intervals.
 #[derive(Debug, Default, Clone)]
 pub struct TimeIndex {
-    /// (start, end, node), sorted by (start, end, node) once built.
+    /// (start, end, node). The first `sorted` entries are sorted by
+    /// (start, end, node); inserts since the last build follow, unsorted.
     intervals: Vec<(u64, u64, NodeIdx)>,
-    /// `prefix_max_end[i]` = max end among `intervals[..=i]`; rebuilt lazily.
+    /// `prefix_max_end[i]` = max end among `intervals[..=i]`, for the
+    /// sorted prefix.
     prefix_max_end: Vec<u64>,
-    dirty: bool,
+    sorted: usize,
 }
 
 impl TimeIndex {
@@ -29,27 +31,55 @@ impl TimeIndex {
     /// Adds an interval.
     pub fn insert(&mut self, idx: NodeIdx, range: TimeRange) {
         self.intervals.push((range.start.0, range.end.0, idx));
-        self.dirty = true;
     }
 
-    /// Sorts the interval table and rebuilds the prefix-maximum, making
-    /// queries `O(log n + answer)`. The batched ingest path calls this
-    /// once per committed batch, so shared (snapshot) readers never need a
-    /// write lock; an unbuilt index still answers queries via a linear
+    /// True while inserts since the last [`TimeIndex::build`] are pending.
+    fn dirty(&self) -> bool {
+        self.sorted < self.intervals.len()
+    }
+
+    /// Files the intervals inserted since the last build into the sorted
+    /// table and extends the prefix-maximum, making queries
+    /// `O(log n + answer)`. Only the `k` new intervals are sorted; they
+    /// are merged in from the first position they displace, and the
+    /// prefix maximum is recomputed from there. New intervals that all
+    /// sort after the table, the usual case for sensor time, cost
+    /// `O(k log k)` and move nothing. The batched ingest path calls this
+    /// once per committed batch, so shared (snapshot) readers never need
+    /// a write lock; an unbuilt index still answers queries via a linear
     /// scan.
     pub fn build(&mut self) {
-        if !self.dirty {
+        if !self.dirty() {
             return;
         }
-        self.intervals.sort_unstable();
-        self.prefix_max_end.clear();
-        self.prefix_max_end.reserve(self.intervals.len());
-        let mut max_end = 0u64;
-        for &(_, end, _) in &self.intervals {
+        let (sorted, n) = (self.sorted, self.intervals.len());
+        self.intervals[sorted..].sort_unstable();
+        let first_new = self.intervals[sorted];
+        // The first sorted position the new intervals displace.
+        let from = self.intervals[..sorted].partition_point(|&iv| iv <= first_new);
+        if from < sorted {
+            // Merge the displaced run back in front of the new one; the
+            // write position never overtakes the new run's read position.
+            let displaced = self.intervals[from..sorted].to_vec();
+            let (mut next_new, mut write) = (sorted, from);
+            for old in displaced {
+                while next_new < n && self.intervals[next_new] < old {
+                    self.intervals[write] = self.intervals[next_new];
+                    next_new += 1;
+                    write += 1;
+                }
+                self.intervals[write] = old;
+                write += 1;
+            }
+        }
+        self.prefix_max_end.truncate(from);
+        self.prefix_max_end.reserve(n - from);
+        let mut max_end = self.prefix_max_end.last().copied().unwrap_or(0);
+        for &(_, end, _) in &self.intervals[from..] {
             max_end = max_end.max(end);
             self.prefix_max_end.push(max_end);
         }
-        self.dirty = false;
+        self.sorted = self.intervals.len();
     }
 
     /// Nodes whose interval overlaps `query` (closed-interval semantics).
@@ -58,7 +88,7 @@ impl TimeIndex {
     /// [`TimeIndex::build`] since), this falls back to a full scan rather
     /// than mutating shared state.
     pub fn overlapping(&self, query: TimeRange) -> PostingList {
-        if self.dirty {
+        if self.dirty() {
             return PostingList::from_iter(
                 self.intervals
                     .iter()
@@ -86,7 +116,7 @@ impl TimeIndex {
     /// Nodes whose interval lies entirely within `query` (same laziness
     /// contract as [`TimeIndex::overlapping`]).
     pub fn covered_by(&self, query: TimeRange) -> PostingList {
-        if self.dirty {
+        if self.dirty() {
             return PostingList::from_iter(
                 self.intervals
                     .iter()

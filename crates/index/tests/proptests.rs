@@ -141,3 +141,86 @@ proptest! {
         }
     }
 }
+
+/// One step of a time-index history: insert `(start, len)` or build.
+#[derive(Debug, Clone)]
+enum TimeOp {
+    Insert(u64, u64),
+    Build,
+}
+
+fn arb_time_ops() -> impl Strategy<Value = Vec<TimeOp>> {
+    // Starts drift upward (the append-only shape of sensor time) but
+    // jump back often enough that builds merge into the middle too.
+    proptest::collection::vec((0u8..10, 0u64..40, 0u64..30), 0..80).prop_map(|raw| {
+        let mut clock = 0u64;
+        raw.into_iter()
+            .map(|(kind, jump, len)| match kind {
+                0..=1 => TimeOp::Build,
+                2 => TimeOp::Insert(jump, len),
+                _ => {
+                    clock += jump / 4;
+                    TimeOp::Insert(clock, len)
+                }
+            })
+            .collect()
+    })
+}
+
+fn window(a: u64, b: u64) -> pass_model::TimeRange {
+    use pass_model::Timestamp;
+    pass_model::TimeRange::new(Timestamp(a), Timestamp(b))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Incremental builds answer `overlapping` and `covered_by` exactly
+    /// as an index sorted once over every interval does, after each
+    /// build and at the end (built or not).
+    #[test]
+    fn incremental_time_builds_match_a_full_sort(
+        ops in arb_time_ops(),
+        queries in proptest::collection::vec((0u64..70, 0u64..30), 1..12),
+    ) {
+        use pass_index::TimeIndex;
+        let mut incremental = TimeIndex::new();
+        let mut all = Vec::new();
+        let check = |ix: &TimeIndex, all: &[(u64, u64, u32)]| {
+            let mut oracle = TimeIndex::new();
+            for &(start, end, node) in all {
+                oracle.insert(node, window(start, end));
+            }
+            oracle.build();
+            for &(a, len) in &queries {
+                let q = window(a, a + len);
+                prop_assert_eq!(ix.overlapping(q).as_slice(), oracle.overlapping(q).as_slice());
+                prop_assert_eq!(ix.covered_by(q).as_slice(), oracle.covered_by(q).as_slice());
+                let naive: Vec<u32> = all
+                    .iter()
+                    .filter(|&&(s, e, _)| s <= a + len && e >= a)
+                    .map(|&(_, _, n)| n)
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                prop_assert_eq!(oracle.overlapping(q).as_slice(), naive.as_slice());
+            }
+        };
+        for op in &ops {
+            match *op {
+                TimeOp::Insert(start, len) => {
+                    let node = all.len() as u32;
+                    incremental.insert(node, window(start, start + len));
+                    all.push((start, start + len, node));
+                }
+                TimeOp::Build => {
+                    incremental.build();
+                    check(&incremental, &all);
+                }
+            }
+        }
+        check(&incremental, &all);
+        incremental.build();
+        check(&incremental, &all);
+    }
+}

@@ -23,6 +23,7 @@ use pass_index::{
 };
 use pass_model::codec::Decode;
 use pass_model::{keys, Annotation, ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
@@ -36,7 +37,9 @@ use std::sync::{Arc, OnceLock};
 pub struct IndexDelta {
     records: Vec<(TupleSetId, Timestamp, Box<[u8]>)>,
     parents: Vec<Vec<(TupleSetId, bool)>>,
-    attrs: Vec<(usize, String, Value)>,
+    /// Attribute rows grouped by name as they are extracted, each row a
+    /// value and the record's position in the batch.
+    attrs: BTreeMap<String, Vec<(Value, NodeIdx)>>,
     docs: Vec<(usize, String)>,
     ranges: Vec<(usize, TimeRange)>,
 }
@@ -69,8 +72,16 @@ impl IndexDelta {
             ("ancestry.parents", Value::Int(record.ancestry.len() as i64)),
         ];
         let own = record.attributes.iter().map(|(name, value)| (name, value.clone()));
+        // Positions stand in for `NodeIdx`es until `insert_delta`.
+        let row_slot =
+            NodeIdx::try_from(slot).expect("a batch holds fewer records than a NodeIdx can count");
         for (name, value) in own.chain(multi_valued_attrs(record)).chain(pseudo) {
-            self.attrs.push((slot, name.to_owned(), value));
+            match self.attrs.get_mut(name) {
+                Some(rows) => rows.push((value, row_slot)),
+                None => {
+                    self.attrs.insert(name.to_owned(), vec![(value, row_slot)]);
+                }
+            }
         }
         for ann in &record.annotations {
             self.docs.push((slot, ann.text.clone()));
@@ -182,9 +193,12 @@ impl RecordIndex {
             self.created[idx as usize] = created_at;
             idxs.push(idx);
         }
-        self.attrs.insert_bulk(
-            delta.attrs.into_iter().map(|(slot, name, value)| (idxs[slot], name, value)).collect(),
-        );
+        for (name, mut rows) in delta.attrs {
+            for row in &mut rows {
+                row.1 = idxs[row.1 as usize];
+            }
+            self.attrs.insert_bulk(name, rows);
+        }
         self.keywords
             .insert_bulk(delta.docs.iter().map(|(slot, text)| (idxs[*slot], text.as_str())));
         for (slot, range) in delta.ranges {

@@ -34,7 +34,7 @@
 //! compaction); the engine's maintenance worker is the only caller.
 
 use crate::error::Result;
-use crate::iter::{MergeIter, Source};
+use crate::iter::{Cursor, Merge};
 use crate::sstable::{SsTable, TableBuilder, TableOptions};
 use std::ops::Range;
 use std::path::Path;
@@ -144,6 +144,11 @@ pub fn pick(tables: &[TableInfo]) -> Option<Pick> {
 /// the deletes themselves are elided — only sound when the caller
 /// verified the run includes the oldest table and clears the pin floor.
 /// Returns the entry count written. The output file is fsynced.
+///
+/// Each input is read one verified block at a time and its entries are
+/// lent, not copied, to the merge; an entry's bytes are copied once,
+/// into the output's block buffer. A block that fails verification
+/// fails the merge.
 pub(crate) fn merge_tables(
     out_path: &Path,
     inputs: &[Arc<SsTable>],
@@ -151,18 +156,18 @@ pub(crate) fn merge_tables(
     drop_tombstones: bool,
 ) -> Result<u64> {
     let expected: u64 = inputs.iter().map(|t| t.entry_count()).sum();
-    let sources = inputs.iter().map(|t| Box::new(t.iter()) as Source<'_>).collect();
+    let cursors = inputs.iter().map(|t| Box::new(t.cursor()) as Box<dyn Cursor>).collect();
     let mut builder = TableBuilder::create(
         out_path,
         usize::try_from(expected).unwrap_or(usize::MAX),
         opts.clone(),
     )?;
-    for entry in MergeIter::new(sources) {
-        let (key, value) = entry?;
+    let mut merge = Merge::new(cursors);
+    while let Some((key, value)) = merge.next_entry()? {
         if drop_tombstones && value.is_none() {
             continue;
         }
-        builder.add(&key, value.as_deref())?;
+        builder.add(key, value)?;
     }
     let written = builder.entry_count();
     builder.finish()?;

@@ -29,7 +29,7 @@ use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
 use crate::compaction::{self, TableInfo};
 use crate::error::{Result, StorageError};
-use crate::iter::{MergeIter, Source};
+use crate::iter::{Cursor, IterCursor, Merge};
 use crate::kv::KvStore;
 use crate::maintenance::Signal;
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
@@ -451,17 +451,16 @@ impl KvStore for LsmEngine {
             return Ok(Vec::new());
         }
         let inner = self.inner.read();
-        let mut sources: Vec<Source<'_>> = Vec::with_capacity(inner.tables.len() + 1);
-        sources.push(Box::new(
-            inner.mem.range(start, end).map(|(k, v)| Ok((k.to_vec(), v.map(<[u8]>::to_vec)))),
-        ));
+        let mut cursors: Vec<Box<dyn Cursor + '_>> = Vec::with_capacity(inner.tables.len() + 1);
+        cursors.push(Box::new(IterCursor::new(inner.mem.range(start, end))));
         for handle in &inner.tables {
-            sources.push(Box::new(handle.table.iter_range(start, end)));
+            cursors.push(Box::new(handle.table.cursor_range(start, end)));
         }
+        let mut merge = Merge::new(cursors);
         let mut out = Vec::new();
-        for item in MergeIter::new(sources) {
-            if let (k, Some(v)) = item? {
-                out.push((k, v));
+        while let Some((k, v)) = merge.next_entry()? {
+            if let Some(v) = v {
+                out.push((k.to_vec(), v.to_vec()));
             }
         }
         Ok(out)

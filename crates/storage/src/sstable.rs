@@ -14,15 +14,23 @@
 //!   and touch exactly one block.
 //! * **Bloom** — a filter over all keys; negative lookups skip the table.
 //! * **Footer** — fixed-width trailer with section offsets and a magic.
+//!
+//! Ordered reads go through [`TableCursor`], which reads one verified
+//! block at a time into a buffer it reuses and lends each entry as
+//! slices of it (see [`crate::iter`]); `parse_entry` is the one block
+//! parser. Point reads copy a block's entries once, into the shared
+//! block cache, and copy out the value they return.
 
 use crate::batch::{put_varint, take_u32_le, take_u64_le, take_varint};
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::crc::crc32c;
 use crate::error::{Result, StorageError};
+use crate::iter::{Cursor, EntryRef};
 use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -62,7 +70,8 @@ pub struct TableBuilder {
     bloom: BloomFilter,
     offset: u64,
     entry_count: u64,
-    last_key: Option<Vec<u8>>,
+    /// The previous key, for the order check; one buffer, reused.
+    last_key: Vec<u8>,
 }
 
 impl TableBuilder {
@@ -87,21 +96,20 @@ impl TableBuilder {
             bloom,
             offset: 0,
             entry_count: 0,
-            last_key: None,
+            last_key: Vec::new(),
         })
     }
 
     /// Appends an entry. Keys must arrive in strictly increasing order.
     pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if key <= last.as_slice() {
-                return Err(StorageError::corrupt(
-                    &self.path,
-                    format!("keys out of order: {:?} after {:?}", key, last),
-                ));
-            }
+        if self.entry_count > 0 && key <= self.last_key.as_slice() {
+            return Err(StorageError::corrupt(
+                &self.path,
+                format!("keys out of order: {:?} after {:?}", key, self.last_key),
+            ));
         }
-        self.last_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key.to_vec());
         }
@@ -333,111 +341,199 @@ impl SsTable {
     }
 
     /// Reads block `i` through the cache. Misses decode from disk and
-    /// populate; sequential readers ([`TableIter`]) use
-    /// [`Self::read_block`] instead so full scans and compactions don't
-    /// flush the hot set.
+    /// populate; sequential readers ([`TableCursor`]) use
+    /// [`Self::read_block_into`] instead so full scans and compactions
+    /// don't flush the hot set.
     fn load_block(&self, i: usize) -> Result<Arc<Vec<Entry>>> {
         let Some(cache) = &self.cache else {
-            return Ok(Arc::new(self.read_block(i)?));
+            return Ok(Arc::new(self.read_entries(i)?));
         };
         let block_no = u32::try_from(i).unwrap_or(u32::MAX);
         if let Some(hit) = cache.get(self.cache_id, block_no) {
             return Ok(hit);
         }
-        let entries = Arc::new(self.read_block(i)?);
+        let entries = Arc::new(self.read_entries(i)?);
         cache.insert(self.cache_id, block_no, Arc::clone(&entries));
         Ok(entries)
     }
 
-    /// Reads and verifies block `i` from the file (no cache).
-    fn read_block(&self, i: usize) -> Result<Vec<Entry>> {
+    /// Reads block `i` and copies its entries out, for the cache.
+    fn read_entries(&self, i: usize) -> Result<Vec<Entry>> {
+        let mut block = Vec::new();
+        self.read_block_into(i, &mut block)?;
+        let malformed = || StorageError::corrupt(&self.path, "malformed block");
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < block.len() {
+            let (key, value) = parse_entry(&block, &mut pos).ok_or_else(malformed)?;
+            let (key, value) = lend(&block, &key, &value).ok_or_else(malformed)?;
+            out.push((key.to_vec(), value.map(<[u8]>::to_vec)));
+        }
+        Ok(out)
+    }
+
+    /// Reads block `i` from the file (no cache) into `buf`, verifies its
+    /// CRC and leaves `buf` holding the payload without the trailer.
+    fn read_block_into(&self, i: usize, buf: &mut Vec<u8>) -> Result<()> {
         let &(_, offset, len) = self
             .index
             .get(i)
             .ok_or_else(|| StorageError::corrupt(&self.path, format!("block {i} out of range")))?;
-        let mut buf = vec![0u8; len as usize];
+        buf.resize(len as usize, 0);
         {
             let mut file = self.file.lock();
             file.seek(SeekFrom::Start(offset))
-                .and_then(|_| file.read_exact(&mut buf))
+                .and_then(|_| file.read_exact(buf))
                 .map_err(|e| StorageError::io("reading SSTable block", e))?;
         }
-        if buf.len() < 4 {
-            return Err(StorageError::corrupt(&self.path, "block shorter than CRC"));
-        }
-        let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-        let stored = take_u32_le(crc_bytes, 0)
+        let payload_len = buf
+            .len()
+            .checked_sub(4)
+            .ok_or_else(|| StorageError::corrupt(&self.path, "block shorter than CRC"))?;
+        let stored = take_u32_le(buf, payload_len)
             .ok_or_else(|| StorageError::corrupt(&self.path, "block CRC trailer"))?;
-        if crc32c(payload) != stored {
+        buf.truncate(payload_len);
+        if crc32c(buf) != stored {
             return Err(StorageError::ChecksumMismatch { path: self.path.clone(), offset });
         }
-        decode_block(payload).ok_or_else(|| StorageError::corrupt(&self.path, "malformed block"))
+        Ok(())
     }
 
-    /// Streams every entry in key order.
-    pub fn iter(self: &Arc<Self>) -> TableIter {
-        self.iter_range(&[], None)
+    /// A cursor over every entry in key order.
+    pub fn cursor(self: &Arc<Self>) -> TableCursor {
+        self.cursor_range(&[], None)
     }
 
-    /// Streams the entries with `start <= key < end` (`end = None` ⇒
-    /// unbounded) in key order, one verified block at a time, straight
+    /// A cursor over the entries with `start <= key < end` (`end = None`
+    /// ⇒ unbounded) in key order, one verified block at a time, straight
     /// from the file: the first block is found through the index and
     /// reading stops at the first key past `end`.
-    pub fn iter_range(self: &Arc<Self>, start: &[u8], end: Option<&[u8]>) -> TableIter {
+    pub fn cursor_range(self: &Arc<Self>, start: &[u8], end: Option<&[u8]>) -> TableCursor {
         let block =
             self.index.partition_point(|(first, _, _)| first.as_slice() <= start).saturating_sub(1);
-        TableIter {
+        TableCursor {
             table: Arc::clone(self),
-            block,
-            entries: Vec::new(),
+            next_block: block,
+            block: Vec::new(),
             pos: 0,
+            current: None,
             start: start.to_vec(),
             end: end.map(<[u8]>::to_vec),
         }
     }
 }
 
-/// Streaming iterator over a table's entries (see [`SsTable::iter_range`]);
-/// yields `Err` once and stops if a block fails verification mid-stream.
-pub struct TableIter {
+/// Where an entry lies in its block: the key's bytes, and the value's
+/// (`None` for a tombstone).
+type EntryAt = (Range<usize>, Option<Range<usize>>);
+
+/// Streaming [`Cursor`] over a table's entries (see
+/// [`SsTable::cursor_range`]). Its one block buffer is reused from block
+/// to block and every entry it lends is a slice of it. A block that
+/// fails verification is an error from [`Cursor::advance`], after which
+/// the cursor is exhausted.
+pub struct TableCursor {
     table: Arc<SsTable>,
-    block: usize,
-    entries: Vec<Entry>,
+    next_block: usize,
+    /// The current block's verified payload.
+    block: Vec<u8>,
+    /// Offset of the next entry in `block`.
     pos: usize,
+    current: Option<EntryAt>,
     start: Vec<u8>,
     end: Option<Vec<u8>>,
 }
 
-impl Iterator for TableIter {
-    type Item = Result<Entry>;
+impl TableCursor {
+    fn exhaust(&mut self) {
+        self.current = None;
+        self.block.clear();
+        self.pos = 0;
+        self.next_block = self.table.index.len();
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    fn step(&mut self) -> Result<()> {
         loop {
-            if let Some(slot) = self.entries.get_mut(self.pos) {
-                let entry = std::mem::take(slot);
-                self.pos += 1;
-                return Some(Ok(entry));
+            if self.pos < self.block.len() {
+                let malformed = || StorageError::corrupt(&self.table.path, "malformed block");
+                let at = parse_entry(&self.block, &mut self.pos).ok_or_else(malformed)?;
+                let key = self.block.get(at.0.clone()).ok_or_else(malformed)?;
+                if key < self.start.as_slice() {
+                    continue;
+                }
+                if self.end.as_deref().is_some_and(|end| key >= end) {
+                    self.exhaust();
+                } else {
+                    self.current = Some(at);
+                }
+                return Ok(());
             }
-            let (first, _, _) = self.table.index.get(self.block)?;
+            let Some((first, _, _)) = self.table.index.get(self.next_block) else {
+                self.exhaust();
+                return Ok(());
+            };
             if self.end.as_ref().is_some_and(|end| first >= end) {
-                return None;
+                self.exhaust();
+                return Ok(());
             }
-            match self.table.read_block(self.block) {
-                Ok(mut entries) => {
-                    self.block += 1;
-                    if let Some(end) = &self.end {
-                        entries.truncate(entries.partition_point(|(k, _)| k < end));
-                    }
-                    self.pos = entries.partition_point(|(k, _)| *k < self.start);
-                    self.entries = entries;
-                }
-                Err(e) => {
-                    self.block = self.table.index.len();
-                    return Some(Err(e));
-                }
-            }
+            self.table.read_block_into(self.next_block, &mut self.block)?;
+            self.next_block += 1;
+            self.pos = 0;
         }
     }
+}
+
+impl Cursor for TableCursor {
+    fn entry(&self) -> Option<EntryRef<'_>> {
+        let (key, value) = self.current.as_ref()?;
+        lend(&self.block, key, value)
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        self.current = None;
+        let stepped = self.step();
+        if stepped.is_err() {
+            self.exhaust();
+        }
+        stepped
+    }
+}
+
+/// The slices of `block` that `key` and `value` locate.
+fn lend<'b>(
+    block: &'b [u8],
+    key: &Range<usize>,
+    value: &Option<Range<usize>>,
+) -> Option<EntryRef<'b>> {
+    let value = match value {
+        Some(v) => Some(block.get(v.clone())?),
+        None => None,
+    };
+    Some((block.get(key.clone())?, value))
+}
+
+/// Parses the entry at `*pos` of a verified block payload and advances
+/// `pos` past it: `varint klen, key, tag, [varint vlen, value]`. `None`
+/// on malformed bytes.
+fn parse_entry(buf: &[u8], pos: &mut usize) -> Option<EntryAt> {
+    let klen = take_varint(buf, pos)? as usize;
+    let key = *pos..pos.checked_add(klen)?;
+    let tag = *buf.get(key.end)?;
+    *pos = key.end + 1;
+    let value = match tag {
+        0 => None,
+        1 => {
+            let vlen = take_varint(buf, pos)? as usize;
+            let value = *pos..pos.checked_add(vlen)?;
+            if value.end > buf.len() {
+                return None;
+            }
+            *pos = value.end;
+            Some(value)
+        }
+        _ => return None,
+    };
+    Some((key, value))
 }
 
 fn decode_index(buf: &[u8]) -> Option<Vec<(Vec<u8>, u64, u64)>> {
@@ -456,32 +552,6 @@ fn decode_index(buf: &[u8]) -> Option<Vec<(Vec<u8>, u64, u64)>> {
     (pos == buf.len()).then_some(index)
 }
 
-fn decode_block(buf: &[u8]) -> Option<Vec<Entry>> {
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    while pos < buf.len() {
-        let klen = take_varint(buf, &mut pos)? as usize;
-        let kend = pos.checked_add(klen)?;
-        let key = buf.get(pos..kend)?.to_vec();
-        pos = kend;
-        let tag = *buf.get(pos)?;
-        pos += 1;
-        let value = match tag {
-            0 => None,
-            1 => {
-                let vlen = take_varint(buf, &mut pos)? as usize;
-                let vend = pos.checked_add(vlen)?;
-                let v = buf.get(pos..vend)?.to_vec();
-                pos = vend;
-                Some(v)
-            }
-            _ => return None,
-        };
-        out.push((key, value));
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +566,16 @@ mod tests {
         }
         b.finish().unwrap();
         Arc::new(SsTable::open(&path).unwrap())
+    }
+
+    fn drain(mut cursor: TableCursor) -> Vec<Entry> {
+        let mut out = Vec::new();
+        cursor.advance().unwrap();
+        while let Some((k, v)) = cursor.entry() {
+            out.push((k.to_vec(), v.map(<[u8]>::to_vec)));
+            cursor.advance().unwrap();
+        }
+        out
     }
 
     fn sample_entries(n: u32) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
@@ -538,7 +618,7 @@ mod tests {
         let dir = TempDir::new("sst-iter");
         let entries = sample_entries(500);
         let table = build_table(&dir, &entries);
-        let got: Vec<Entry> = table.iter().map(|r| r.unwrap()).collect();
+        let got = drain(table.cursor());
         assert_eq!(got, entries);
     }
 
@@ -548,7 +628,7 @@ mod tests {
         let entries = sample_entries(300);
         let table = build_table(&dir, &entries);
         let scan = |start: &[u8], end: Option<&[u8]>| -> Vec<Entry> {
-            table.iter_range(start, end).map(|r| r.unwrap()).collect()
+            drain(table.cursor_range(start, end))
         };
         let got = scan(b"key-000100", Some(b"key-000110"));
         assert_eq!(got.len(), 10);
@@ -604,7 +684,7 @@ mod tests {
         let table = build_table(&dir, &[]);
         assert_eq!(table.entry_count(), 0);
         assert_eq!(table.get(b"x").unwrap(), None);
-        assert!(table.iter().next().is_none());
+        assert!(drain(table.cursor()).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use pass_storage::tempdir::TempDir;
 use pass_storage::wal::{SyncPolicy, Wal};
-use pass_storage::{EngineOptions, KvStore, LsmEngine, ShardRouter, ShardedStore};
+use pass_storage::{EngineOptions, KvStore, LsmEngine, ShardRouter, ShardedStore, StorageError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -91,4 +91,73 @@ fn garbage_sstable_footer_is_an_error_not_a_panic() {
         pass_storage::sstable::SsTable::open(&path).is_err(),
         "garbage footer must be rejected"
     );
+}
+
+/// The table files in an engine directory, sorted (oldest id first).
+fn table_files(dir: &Path) -> Vec<std::path::PathBuf> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// One flipped byte inside an interior block of a compaction input must
+/// fail the merge with `ChecksumMismatch`: the cursors that stream the
+/// inputs verify every block before lending from it. The failed merge
+/// leaves the manifest listing its inputs and no output file behind,
+/// and after a reopen every key outside the damaged block still reads.
+#[test]
+fn corrupt_input_block_fails_compaction_and_spares_the_rest() {
+    const PER_TABLE: usize = 2_000;
+    let dir = TempDir::new("corrupt-compaction");
+    let key = |i: usize| format!("key-{i:06}").into_bytes();
+    let value = |i: usize| format!("value of key {i:06}, long enough to fill blocks").into_bytes();
+    {
+        let db = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();
+        for table in 0..2 {
+            let mut batch = pass_storage::WriteBatch::new();
+            for i in table * PER_TABLE..(table + 1) * PER_TABLE {
+                batch.put(key(i), value(i));
+            }
+            db.apply(batch).unwrap();
+            db.force_flush().unwrap();
+        }
+    }
+    let inputs = table_files(dir.path());
+    assert_eq!(inputs.len(), 2);
+    // Damage the middle of the older table's data blocks: an interior
+    // block of a multi-block table.
+    let older = &inputs[0];
+    let data_len = pass_storage::sstable::SsTable::open(older).unwrap().data_len();
+    let mut bytes = std::fs::read(older).unwrap();
+    bytes[data_len as usize / 2] ^= 0x5a;
+    std::fs::write(older, &bytes).unwrap();
+
+    let db = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();
+    let err = db.force_compact().expect_err("a damaged input must fail the merge");
+    assert!(matches!(err, StorageError::ChecksumMismatch { .. }), "{err}");
+    assert_eq!(db.stats().num_tables, 2);
+    assert_eq!(table_files(dir.path()), inputs, "no compaction output is left behind");
+    drop(db);
+
+    let (_, state) = pass_storage::Manifest::open(dir.path(), true).unwrap();
+    let listed: Vec<u64> = state.tables.iter().map(|t| t.id).collect();
+    assert_eq!(listed.len(), 2, "the manifest still lists both inputs: {listed:?}");
+
+    let db = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();
+    let mut damaged = Vec::new();
+    for i in 0..2 * PER_TABLE {
+        match db.get(&key(i)) {
+            Ok(got) => assert_eq!(got, Some(value(i)), "key {i}"),
+            Err(StorageError::ChecksumMismatch { .. }) => damaged.push(i),
+            Err(e) => panic!("key {i}: unexpected error {e}"),
+        }
+    }
+    assert!(!damaged.is_empty(), "the damaged block's keys report the mismatch");
+    assert!(damaged.windows(2).all(|w| w[1] == w[0] + 1), "one contiguous run: {damaged:?}");
+    assert!(damaged.len() < PER_TABLE / 10, "one block's keys, not the table's: {damaged:?}");
+    assert!(damaged.iter().all(|&i| i > 0 && i < PER_TABLE - 1), "interior of the older table");
 }

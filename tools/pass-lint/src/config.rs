@@ -2,19 +2,21 @@
 //!
 //! The offline dependency set has no `toml`/`serde` TOML support, so
 //! this module parses the small subset the config actually uses:
-//! `[table.sub]` headers, `key = "string"`, and `key = ["a", "b"]`
-//! (single- or multi-line). Anything else is a hard error — a config
+//! `[table.sub]` headers, `key = "string"`, `key = 12` (an unsigned
+//! integer), and `key = ["a", "b"]` (single- or multi-line). Anything else is a hard error — a config
 //! the linter cannot read must fail the build, not silently check
 //! nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed value: the config only ever holds strings and string lists.
+/// A parsed value: the config only ever holds strings, string lists and
+/// unsigned integers.
 #[derive(Debug, Clone)]
 pub enum Value {
     Str(String),
     List(Vec<String>),
+    Int(usize),
 }
 
 /// One rule's configuration as loaded from `invariants.toml`.
@@ -61,11 +63,14 @@ impl Default for CallgraphConfig {
 }
 
 /// The full config: rule id (`l1`…`l8`) → its settings, plus the
-/// call-graph corpus definition.
+/// call-graph corpus definition and the waiver ceiling.
 #[derive(Debug, Default)]
 pub struct Config {
     pub rules: BTreeMap<String, RuleConfig>,
     pub callgraph: CallgraphConfig,
+    /// `[waivers] max_honored`: the most waivers a run may honor, and
+    /// the config line that sets it. More is a `waiver-ceiling` finding.
+    pub waiver_ceiling: Option<(usize, usize)>,
 }
 
 /// A config-file problem, with its line number.
@@ -103,11 +108,20 @@ impl Config {
                 }
                 continue;
             }
+            if table == "waivers" {
+                match (key.as_str(), value) {
+                    ("max_honored", Value::Int(n)) => config.waiver_ceiling = Some((n, line)),
+                    (other, _) => {
+                        return Err(err(format!("unknown or mistyped key `{other}` in [waivers]")))
+                    }
+                }
+                continue;
+            }
             let Some(rule_id) = table.strip_prefix("rules.") else {
                 return Err(ConfigError {
                     line,
                     message: format!(
-                        "unexpected table [{table}] — expected [rules.*] or [callgraph]"
+                        "unexpected table [{table}] — expected [rules.*], [callgraph] or [waivers]"
                     ),
                 });
             };
@@ -185,6 +199,8 @@ fn parse_toml_subset(src: &str) -> Result<RawConfig, ConfigError> {
                 items.push(unquote(piece, lineno)?);
             }
             Value::List(items)
+        } else if let Ok(n) = rest.parse::<usize>() {
+            Value::Int(n)
         } else {
             Value::Str(unquote(&rest, lineno)?)
         };
@@ -260,5 +276,14 @@ marker = "Lock order"
         assert_eq!(cfg.rules["l7"].order, vec!["shard_commit", "state"]);
         assert_eq!(cfg.rules["l7"].nestable, vec!["shard_commit"]);
         assert!(Config::parse("[callgraph]\nfils = [\"x\"]").is_err());
+    }
+
+    #[test]
+    fn parses_the_waiver_ceiling() {
+        let cfg = Config::parse("# c\n[waivers]\nmax_honored = 10\n").unwrap();
+        assert_eq!(cfg.waiver_ceiling, Some((10, 3)));
+        assert!(Config::parse("[waivers]\nmax_honored = \"10\"").is_err(), "an integer");
+        assert!(Config::parse("[waivers]\nmax = 10").is_err());
+        assert!(Config::parse("[rules.l1]\nfiles = 3").is_err(), "lists stay lists");
     }
 }

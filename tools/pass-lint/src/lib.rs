@@ -22,8 +22,10 @@
 //! Deny-by-default: a matched pattern is a finding unless the line (or
 //! the line above) carries `// pass-lint: allow(<rule>, reason="...")`.
 //! Honored waivers are counted and printed so the waiver population is
-//! itself reviewable in CI logs, and `--audit-waivers` turns waivers
-//! that no longer suppress anything into findings of their own.
+//! itself reviewable in CI logs, `--audit-waivers` turns waivers that
+//! no longer suppress anything into findings of their own, and an
+//! optional `[waivers] max_honored` ceiling fails a run that honors
+//! more waivers than the config allows, so their number can only fall.
 //!
 //! Run as `cargo run -p pass-lint -- --workspace` from the repo root;
 //! `--json`/`--sarif` emit machine-readable reports ([`sarif`]); see
@@ -132,6 +134,19 @@ pub fn run(root: &Path, config: &Config, options: &RunOptions) -> std::io::Resul
                 }
             }
             None => report.findings.push(f),
+        }
+    }
+    if let Some((ceiling, line)) = config.waiver_ceiling {
+        if report.waivers.len() > ceiling {
+            report.findings.push(Finding {
+                rule: "waiver-ceiling".into(),
+                file: "invariants.toml".into(),
+                line: u32::try_from(line).unwrap_or(u32::MAX),
+                message: format!(
+                    "{} waivers honored, above the ceiling of {ceiling} — remove a waiver; the ceiling only goes down",
+                    report.waivers.len()
+                ),
+            });
         }
     }
     if options.audit_waivers {
