@@ -38,13 +38,24 @@
 //! # Snapshot-isolated reads
 //!
 //! All in-memory index state lives in one immutable `State` behind an
-//! `Arc`. Readers call [`Pass::snapshot`] — an O(1) `Arc` clone — and
-//! query the snapshot lock-free with repeatable-read semantics; writers
-//! never block them. Writers serialize on a commit mutex and publish a
-//! new state via copy-on-write (`Arc::make_mut`): the full clone is paid
-//! only on the first write after an outstanding snapshot was taken,
-//! which batching amortizes. [`Pass::query`] itself runs against a fresh
-//! snapshot, so a single query never observes a half-applied batch.
+//! `Arc` under a read-write lock. [`Pass::snapshot`] clones the `Arc`
+//! under the read lock; the snapshot then answers queries with no lock
+//! at all, with repeatable-read semantics. [`Pass::query`] itself runs
+//! against a fresh snapshot, so a single query never observes a
+//! half-applied batch.
+//!
+//! Readers do wait for writers at one point: a commit publishes by
+//! mutating the state under the write lock (copy-on-write via
+//! `Arc::make_mut`, which deep-copies the state, inside that lock, on the
+//! first write after an outstanding snapshot was taken). Taking a
+//! snapshot, and every `Pass` read that borrows the state
+//! ([`Pass::get_record`], [`Pass::contains`], ...), waits while a publish
+//! merges its index delta. That section is kept short: a commit encodes
+//! and verifies its records before it takes any lock and extracts their
+//! index rows before it enters the serialized publish section, so the
+//! write lock covers only graph interning and the merge of node runs
+//! already grouped by attribute value and keyword token — no row is
+//! sorted and no value copied there.
 //!
 //! # Sharded multi-writer commits
 //!
@@ -73,8 +84,8 @@ use parking_lot::{Mutex, RwLock};
 use pass_index::{BitSet, NodeIdx, PostingList, TraverseOpts};
 use pass_model::codec::{Decode, Encode};
 use pass_model::{
-    Annotation, Attributes, ModelError, ProvenanceBuilder, ProvenanceRecord, Reading, SiteId,
-    TimeRange, Timestamp, ToolDescriptor, TupleSet, TupleSetId, Value,
+    Annotation, Attributes, Digest128, ModelError, ProvenanceBuilder, ProvenanceRecord, Reading,
+    SiteId, TimeRange, Timestamp, ToolDescriptor, TupleSet, TupleSetId, Value,
 };
 use pass_query::{
     Cursor, IndexDelta, LineageClause, PreparedQuery, Provider, Query, QueryEngine, QueryResult,
@@ -89,9 +100,9 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Records per [`IndexDelta`] in the open-time rebuild: large enough to
-/// amortize the sorted bulk merges, small enough that the delta's owned
-/// attribute names, values and texts (about 1.2 kB per record) stay a
+/// Records per [`IndexDelta`] merge in the open-time rebuild: large
+/// enough to amortize the posting merges, small enough that the delta's
+/// rows and its copies of the chunk's distinct values and tokens stay a
 /// small fraction of the indexes.
 const REBUILD_CHUNK: usize = 256;
 
@@ -167,6 +178,45 @@ fn read_data(store: &dyn KvStore, id: TupleSetId) -> Result<Option<Vec<Reading>>
         Some(bytes) => Ok(Some(Vec::<Reading>::decode_all(&bytes)?)),
         None => Ok(None),
     }
+}
+
+/// A tuple set's stored bytes: its record's canonical encoding and its
+/// readings' (the `RECORD` and `DATA` values).
+#[derive(Default)]
+struct Encoded {
+    record: Vec<u8>,
+    data: Vec<u8>,
+}
+
+/// Encodes `ts` once, through `scratch`, into exactly sized buffers.
+/// With `verify`, checks the record's identity over the record bytes and
+/// its content digest over the readings bytes, the bytes that are
+/// stored.
+fn encode_set(ts: &TupleSet, verify: bool, scratch: &mut Vec<u8>) -> Result<Encoded> {
+    let record = &ts.provenance;
+    scratch.clear();
+    if verify {
+        if !record.encode_verified_into(scratch) {
+            return Err(identity_failure(record.id));
+        }
+    } else {
+        record.encode_into(scratch);
+    }
+    let record_bytes = scratch.as_slice().to_vec();
+    scratch.clear();
+    TupleSet::encode_readings_into(&ts.readings, scratch);
+    if verify && Digest128::of(scratch) != record.content_digest {
+        return Err(digest_mismatch(record.id));
+    }
+    Ok(Encoded { record: record_bytes, data: scratch.as_slice().to_vec() })
+}
+
+fn identity_failure(id: TupleSetId) -> PassError {
+    PassError::Model(ModelError::Invalid(format!("record {id} fails identity verification")))
+}
+
+fn digest_mismatch(id: TupleSetId) -> PassError {
+    PassError::Model(ModelError::Invalid(format!("content digest mismatch for {id}")))
 }
 
 /// Joins `record` with its stored readings; `None` when either is gone.
@@ -432,19 +482,28 @@ impl Pass {
             debug_assert_eq!(record.id, id, "key/record id agreement");
             delta.push(&record, value.into_boxed_slice());
             if delta.len() == REBUILD_CHUNK {
-                let full = std::mem::replace(&mut delta, IndexDelta::with_capacity(REBUILD_CHUNK));
-                state.index.insert_delta(full);
+                let mut full =
+                    std::mem::replace(&mut delta, IndexDelta::with_capacity(REBUILD_CHUNK));
+                state.index.insert_delta(&mut full);
             }
         }
-        state.index.insert_delta(delta);
+        state.index.insert_delta(&mut delta);
         state.index.sort_time();
         state.index.shrink_to_fit();
-        for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
-            // A marker whose record is missing sets no bit; the audit
-            // (`verify_consistency`) reports it from storage.
-            match keyspace::parse(&key) {
-                Some((_, id)) if state.index.contains(id) => state.set_data(id, true),
-                _ => {}
+        // Markers are read in 256 slices of the id space. One scan of the
+        // whole prefix would allocate a key and a value per stored set on
+        // top of the built indexes and free them only at the end, and the
+        // open would leave those pages resident.
+        for first in 0..=u8::MAX {
+            let next = [keyspace::MARKER, first.wrapping_add(1)];
+            let end: &[u8] = if first == u8::MAX { &[keyspace::MARKER + 1] } else { &next };
+            for (key, _) in self.store.scan_range(&[keyspace::MARKER, first], Some(end))? {
+                // A marker whose record is missing sets no bit; the audit
+                // (`verify_consistency`) reports it from storage.
+                match keyspace::parse(&key) {
+                    Some((_, id)) if state.index.contains(id) => state.set_data(id, true),
+                    _ => {}
+                }
             }
         }
         let mut guard = self.state.write();
@@ -533,6 +592,14 @@ impl Pass {
         if sets.is_empty() {
             return Ok(Vec::new());
         }
+        // Phase 0, before any lock: encode each record and its readings
+        // once. The identity and content checks hash these very bytes,
+        // and they are what storage and the index delta keep.
+        let mut scratch = Vec::new();
+        let mut encoded = Vec::with_capacity(sets.len());
+        for ts in sets {
+            encoded.push(encode_set(ts, verify, &mut scratch)?);
+        }
         // Take the commit locks of exactly the shards this batch touches,
         // in ascending index order (the deadlock-free total order shared
         // by every multi-shard committer). Writers whose shard sets are
@@ -552,26 +619,11 @@ impl Pass {
         // publisher's `Arc::make_mut` to deep-copy the entire state,
         // serializing shard-parallel writers on copy work.
         let current = self.state.read();
-        let mut fresh: Vec<&TupleSet> = Vec::with_capacity(sets.len());
-        let mut seen: HashMap<TupleSetId, pass_model::Digest128> = HashMap::new();
+        let mut fresh: Vec<usize> = Vec::with_capacity(sets.len());
+        let mut seen: HashMap<TupleSetId, Digest128> = HashMap::with_capacity(sets.len());
         let mut ids = Vec::with_capacity(sets.len());
-        for ts in sets {
+        for (i, ts) in sets.iter().enumerate() {
             let record = &ts.provenance;
-            if verify {
-                if !record.verify_identity() {
-                    return Err(PassError::Model(ModelError::Invalid(format!(
-                        "record {} fails identity verification",
-                        record.id
-                    ))));
-                }
-                let digest = TupleSet::content_digest_of(&ts.readings);
-                if digest != record.content_digest {
-                    return Err(PassError::Model(ModelError::Invalid(format!(
-                        "content digest mismatch for {}",
-                        record.id
-                    ))));
-                }
-            }
             ids.push(record.id);
             // PASS property 3: identical id ⇒ identical provenance.
             // Identity binds the content digest, so matching ids with
@@ -587,7 +639,7 @@ impl Pass {
                 Some(_) => return Err(PassError::IdentityCollision(record.id)),
                 None => {
                     seen.insert(record.id, record.content_digest);
-                    fresh.push(ts);
+                    fresh.push(i);
                 }
             }
         }
@@ -604,48 +656,47 @@ impl Pass {
         // fsync, exactly the old single-store commit. A cross-shard
         // batch goes through the intent-log protocol, which keeps the
         // multi-WAL write all-or-nothing across crashes (see
-        // [`pass_storage::sharded`]). Each record is encoded once: the
-        // bytes go to storage and a copy to the index delta, which
-        // extracts the index entries here, ahead of the serialized
+        // [`pass_storage::sharded`]). The Phase 0 bytes move into the
+        // batch, and a copy of each record's goes to the index delta,
+        // which extracts the index entries here, ahead of the serialized
         // section.
         let mut parts: Vec<(usize, WriteBatch)> = Vec::new();
         let mut slot_of: HashMap<usize, usize> = HashMap::new();
         let mut delta = IndexDelta::with_capacity(fresh.len());
-        for ts in &fresh {
-            let record = &ts.provenance;
+        for &i in &fresh {
+            let record = &sets[i].provenance;
+            let Encoded { record: record_bytes, data } = std::mem::take(&mut encoded[i]);
             let shard = self.sharding.shard_of(record.id);
             let slot = *slot_of.entry(shard).or_insert_with(|| {
                 parts.push((shard, WriteBatch::new()));
                 parts.len() - 1
             });
             let batch = &mut parts[slot].1;
-            let mut data_buf = Vec::with_capacity(ts.readings.len() * 24 + 8);
-            ts.readings.encode_into(&mut data_buf);
-            let encoded = record.encode_to_vec();
-            delta.push(record, encoded.as_slice().into());
-            batch.put(keyspace::key(keyspace::RECORD, record.id).to_vec(), encoded);
-            batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data_buf);
+            delta.push(record, record_bytes.as_slice().into());
+            batch.put(keyspace::key(keyspace::RECORD, record.id).to_vec(), record_bytes);
+            batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data);
             batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
         }
         self.sharding.apply_parts(&self.store, parts)?;
 
         // Phase 3: one bulk index publish under the global version. The
-        // delta (record bytes, attribute rows, tokenized docs) was
-        // extracted *before* the serialized section; only graph
-        // interning, the sorted merges, and the broadcast sit inside it.
+        // delta (record bytes, edges, attribute rows grouped by value,
+        // tokenized docs) was extracted *before* the serialized section;
+        // only graph interning, the posting merges, and the broadcast
+        // sit inside it.
         let order = self.publish_order.lock();
         let ((), version) = self.publish(|state| {
-            state.index.insert_delta(delta);
+            state.index.insert_delta(&mut delta);
             state.index.sort_time();
-            for ts in &fresh {
-                state.set_data(ts.provenance.id, true);
+            for &i in &fresh {
+                state.set_data(sets[i].provenance.id, true);
             }
         });
         // Broadcast while still holding the publish-order lock so
         // subscribers receive changelogs in version order even under
         // shard-parallel writers. The record clones are paid only when
         // a subscriber exists.
-        self.hub.broadcast(version, || fresh.iter().map(|ts| ts.provenance.clone()).collect());
+        self.hub.broadcast(version, || fresh.iter().map(|&i| sets[i].provenance.clone()).collect());
         drop(order);
         self.metrics.ingests.fetch_add(fresh.len() as u64, Ordering::Relaxed);
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
@@ -816,11 +867,11 @@ impl Pass {
     /// Lock order: one shard commit lock, then `publish_order` (new
     /// records only), then the state write lock inside `publish`.
     fn merge_record(&self, record: &ProvenanceRecord) -> Result<(bool, usize)> {
-        if !record.verify_identity() {
-            return Err(PassError::Model(ModelError::Invalid(format!(
-                "record {} fails identity verification",
-                record.id
-            ))));
+        // The identity is checked over the encoding a new record is
+        // stored as.
+        let mut encoded = Vec::new();
+        if !record.encode_verified_into(&mut encoded) {
+            return Err(identity_failure(record.id));
         }
         let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
         let current = self.state.read();
@@ -849,13 +900,13 @@ impl Pass {
         // readings live elsewhere (or were removed; PASS property 4). The
         // shard lock keeps the id absent until the publish below.
         drop(current);
-        let encoded: Box<[u8]> = record.encode_to_vec().into();
+        let encoded: Box<[u8]> = encoded.into();
         self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
         let mut delta = IndexDelta::with_capacity(1);
         delta.push(record, encoded);
         let order = self.publish_order.lock();
         let ((), version) = self.publish(|state| {
-            state.index.insert_delta(delta);
+            state.index.insert_delta(&mut delta);
             state.index.sort_time();
         });
         self.hub.broadcast(version, || vec![record.clone()]);
@@ -886,14 +937,11 @@ impl Pass {
                 return Ok(false);
             }
         }
-        if TupleSet::content_digest_of(&ts.readings) != record.content_digest {
-            return Err(PassError::Model(ModelError::Invalid(format!(
-                "content digest mismatch for {}",
-                record.id
-            ))));
-        }
         let mut data_buf = Vec::with_capacity(ts.readings.len() * 24 + 8);
-        ts.readings.encode_into(&mut data_buf);
+        TupleSet::encode_readings_into(&ts.readings, &mut data_buf);
+        if Digest128::of(&data_buf) != record.content_digest {
+            return Err(digest_mismatch(record.id));
+        }
         let mut batch = WriteBatch::new();
         batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data_buf);
         batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
@@ -1218,14 +1266,14 @@ impl Pass {
     pub fn verify_consistency(&self) -> Result<ConsistencyReport> {
         let mut report = ConsistencyReport::default();
         let mut record_ids = HashSet::new();
-        let mut digests: HashMap<TupleSetId, pass_model::Digest128> = HashMap::new();
+        let mut digests: HashMap<TupleSetId, Digest128> = HashMap::new();
         for (key, value) in self.store.scan_prefix(&[keyspace::RECORD])? {
             let Some((_, id)) = keyspace::parse(&key) else { continue };
             report.records += 1;
             record_ids.insert(id);
-            match ProvenanceRecord::decode_all(&value) {
-                Ok(record) => {
-                    if !record.verify_identity() || record.id != id {
+            match ProvenanceRecord::decode_verified(&value) {
+                Ok((record, verified)) => {
+                    if !verified || record.id != id {
                         report.identity_failures.push(id);
                     }
                     digests.insert(id, record.content_digest);
@@ -1242,13 +1290,10 @@ impl Pass {
                 report.orphan_data.push(id);
                 continue;
             }
-            match Vec::<Reading>::decode_all(&value) {
-                Ok(readings) => {
-                    if digests.get(&id) != Some(&TupleSet::content_digest_of(&readings)) {
-                        report.digest_mismatches.push(id);
-                    }
-                }
-                Err(_) => report.digest_mismatches.push(id),
+            // The stored bytes are the canonical encoding the digest
+            // was taken over: hash them as they are.
+            if digests.get(&id) != Some(&Digest128::of(&value)) {
+                report.digest_mismatches.push(id);
             }
         }
         let mut marker_ids = HashSet::new();

@@ -37,25 +37,25 @@ impl AttrIndex {
         self.entries += 1;
     }
 
-    /// Bulk-indexes one attribute's `(value, node)` rows from a whole
-    /// ingest batch. The rows are sorted once and merged value-group by
-    /// value-group into the posting lists (`PostingList::extend_sorted`),
-    /// so the batch pays one owned `name` and one `by_attr` lookup per
-    /// attribute, and one sort plus one merge per touched value, instead
-    /// of one ordered insert per row.
-    pub fn insert_bulk(&mut self, name: String, mut rows: Vec<(Value, NodeIdx)>) {
-        self.entries += rows.len() as u64;
-        rows.sort_unstable();
-        let values = self.by_attr.entry(name).or_default();
-        let mut rows = rows.into_iter().peekable();
-        let mut run: Vec<NodeIdx> = Vec::new();
-        while let Some((value, idx)) = rows.next() {
-            run.clear();
-            run.push(idx);
-            while let Some((_, nidx)) = rows.next_if(|(v, _)| *v == value) {
-                run.push(nidx);
-            }
-            values.entry(value).or_default().extend_sorted(&run);
+    /// Bulk-indexes one attribute's rows from a whole ingest batch,
+    /// grouped by value: each distinct value comes once, with its nodes
+    /// ascending, and is merged into its posting list
+    /// (`PostingList::extend_sorted`). The batch pays one `by_attr`
+    /// lookup per attribute (the name is copied only the first time the
+    /// index meets it) and one merge per distinct value, and sorts
+    /// nothing.
+    pub fn insert_bulk<'r>(
+        &mut self,
+        name: &str,
+        runs: impl IntoIterator<Item = (Value, &'r [NodeIdx])>,
+    ) {
+        let values = match self.by_attr.get_mut(name) {
+            Some(values) => values,
+            None => self.by_attr.entry(name.to_owned()).or_default(),
+        };
+        for (value, run) in runs {
+            self.entries += run.len() as u64;
+            values.entry(value).or_default().extend_sorted(run);
         }
     }
 

@@ -35,26 +35,18 @@ impl KeywordIndex {
         self.documents += 1;
     }
 
-    /// Bulk-indexes many documents at once: tokenizes everything, sorts
-    /// the `(token, node)` pairs, and merges each token's sorted node run
-    /// into its posting list in one pass.
-    pub fn insert_bulk<'a>(&mut self, docs: impl IntoIterator<Item = (NodeIdx, &'a str)>) {
-        let mut pairs: Vec<(String, NodeIdx)> = Vec::new();
-        for (idx, text) in docs {
-            pairs.extend(tokenize(text).map(|t| (t, idx)));
-            self.documents += 1;
+    /// Bulk-indexes `documents` documents at once, tokenized by the
+    /// caller and grouped by token: each distinct token comes once, with
+    /// its nodes ascending, and is merged into its posting list.
+    pub fn insert_bulk<'r>(
+        &mut self,
+        documents: u64,
+        runs: impl IntoIterator<Item = (String, &'r [NodeIdx])>,
+    ) {
+        for (token, run) in runs {
+            self.postings.entry(token).or_default().extend_sorted(run);
         }
-        pairs.sort_unstable();
-        let mut pairs = pairs.into_iter().peekable();
-        let mut run: Vec<NodeIdx> = Vec::new();
-        while let Some((token, idx)) = pairs.next() {
-            run.clear();
-            run.push(idx);
-            while let Some((_, nidx)) = pairs.next_if(|(t, _)| *t == token) {
-                run.push(nidx);
-            }
-            self.postings.entry(token).or_default().extend_sorted(&run);
-        }
+        self.documents += documents;
     }
 
     /// Nodes whose indexed text contains the token.

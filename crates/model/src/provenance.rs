@@ -164,10 +164,84 @@ impl ProvenanceRecord {
         recomputed == self.id
     }
 
+    /// Appends the canonical encoding to `buf` and reports whether the
+    /// id is the identity of the record: the id is checked against the
+    /// digest of the bytes just written, minus the id itself and the
+    /// annotation span, so a store that writes these bytes hashes them
+    /// once and serializes the record once.
+    pub fn encode_verified_into(&self, buf: &mut Vec<u8>) -> bool {
+        let start = buf.len();
+        let spans = self.encode_spans(buf);
+        identity_of(&buf[start..], spans) == self.id
+    }
+
+    /// Decodes a stored encoding and reports whether its id is the
+    /// identity of the decoded record, hashing the identity spans of
+    /// `bytes` themselves rather than a re-encoding of the record.
+    pub fn decode_verified(bytes: &[u8]) -> Result<(ProvenanceRecord, bool), ModelError> {
+        let mut r = Reader::new(bytes);
+        let (record, spans) = Self::decode_spans(&mut r)?;
+        if !r.is_empty() {
+            return Err(ModelError::Invalid(format!(
+                "{} trailing bytes after decode",
+                r.remaining()
+            )));
+        }
+        let verified = identity_of(bytes, spans) == record.id;
+        Ok((record, verified))
+    }
+
+    /// Appends the canonical encoding — the id, then the identity head,
+    /// the annotations, and the identity tail — and returns where the
+    /// annotations and the tail start, relative to the encoding's start.
+    fn encode_spans(&self, buf: &mut Vec<u8>) -> [usize; 2] {
+        let start = buf.len();
+        self.id.encode_into(buf);
+        encode_identity_head(&self.attributes, &self.ancestry, buf);
+        let annotations_at = buf.len() - start;
+        self.annotations.encode_into(buf);
+        let tail_at = buf.len() - start;
+        encode_identity_tail(self.origin, self.created_at, self.content_digest, buf);
+        [annotations_at, tail_at]
+    }
+
     /// Adds an annotation (does not change identity).
     pub fn annotate(&mut self, annotation: Annotation) {
         self.annotations.push(annotation);
     }
+}
+
+// A record's identity preimage is its canonical encoding without the id
+// and without the annotation span: the identity head (attributes and
+// ancestry) followed by the identity tail (origin, creation time and
+// content digest). Both the builder's hash and the stored encoding write
+// these fields through the two functions below, so the layouts cannot
+// drift apart.
+
+fn encode_identity_head(attributes: &Attributes, ancestry: &[Derivation], buf: &mut Vec<u8>) {
+    attributes.encode_into(buf);
+    codec::put_varint(buf, ancestry.len() as u64);
+    for d in ancestry {
+        d.encode_into(buf);
+    }
+}
+
+fn encode_identity_tail(
+    origin: SiteId,
+    created_at: Timestamp,
+    content_digest: Digest128,
+    buf: &mut Vec<u8>,
+) {
+    origin.encode_into(buf);
+    created_at.encode_into(buf);
+    buf.extend_from_slice(&content_digest.0.to_be_bytes());
+}
+
+/// The identity named by a record encoding, given where its annotation
+/// span and its identity tail start.
+fn identity_of(encoding: &[u8], [annotations_at, tail_at]: [usize; 2]) -> TupleSetId {
+    let head = &encoding[TupleSetId::WIDTH..annotations_at];
+    TupleSetId(Digest128::of_parts(&[head, &encoding[tail_at..]]).0)
 }
 
 /// Computes a record identity from its identity-bearing fields.
@@ -179,14 +253,8 @@ fn identity_digest(
     content_digest: Digest128,
 ) -> TupleSetId {
     let mut buf = Vec::with_capacity(attributes.len() * 16 + ancestry.len() * 24 + 48);
-    attributes.encode_into(&mut buf);
-    codec::put_varint(&mut buf, ancestry.len() as u64);
-    for d in ancestry {
-        d.encode_into(&mut buf);
-    }
-    origin.encode_into(&mut buf);
-    created_at.encode_into(&mut buf);
-    buf.extend_from_slice(&content_digest.0.to_be_bytes());
+    encode_identity_head(attributes, ancestry, &mut buf);
+    encode_identity_tail(origin, created_at, content_digest, &mut buf);
     TupleSetId(Digest128::of(&buf).0)
 }
 
@@ -326,27 +394,38 @@ impl Decode for Annotation {
 
 impl Encode for ProvenanceRecord {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.id.encode_into(buf);
-        self.attributes.encode_into(buf);
-        self.ancestry.encode_into(buf);
-        self.annotations.encode_into(buf);
-        self.origin.encode_into(buf);
-        self.created_at.encode_into(buf);
-        buf.extend_from_slice(&self.content_digest.0.to_be_bytes());
+        self.encode_spans(buf);
+    }
+}
+
+impl ProvenanceRecord {
+    /// Decodes a record from the front of `r` and returns where its
+    /// annotations and its identity tail start, relative to where it
+    /// starts (the spans [`ProvenanceRecord::encode_spans`] reports).
+    fn decode_spans(r: &mut Reader<'_>) -> Result<(Self, [usize; 2]), ModelError> {
+        let start = r.position();
+        let id = TupleSetId::decode_from(r)?;
+        let attributes = Attributes::decode_from(r)?;
+        let ancestry = Vec::<Derivation>::decode_from(r)?;
+        let annotations_at = r.position() - start;
+        let annotations = Vec::<Annotation>::decode_from(r)?;
+        let tail_at = r.position() - start;
+        let record = ProvenanceRecord {
+            id,
+            attributes,
+            ancestry,
+            annotations,
+            origin: SiteId::decode_from(r)?,
+            created_at: Timestamp::decode_from(r)?,
+            content_digest: Digest128(r.take_u128_be("content digest")?),
+        };
+        Ok((record, [annotations_at, tail_at]))
     }
 }
 
 impl Decode for ProvenanceRecord {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
-        Ok(ProvenanceRecord {
-            id: TupleSetId::decode_from(r)?,
-            attributes: Attributes::decode_from(r)?,
-            ancestry: Vec::<Derivation>::decode_from(r)?,
-            annotations: Vec::<Annotation>::decode_from(r)?,
-            origin: SiteId::decode_from(r)?,
-            created_at: Timestamp::decode_from(r)?,
-            content_digest: Digest128(r.take_u128_be("content digest")?),
-        })
+        Ok(Self::decode_spans(r)?.0)
     }
 }
 

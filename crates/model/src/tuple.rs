@@ -110,11 +110,19 @@ impl TupleSet {
     /// to identity (PASS property 3).
     pub fn content_digest_of(readings: &[Reading]) -> Digest128 {
         let mut buf = Vec::with_capacity(readings.len() * 24 + 8);
-        codec::put_varint(&mut buf, readings.len() as u64);
-        for reading in readings {
-            reading.encode_into(&mut buf);
-        }
+        Self::encode_readings_into(readings, &mut buf);
         Digest128::of(&buf)
+    }
+
+    /// Appends the canonical encoding of a reading sequence: the bytes a
+    /// store keeps as a tuple set's data, and the bytes its content
+    /// digest is taken over ([`Digest128::of`] of them is
+    /// [`TupleSet::content_digest_of`]).
+    pub fn encode_readings_into(readings: &[Reading], buf: &mut Vec<u8>) {
+        codec::put_varint(buf, readings.len() as u64);
+        for reading in readings {
+            reading.encode_into(buf);
+        }
     }
 
     /// Number of readings.
@@ -143,7 +151,7 @@ impl TupleSet {
 impl Encode for TupleSet {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         self.provenance.encode_into(buf);
-        self.readings.encode_into(buf);
+        Self::encode_readings_into(&self.readings, buf);
     }
 }
 

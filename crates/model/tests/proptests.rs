@@ -4,8 +4,8 @@
 
 use pass_model::codec::{Decode, Encode};
 use pass_model::{
-    Attributes, Digest128, GeoPoint, ProvenanceBuilder, Reading, SensorId, SiteId, Timestamp,
-    ToolDescriptor, TupleSet, TupleSetId, Value,
+    Annotation, Attributes, Derivation, Digest128, GeoPoint, ProvenanceBuilder, ProvenanceRecord,
+    Reading, SensorId, SiteId, Timestamp, ToolDescriptor, TupleSet, TupleSetId, Value,
 };
 use proptest::prelude::*;
 
@@ -35,7 +35,82 @@ fn arb_reading() -> impl Strategy<Value = Reading> {
         .prop_map(|(s, t, fields)| Reading { sensor: SensorId(s), time: Timestamp(t), fields })
 }
 
+fn arb_derivation() -> impl Strategy<Value = Derivation> {
+    (any::<u128>(), "[a-z]{1,8}", "[0-9.]{1,5}", arb_attributes(), any::<bool>()).prop_map(
+        |(parent, name, version, params, abstracted)| {
+            let tool = ToolDescriptor { name, version, params, abstracted };
+            Derivation::new(TupleSetId(parent), tool)
+        },
+    )
+}
+
+fn arb_annotation() -> impl Strategy<Value = Annotation> {
+    (any::<u64>(), "[a-z]{0,8}", "[ -~]{0,24}")
+        .prop_map(|(at, author, text)| Annotation::new(Timestamp(at), author, text))
+}
+
 proptest! {
+    /// The one-encoding identity check (`encode_verified_into`, and
+    /// `decode_verified` over the stored bytes) agrees with the
+    /// builder's identity for records with every value variant, 0–3
+    /// derivations and 0–3 annotations. Flipping any identity-bearing
+    /// byte of the encoding fails the check; replacing the annotations
+    /// does not. The readings' stored bytes hash to the content digest.
+    #[test]
+    fn one_encoding_identity_check_agrees_with_the_builder(
+        attrs in arb_attributes(),
+        ancestry in proptest::collection::vec(arb_derivation(), 0..4),
+        annotations in proptest::collection::vec(arb_annotation(), 0..4),
+        replaced in proptest::collection::vec(arb_annotation(), 0..4),
+        readings in proptest::collection::vec(arb_reading(), 0..4),
+        origin in any::<u32>(),
+        created in any::<u64>(),
+        flip in any::<usize>(),
+        bit in 0u32..8,
+    ) {
+        let mut builder = ProvenanceBuilder::new(SiteId(origin), Timestamp(created)).attrs(&attrs);
+        for d in &ancestry {
+            builder = builder.derived_from(d.parent, d.tool.clone());
+        }
+        let digest = TupleSet::content_digest_of(&readings);
+        let mut record = builder.build(digest);
+        prop_assert!(record.verify_identity());
+
+        let mut data = Vec::new();
+        TupleSet::encode_readings_into(&readings, &mut data);
+        prop_assert_eq!(Digest128::of(&data), digest);
+
+        record.annotations = annotations;
+        let mut buf = b"prefix".to_vec();
+        prop_assert!(record.encode_verified_into(&mut buf), "appends after existing bytes");
+        let encoding = buf.split_off(6);
+        prop_assert_eq!(&encoding, &record.encode_to_vec());
+        let (decoded, verified) = ProvenanceRecord::decode_verified(&encoding).unwrap();
+        prop_assert!(verified);
+        prop_assert_eq!(&decoded, &record);
+
+        // The identity-bearing bytes: everything but the annotation span.
+        let annotations_at = TupleSetId::WIDTH
+            + record.attributes.encode_to_vec().len()
+            + record.ancestry.encode_to_vec().len();
+        let tail_at = annotations_at + record.annotations.encode_to_vec().len();
+        let bearing: Vec<usize> = (0..annotations_at).chain(tail_at..encoding.len()).collect();
+        let at = bearing[flip % bearing.len()];
+        let mut flipped = encoding.clone();
+        flipped[at] ^= 1 << bit;
+        // A flip that breaks the structure fails the check too.
+        if let Ok((_, verified)) = ProvenanceRecord::decode_verified(&flipped) {
+            prop_assert!(!verified, "flip at byte {} still verifies", at);
+        }
+        let mut forged = record.clone();
+        forged.id = TupleSetId(forged.id.0 ^ (1 << (at % 128)));
+        prop_assert!(!forged.encode_verified_into(&mut Vec::new()));
+
+        record.annotations = replaced;
+        prop_assert!(record.encode_verified_into(&mut Vec::new()));
+        prop_assert!(ProvenanceRecord::decode_verified(&record.encode_to_vec()).unwrap().1);
+    }
+
     #[test]
     fn value_codec_round_trips(v in arb_value(3)) {
         let enc = v.encode_to_vec();

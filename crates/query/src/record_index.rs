@@ -14,84 +14,244 @@
 //! `created_at` column. [`RecordIndex::get`], [`RecordIndex::records`]
 //! and [`Provider::fetch`] decode a record on every call.
 
-use crate::ast::{multi_valued_attrs, LineageClause, Query};
+use crate::ast::{LineageClause, Query};
 use crate::error::Result;
 use crate::exec::{execute, order_key, Cursor, PreparedQuery, Provider, QueryEngine, QueryResult};
+use pass_index::keyword::tokenize;
 use pass_index::{
     AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
     TimeIndex,
 };
 use pass_model::codec::Decode;
 use pass_model::{keys, Annotation, ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 /// Everything a batch of records contributes to the index, keyed by
 /// each record's position in the batch: its id, creation time and
-/// canonical encoding, plus the index entries extracted from it. It is
-/// built without touching the index, so a store can extract it ahead of
-/// its serialized publish step; positions become `NodeIdx`es in
-/// [`RecordIndex::insert_delta`], where graph interning assigns them.
+/// canonical encoding, its parent edges, and its index rows, grouped
+/// as they are extracted (one copy of each distinct attribute value and
+/// keyword token per batch). It is built without touching the index, so
+/// a store can extract it ahead of its serialized publish step;
+/// positions become `NodeIdx`es in [`RecordIndex::insert_delta`], where
+/// graph interning assigns them.
 #[derive(Default)]
 pub struct IndexDelta {
-    records: Vec<(TupleSetId, Timestamp, Box<[u8]>)>,
-    parents: Vec<Vec<(TupleSetId, bool)>>,
-    /// Attribute rows grouped by name as they are extracted, each row a
-    /// value and the record's position in the batch.
-    attrs: BTreeMap<String, Vec<(Value, NodeIdx)>>,
-    docs: Vec<(usize, String)>,
-    ranges: Vec<(usize, TimeRange)>,
+    records: Vec<Pending>,
+    /// Every record's parent edges, back to back in batch order.
+    parents: Vec<(TupleSetId, bool)>,
+    /// The batch's distinct `(attribute, value)` pairs, each with its
+    /// group in `attr_rows`.
+    attrs: BTreeMap<Cow<'static, str>, BTreeMap<Value, u32>>,
+    attr_rows: Rows,
+    /// The batch's distinct keyword tokens, each with its group in
+    /// `token_rows`.
+    tokens: BTreeMap<String, u32>,
+    token_rows: Rows,
+    /// Annotation and description texts tokenized into `tokens`.
+    docs: u64,
+    ranges: Vec<(NodeIdx, TimeRange)>,
+    /// A reused `Value::Str`, so a string row built from borrowed text
+    /// (a tool's name or version) allocates only for a value the batch
+    /// has not met yet.
+    probe: Value,
+    /// Merge-time buffers: each position's node, and the grouped runs.
+    idxs: Vec<NodeIdx>,
+    runs: Runs,
+}
+
+/// One record of an [`IndexDelta`].
+struct Pending {
+    id: TupleSetId,
+    created_at: Timestamp,
+    encoding: Box<[u8]>,
+    /// Where the record's parent edges end in the delta's edge list.
+    parents_end: usize,
+}
+
+/// Rows of a batch, each a group (one `(attribute, value)` pair or one
+/// token) and a record position, in extraction order.
+#[derive(Default)]
+struct Rows {
+    rows: Vec<(u32, NodeIdx)>,
+    groups: u32,
+}
+
+impl Rows {
+    /// Numbers a new group.
+    fn group(&mut self) -> u32 {
+        self.groups += 1;
+        self.groups - 1
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.groups = 0;
+    }
+}
+
+/// Rows regrouped for the merge: every group's nodes, ascending, as one
+/// contiguous run of `nodes`.
+#[derive(Default)]
+struct Runs {
+    nodes: Vec<NodeIdx>,
+    /// Where each group's run ends in `nodes`.
+    ends: Vec<usize>,
+}
+
+impl Runs {
+    /// Places each row's node (its position mapped through `idxs`) in
+    /// its group's run by counting sort; runs keep extraction order, so
+    /// a run is already ascending unless interning handed out nodes out
+    /// of batch order (parents met as placeholders), and only then is
+    /// it sorted.
+    fn build(&mut self, rows: &Rows, idxs: &[NodeIdx]) {
+        self.ends.clear();
+        self.ends.resize(rows.groups as usize, 0);
+        for &(group, _) in &rows.rows {
+            self.ends[group as usize] += 1;
+        }
+        let mut start = 0;
+        for end in &mut self.ends {
+            let len = *end;
+            *end = start;
+            start += len;
+        }
+        self.nodes.clear();
+        self.nodes.resize(rows.rows.len(), 0);
+        for &(group, slot) in &rows.rows {
+            let at = &mut self.ends[group as usize];
+            self.nodes[*at] = idxs[slot as usize];
+            *at += 1;
+        }
+        let mut start = 0;
+        for &end in &self.ends {
+            let run = &mut self.nodes[start..end];
+            if run.windows(2).any(|w| w[0] > w[1]) {
+                run.sort_unstable();
+            }
+            start = end;
+        }
+    }
+
+    /// The run of `group`.
+    fn run(&self, group: u32) -> &[NodeIdx] {
+        let group = group as usize;
+        let start = if group == 0 { 0 } else { self.ends[group - 1] };
+        &self.nodes[start..self.ends[group]]
+    }
 }
 
 impl IndexDelta {
     /// An empty delta with room for `records` records.
     pub fn with_capacity(records: usize) -> IndexDelta {
-        IndexDelta {
-            records: Vec::with_capacity(records),
-            parents: Vec::with_capacity(records),
-            ..IndexDelta::default()
-        }
+        IndexDelta { records: Vec::with_capacity(records), ..IndexDelta::default() }
     }
 
     /// Adds `record`, to be held as `encoding`, which must be its
     /// canonical encoding (callers already have it: the bytes they write
     /// to storage, or read back from it). Extracts the record's index
-    /// entries: its attributes, the multi-valued tool attributes, the
-    /// `origin.site` / `created_at` / `ancestry.parents`
-    /// pseudo-attributes, annotation and description text, and its
-    /// declared time window.
+    /// entries: its attributes, the multi-valued `tool.name` /
+    /// `tool.version` attributes, the `origin.site` / `created_at` /
+    /// `ancestry.parents` pseudo-attributes, annotation and description
+    /// text, and its declared time window.
     pub fn push(&mut self, record: &ProvenanceRecord, encoding: Box<[u8]>) {
-        let slot = self.records.len();
-        self.records.push((record.id, record.created_at, encoding));
-        self.parents.push(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)).collect());
+        // Positions stand in for `NodeIdx`es until `insert_delta`.
+        let slot = NodeIdx::try_from(self.records.len())
+            .expect("a batch holds fewer records than a NodeIdx can count");
+        self.parents.extend(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)));
+        self.records.push(Pending {
+            id: record.id,
+            created_at: record.created_at,
+            encoding,
+            parents_end: self.parents.len(),
+        });
+        for (name, value) in record.attributes.iter() {
+            self.attr_row(name, value, slot, || Cow::Owned(name.to_owned()));
+        }
+        // The same rows `multi_valued_attrs` lists for the executor.
+        for d in &record.ancestry {
+            self.str_row("tool.name", &d.tool.name, slot);
+            self.str_row("tool.version", &d.tool.version, slot);
+        }
         // Pseudo-attributes, indexed so the planner can serve them.
         let pseudo = [
             ("origin.site", Value::Int(i64::from(record.origin.0))),
             ("created_at", Value::Time(record.created_at)),
             ("ancestry.parents", Value::Int(record.ancestry.len() as i64)),
         ];
-        let own = record.attributes.iter().map(|(name, value)| (name, value.clone()));
-        // Positions stand in for `NodeIdx`es until `insert_delta`.
-        let row_slot =
-            NodeIdx::try_from(slot).expect("a batch holds fewer records than a NodeIdx can count");
-        for (name, value) in own.chain(multi_valued_attrs(record)).chain(pseudo) {
-            match self.attrs.get_mut(name) {
-                Some(rows) => rows.push((value, row_slot)),
-                None => {
-                    self.attrs.insert(name.to_owned(), vec![(value, row_slot)]);
-                }
-            }
+        for (name, value) in &pseudo {
+            self.attr_row(name, value, slot, || Cow::Borrowed(name));
         }
         for ann in &record.annotations {
-            self.docs.push((slot, ann.text.clone()));
+            self.doc(&ann.text, slot);
         }
         if let Some(desc) = record.attributes.get_str(keys::DESCRIPTION) {
-            self.docs.push((slot, desc.to_owned()));
+            self.doc(desc, slot);
         }
         if let Some(range) = record.time_range() {
             self.ranges.push((slot, range));
         }
+    }
+
+    /// Adds the row `(name, value)` of the record at `slot`. The name
+    /// (made by `key`) and the value are copied only the first time the
+    /// batch meets them.
+    fn attr_row(
+        &mut self,
+        name: &str,
+        value: &Value,
+        slot: NodeIdx,
+        key: impl FnOnce() -> Cow<'static, str>,
+    ) {
+        let group = match self.attrs.get_mut(name) {
+            Some(values) => match values.get(value) {
+                Some(&group) => group,
+                None => {
+                    let group = self.attr_rows.group();
+                    values.insert(value.clone(), group);
+                    group
+                }
+            },
+            None => {
+                let group = self.attr_rows.group();
+                self.attrs.insert(key(), BTreeMap::from([(value.clone(), group)]));
+                group
+            }
+        };
+        self.attr_rows.rows.push((group, slot));
+    }
+
+    /// [`IndexDelta::attr_row`] for a string value read from `text`.
+    fn str_row(&mut self, name: &'static str, text: &str, slot: NodeIdx) {
+        let mut probe = std::mem::take(&mut self.probe);
+        match &mut probe {
+            Value::Str(s) => {
+                s.clear();
+                s.push_str(text);
+            }
+            other => *other = Value::Str(text.to_owned()),
+        }
+        self.attr_row(name, &probe, slot, || Cow::Borrowed(name));
+        self.probe = probe;
+    }
+
+    /// Tokenizes one annotation or description of the record at `slot`.
+    fn doc(&mut self, text: &str, slot: NodeIdx) {
+        for token in tokenize(text) {
+            let group = match self.tokens.get(token.as_str()) {
+                Some(&group) => group,
+                None => {
+                    let group = self.token_rows.group();
+                    self.tokens.insert(token, group);
+                    group
+                }
+            };
+            self.token_rows.rows.push((group, slot));
+        }
+        self.docs += 1;
     }
 
     /// Number of records in the delta.
@@ -165,44 +325,70 @@ impl RecordIndex {
         }
         let mut delta = IndexDelta::with_capacity(1);
         delta.push(record, encoding);
-        self.insert_delta(delta);
+        self.insert_delta(&mut delta);
         self.sort_time();
     }
 
-    /// Merges a pre-extracted batch: each record's bytes and graph edges,
-    /// then one sorted bulk insert per index, so maintenance cost is
-    /// amortized over the batch. The caller must not pass ids already
-    /// stored. The time index is left unsorted (overlap queries still
+    /// Merges a pre-extracted batch and empties `delta` (a caller that
+    /// merges under a lock frees the delta's buffers after leaving it):
+    /// each record's bytes and graph edges, then each distinct attribute
+    /// value's and token's run of nodes into its posting list, so
+    /// maintenance cost is amortized over the batch and nothing is
+    /// sorted but the runs interning left out of order. The caller must
+    /// not pass ids already stored. The time index is left unsorted (overlap queries still
     /// answer, by a linear scan) until [`RecordIndex::sort_time`], so a
     /// bulk load of many deltas sorts it once.
-    pub fn insert_delta(&mut self, delta: IndexDelta) {
-        let mut idxs = Vec::with_capacity(delta.records.len());
-        for ((id, created_at, encoding), parents) in delta.records.into_iter().zip(&delta.parents) {
-            let idx = self.graph.insert(id, parents);
+    pub fn insert_delta(&mut self, delta: &mut IndexDelta) {
+        let IndexDelta {
+            records,
+            parents,
+            attrs,
+            attr_rows,
+            tokens,
+            token_rows,
+            docs,
+            ranges,
+            probe: _,
+            idxs,
+            runs,
+        } = delta;
+        idxs.clear();
+        let mut start = 0;
+        for pending in records.drain(..) {
+            let idx = self.graph.insert(pending.id, &parents[start..pending.parents_end]);
+            start = pending.parents_end;
             // Interning may have added placeholder parents too.
             let nodes = self.graph.node_count();
             self.records.resize_with(nodes, || None);
             self.created.resize(nodes, Timestamp(0));
-            self.record_bytes += encoding.len();
-            let previous = self.records[idx as usize].replace(encoding);
-            debug_assert!(previous.is_none(), "{id} was already stored");
+            self.record_bytes += pending.encoding.len();
+            let previous = self.records[idx as usize].replace(pending.encoding);
+            debug_assert!(previous.is_none(), "{} was already stored", pending.id);
             match previous {
                 Some(old) => self.record_bytes -= old.len(),
                 None => self.stored += 1,
             }
-            self.created[idx as usize] = created_at;
+            self.created[idx as usize] = pending.created_at;
             idxs.push(idx);
         }
-        for (name, mut rows) in delta.attrs {
-            for row in &mut rows {
-                row.1 = idxs[row.1 as usize];
-            }
-            self.attrs.insert_bulk(name, rows);
+        parents.clear();
+        runs.build(attr_rows, idxs);
+        for (name, values) in std::mem::take(attrs) {
+            self.attrs.insert_bulk(
+                &name,
+                values.into_iter().map(|(value, group)| (value, runs.run(group))),
+            );
         }
-        self.keywords
-            .insert_bulk(delta.docs.iter().map(|(slot, text)| (idxs[*slot], text.as_str())));
-        for (slot, range) in delta.ranges {
-            self.time.insert(idxs[slot], range);
+        attr_rows.clear();
+        runs.build(token_rows, idxs);
+        self.keywords.insert_bulk(
+            *docs,
+            std::mem::take(tokens).into_iter().map(|(token, group)| (token, runs.run(group))),
+        );
+        token_rows.clear();
+        *docs = 0;
+        for (slot, range) in ranges.drain(..) {
+            self.time.insert(idxs[slot as usize], range);
         }
         self.created_scans = CreatedScanCache::default();
     }
@@ -544,6 +730,29 @@ mod tests {
             assert_eq!(index.fetch(idx).as_ref(), Some(record));
             assert_eq!(index.parents_of(id), Some(record.parents().collect()));
         }
+        // Grouped rows land in strictly ascending posting lists, also when
+        // interning handed out nodes out of batch order (placeholders).
+        let postings = [
+            ("domain = traffic", index.eq_lookup("domain", &Value::from("traffic"))),
+            ("tool.name = agg", index.eq_lookup("tool.name", &Value::from("agg"))),
+            ("has created_at", index.has_attr("created_at")),
+            ("text window", index.keyword_lookup("window")),
+            ("text note", index.keyword_lookup("note")),
+        ];
+        let expected: [&dyn Fn(&ProvenanceRecord) -> bool; 5] = [
+            &|r| r.attributes.get_str("domain") == Some("traffic"),
+            &|r| !r.ancestry.is_empty(),
+            &|_| true,
+            &|r| r.attributes.get_str(keys::DESCRIPTION).is_some(),
+            &|r| !r.annotations.is_empty(),
+        ];
+        for ((what, posting), want) in postings.iter().zip(expected) {
+            assert!(posting.as_slice().windows(2).all(|w| w[0] < w[1]), "{what}: not ascending");
+            let mut got = index.graph().resolve_all(posting.as_slice());
+            got.sort_unstable();
+            let want: Vec<TupleSetId> = oracle.values().filter(|r| want(r)).map(|r| r.id).collect();
+            assert_eq!(got, want, "{what}");
+        }
         for desc in [false, true] {
             let mut expect: Vec<&ProvenanceRecord> = oracle.values().collect();
             expect.sort_by_key(|r| order_key(r.created_at, r.id, desc));
@@ -600,7 +809,7 @@ mod tests {
                                 record.clone()
                             });
                         }
-                        index.insert_delta(delta);
+                        index.insert_delta(&mut delta);
                         index.sort_time();
                     }
                     2 => {

@@ -19,7 +19,7 @@ fn big_store(n: usize) -> Counted<RecordIndex> {
         delta.push(&record, record.encode_to_vec().into());
     }
     let mut index = RecordIndex::new();
-    index.insert_delta(delta);
+    index.insert_delta(&mut delta);
     Counted::new(index)
 }
 

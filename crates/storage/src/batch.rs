@@ -91,9 +91,20 @@ impl WriteBatch {
         Ok(())
     }
 
-    /// Serializes the batch into a WAL payload.
+    /// Serializes the batch into a WAL payload, into a buffer sized
+    /// exactly (a batch of a thousand tuple sets is about 460 KB, and a
+    /// guessed capacity would regrow and copy it).
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.ops.len() * 32 + 4);
+        let len = varint_len(self.ops.len() as u64)
+            + self
+                .ops
+                .iter()
+                .map(|op| match op {
+                    Op::Put { key, value } => 1 + bytes_len(key) + bytes_len(value),
+                    Op::Delete { key } => 1 + bytes_len(key),
+                })
+                .sum::<usize>();
+        let mut buf = Vec::with_capacity(len);
         put_varint(&mut buf, self.ops.len() as u64);
         for op in &self.ops {
             match op {
@@ -111,6 +122,7 @@ impl WriteBatch {
                 }
             }
         }
+        debug_assert_eq!(buf.len(), len, "the payload was sized exactly");
         buf
     }
 
@@ -152,6 +164,16 @@ pub(crate) fn take_u32_le(buf: &[u8], at: usize) -> Option<u32> {
 pub(crate) fn take_u64_le(buf: &[u8], at: usize) -> Option<u64> {
     let bytes = buf.get(at..at.checked_add(8)?)?;
     <[u8; 8]>::try_from(bytes).ok().map(u64::from_le_bytes)
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes a length-prefixed byte string takes in a payload.
+fn bytes_len(bytes: &[u8]) -> usize {
+    varint_len(bytes.len() as u64) + bytes.len()
 }
 
 pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -206,6 +228,21 @@ mod tests {
         b.put(b"".to_vec(), b"".to_vec()); // empty value is legal in codec
         let enc = b.encode();
         assert_eq!(WriteBatch::decode(&enc), Some(b));
+    }
+
+    #[test]
+    fn encode_sizes_its_payload_exactly() {
+        // Lengths on both sides of each varint width.
+        let mut b = WriteBatch::new();
+        for (i, len) in [0usize, 1, 127, 128, 16_383, 16_384].into_iter().enumerate() {
+            b.put(vec![i as u8; len.min(300) + 1], vec![7u8; len]);
+            b.delete(vec![i as u8; len + 1]);
+        }
+        let enc = b.encode();
+        assert_eq!(enc.capacity(), enc.len(), "no slack, no regrowth");
+        assert_eq!(WriteBatch::decode(&enc), Some(b));
+        let empty = WriteBatch::new().encode();
+        assert_eq!((empty.len(), empty.capacity()), (1, 1));
     }
 
     #[test]
