@@ -9,7 +9,12 @@
 //! around a table that holds an intermediate version of a key would
 //! resurrect it.
 //!
-//! The picker is size-tiered in the universal-compaction style:
+//! The picker is size-tiered in the universal-compaction style. Below
+//! `MIN_MERGE` live tables it proposes nothing, whatever the sizes: a
+//! young store of one or two flushes is left alone, so the first flushes
+//! are not rewritten into one table only to be rewritten again when the
+//! next one lands. From `MIN_MERGE` tables on, the first trigger that
+//! fires wins:
 //!
 //! 1. **Space-amplification trigger** — when the bytes above the oldest
 //!    table exceed `(MAX_SPACE_AMP - 1) × oldest`, everything merges
@@ -30,8 +35,10 @@
 //! below the pin floor (no live snapshot/subscription still reads
 //! through it) — the engine makes both checks.
 //!
-//! The thresholds are fixed constants (defaults of universal
-//! compaction); the engine's maintenance worker is the only caller.
+//! The thresholds are fixed constants chosen for this engine, not
+//! RocksDB's universal-compaction defaults; each constant's comment
+//! names its RocksDB counterpart and that default. The engine's
+//! maintenance worker is the only caller.
 
 use crate::error::Result;
 use crate::iter::{Cursor, Merge};
@@ -40,17 +47,27 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Smallest ratio run worth merging.
+/// Fewest live tables any trigger fires on, and the shortest ratio run
+/// worth merging. RocksDB gates every universal trigger on a file count
+/// too (`level0_file_num_compaction_trigger`, default 4). Three is also
+/// the shortest ratio run, so the gate only holds back the space-amp
+/// trigger, which would otherwise fully merge every pair of tables.
 const MIN_MERGE: usize = 3;
-/// Largest run one merge rewrites.
+/// Largest run one merge rewrites. RocksDB's `max_merge_width` is
+/// unbounded by default; the cap keeps one merge's input set small.
 const MAX_MERGE: usize = 8;
 /// A run extends while the next-older table is ≤ `SIZE_RATIO ×` the
-/// run's accumulated bytes.
+/// run's accumulated bytes. RocksDB's `size_ratio` defaults to 1 %
+/// (a factor of 1.01); 2.0 lets a run absorb a table as big as itself.
 const SIZE_RATIO: f64 = 2.0;
-/// Above this live-table count the pressure trigger fires.
+/// Above this live-table count the pressure trigger fires. RocksDB has
+/// no such trigger; its nearest knob slows writes at 20 files
+/// (`level0_slowdown_writes_trigger`).
 const MAX_LIVE_TABLES: usize = 8;
 /// Full-merge trigger: live bytes may reach `MAX_SPACE_AMP ×` the
 /// oldest table's bytes before everything is rewritten into one table.
+/// RocksDB's `max_size_amplification_percent` defaults to 200 (3.0);
+/// 1.5 trades more rewriting for less dead weight on disk.
 const MAX_SPACE_AMP: f64 = 1.5;
 
 /// What the picker sees of one live table.
@@ -84,11 +101,11 @@ pub struct Pick {
     pub reason: PickReason,
 }
 
-/// Picks the next run to merge, or `None` when the sequence is healthy.
-/// `tables` is newest-first.
+/// Picks the next run to merge, or `None` when the sequence is healthy
+/// or holds fewer than `MIN_MERGE` tables. `tables` is newest-first.
 pub fn pick(tables: &[TableInfo]) -> Option<Pick> {
     let n = tables.len();
-    if n < 2 {
+    if n < MIN_MERGE {
         return None;
     }
     let total: u64 = tables.iter().map(|t| t.bytes).sum();
@@ -189,6 +206,20 @@ mod tests {
         // A small fresh flush over a settled big table: no run, no
         // space-amp breach, under the table cap.
         assert_eq!(pick(&[info(2, 100), info(1, 100_000)]), None);
+    }
+
+    #[test]
+    fn two_tables_never_merge() {
+        const MIB: u64 = 1 << 20;
+        // Each pair would breach the space-amp budget or form a run of
+        // peers if the table-count gate did not come first.
+        for pair in [[4 * MIB, 4 * MIB], [4 * MIB, 100], [100, 4 * MIB]] {
+            assert_eq!(pick(&[info(2, pair[0]), info(1, pair[1])]), None, "{pair:?}");
+        }
+        // A third flush over two equal flushes opens the gate.
+        let run = pick(&[info(3, 4 * MIB), info(2, 4 * MIB), info(1, 4 * MIB)]).expect("three");
+        assert_eq!(run.reason, PickReason::SpaceAmp);
+        assert_eq!(run.range, 0..3);
     }
 
     #[test]
