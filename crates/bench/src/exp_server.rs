@@ -139,9 +139,7 @@ fn fresh_server(budget_bytes: u64, connections: usize) -> (TempDir, ServerHandle
         admission: AdmissionConfig {
             max_in_flight_bytes: budget_bytes,
             max_connections: connections + 8,
-            ..AdmissionConfig::default()
         },
-        ..ServerConfig::default()
     };
     let server = serve("127.0.0.1:0", pass, config).expect("bind e24 server");
     (dir, server)

@@ -79,6 +79,7 @@ use pass_query::{LineageClause, Predicate};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// Default bound on a subscription's changelog queue, in commits.
@@ -126,6 +127,8 @@ struct ChannelState {
     queue: VecDeque<Arc<Changelog>>,
     /// Records discarded by overflow since the consumer last looked.
     dropped: u64,
+    /// Woken after every push (see [`Subscription::set_waker`]).
+    waker: Option<Waker>,
 }
 
 /// The bounded per-subscription queue the commit path pushes into.
@@ -138,7 +141,7 @@ pub(crate) struct Channel {
 impl Channel {
     fn new(capacity: usize) -> Channel {
         Channel {
-            state: Mutex::new(ChannelState { queue: VecDeque::new(), dropped: 0 }),
+            state: Mutex::new(ChannelState { queue: VecDeque::new(), dropped: 0, waker: None }),
             readable: Condvar::new(),
             capacity: capacity.max(1),
         }
@@ -154,8 +157,12 @@ impl Channel {
             }
         }
         state.queue.push_back(log);
+        let waker = state.waker.clone();
         drop(state);
         self.readable.notify_all();
+        if let Some(waker) = waker {
+            waker.wake();
+        }
     }
 
     /// `(lag to report, next changelog)`. Lag is surfaced *before* any
@@ -409,6 +416,17 @@ impl Subscription {
         self.from_version
     }
 
+    /// Wakes `waker` each time a commit reaches this subscription, so one
+    /// thread can sleep on many; poll once after setting it. It runs on
+    /// the committing thread under the publish-order and subscriber
+    /// locks: any lock it takes must never be held while a subscription
+    /// is polled, handed off or dropped.
+    pub fn set_waker(&mut self, waker: Waker) {
+        let mut state =
+            self.channel.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.waker = Some(waker);
+    }
+
     /// Non-blocking: the next event, if one is ready now.
     pub fn try_next(&mut self) -> Option<Event> {
         if let Some(event) = self.next_buffered() {
@@ -525,6 +543,24 @@ mod tests {
         let (lag, log) = channel.try_pull();
         assert_eq!(lag, 0);
         assert_eq!(log.expect("oldest surviving commit").version, 3);
+    }
+
+    #[test]
+    fn push_wakes_the_registered_waker() {
+        struct Count(AtomicUsize);
+        impl std::task::Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let channel = Channel::new(1);
+        channel.push(Arc::new(Changelog { version: 1, records: Vec::new() }));
+        channel.state.lock().expect("channel lock").waker = Some(Waker::from(Arc::clone(&count)));
+        for v in 2..=4u64 {
+            channel.push(Arc::new(Changelog { version: v, records: Vec::new() }));
+        }
+        assert_eq!(count.0.load(Ordering::Relaxed), 3, "one wake per push after registration");
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub enum WireMsg {
 ///
 /// Monotonic since server start (except `conns_active`). The load
 /// generator cross-checks its observed `Overloaded` replies against
-/// `publishes_rejected` and its `Lagged` frames against `queue_shed`.
+/// `publishes_rejected`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsBody {
     /// Connections accepted.
@@ -180,11 +180,12 @@ pub struct StatsBody {
     pub queries: u64,
     /// Subscriptions opened.
     pub subscriptions: u64,
-    /// Push frames shed because a connection's send queue was full.
+    /// Records reported missed in `Lagged` frames: commits a
+    /// subscription's queue dropped because its consumer fell behind.
     pub queue_shed: u64,
-    /// Payload bytes received (decoded frame bodies).
+    /// Bytes received: whole frames, 12-byte headers included.
     pub bytes_in: u64,
-    /// Payload bytes sent (encoded frame bodies).
+    /// Bytes sent: whole frames, 12-byte headers included.
     pub bytes_out: u64,
 }
 

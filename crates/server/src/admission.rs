@@ -15,15 +15,21 @@
 //!
 //! Two thresholds, both cheap to evaluate on the hot path:
 //!
-//! * **in-flight bytes** (global): publish payload bytes admitted but
-//!   not yet replied to, across all connections. Caps the commit work
-//!   queued inside the store.
-//! * **send-queue depth** (per connection): replies waiting for a slow
-//!   reader. A client that does not drain its socket cannot pump more
-//!   work in.
+//! * **in-flight bytes** (global, settable): publish payload bytes
+//!   admitted but not yet replied to, across all connections. Caps the
+//!   commit work queued inside the store.
+//! * **send-queue depth** (per connection, a constant): replies waiting
+//!   for a slow reader. A client that does not drain its socket cannot
+//!   pump more work in. Subscription pushes never enter the send queue,
+//!   so a busy subscription does not count against its connection's
+//!   publishes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Per-connection send-queue depth (entries) beyond which new publishes
+/// on that connection are shed.
+const MAX_QUEUED_FRAMES: usize = 256;
 
 /// Admission thresholds. Defaults are sized for a small host; E24
 /// documents measured behavior at the knee.
@@ -35,18 +41,11 @@ pub struct AdmissionConfig {
     /// Global cap on publish payload bytes admitted but not yet
     /// replied to.
     pub max_in_flight_bytes: u64,
-    /// Per-connection send-queue depth (frames) beyond which new
-    /// publishes on that connection are shed.
-    pub max_queued_frames: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            max_connections: 256,
-            max_in_flight_bytes: 32 << 20,
-            max_queued_frames: 256,
-        }
+        AdmissionConfig { max_connections: 256, max_in_flight_bytes: 32 << 20 }
     }
 }
 
@@ -82,7 +81,7 @@ impl AdmissionGate {
     /// racing admits can transiently overshoot by one batch each, which
     /// is fine — the threshold is a shed point, not a hard memory bound.
     pub fn try_admit(self: &Arc<Self>, bytes: u64, queue_depth: usize) -> Option<AdmissionPermit> {
-        if queue_depth > self.config.max_queued_frames {
+        if queue_depth > MAX_QUEUED_FRAMES {
             return None;
         }
         let before = self.in_flight_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -128,11 +127,8 @@ mod tests {
 
     #[test]
     fn queue_depth_threshold_sheds() {
-        let gate = AdmissionGate::new(AdmissionConfig {
-            max_queued_frames: 4,
-            ..AdmissionConfig::default()
-        });
-        assert!(gate.try_admit(1, 4).is_some());
-        assert!(gate.try_admit(1, 5).is_none());
+        let gate = AdmissionGate::new(AdmissionConfig::default());
+        assert!(gate.try_admit(1, MAX_QUEUED_FRAMES).is_some());
+        assert!(gate.try_admit(1, MAX_QUEUED_FRAMES + 1).is_none());
     }
 }

@@ -1,9 +1,10 @@
 //! Per-connection machinery: one reader thread, one writer thread, and
-//! a bounded send queue between every producer and the socket.
+//! a bounded send queue from the reader to the writer.
 //!
 //! # Threading model
 //!
-//! Each accepted connection owns exactly two OS threads:
+//! Each accepted connection owns exactly two OS threads, whatever it
+//! subscribes to:
 //!
 //! * the **reader** blocks on the socket (with a short timeout so it can
 //!   observe drain), decodes frames, and *dispatches inline* — publishes
@@ -11,30 +12,31 @@
 //!   processed in order and server-wide ingest concurrency equals the
 //!   number of busy connections (the shard locks underneath provide the
 //!   actual parallelism);
-//! * the **writer** drains the send queue and owns all socket writes.
-//!
-//! Subscription pushes come from per-subscription **pump** threads that
-//! drain a [`pass_core::Subscription`] and enqueue `Notify` frames.
+//! * the **writer** owns all socket writes: queued replies first, and
+//!   between them the push frames of every subscription the reader
+//!   handed over through the send queue (`SubPush::step`). It sleeps
+//!   on the queue's one condvar; a commit that reaches one of its
+//!   subscriptions wakes it through the `Waker` set on that
+//!   subscription.
 //!
 //! # Flow control
 //!
-//! The send queue is bounded in frames and bytes. The two producer
-//! classes differ in what happens at the bound:
-//!
-//! * **replies** (responses to requests) wait for space — this is
-//!   backpressure on the reader, and therefore on the client's request
-//!   stream. A client that never drains its socket stalls its own
-//!   replies and is disconnected after [`ConnConfig::reply_stall`];
-//! * **pushes** (subscription notifications) are *shed*: ingest must
-//!   never block on a slow subscriber, so the frame is dropped, the
-//!   shed is counted, and the subscriber receives a `Lagged` frame
-//!   accounting for the missed records once space reappears — the same
-//!   contract as the in-process subscription queues.
+//! * **Replies** (responses to requests) wait for send-queue space —
+//!   this is backpressure on the reader, and therefore on the client's
+//!   request stream. A client that stops draining its socket stalls its
+//!   own replies and is disconnected after [`REPLY_STALL`]; a socket
+//!   write that makes no progress for as long fails the same way, so a
+//!   stuck client holds neither the writer nor a drain.
+//! * **Pushes** never enter the send queue. Each subscription's bounded
+//!   queue in `pass-core` is the one place they are shed: when the
+//!   writer falls behind, the oldest commits are dropped there and the
+//!   subscriber gets a `Lagged` frame counting the missed records.
+//!   Ingest never blocks on a slow subscriber.
 
 use crate::admission::AdmissionGate;
 use crate::frame::{encode_msg, FrameDecoder};
 use crate::stats::ServerStats;
-use pass_core::{Event, Pass};
+use pass_core::{Event, Pass, Subscription};
 use pass_distrib::wire::WireMsg;
 use pass_model::codec::Reader;
 use pass_model::TupleSetId;
@@ -43,74 +45,64 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
 
-/// Per-connection tuning. Embedded in `ServerConfig`.
-#[derive(Debug, Clone)]
-pub struct ConnConfig {
-    /// Send-queue capacity in frames.
-    pub send_queue_frames: usize,
-    /// Send-queue capacity in bytes (whichever bound hits first).
-    pub send_queue_bytes: usize,
-    /// Socket read timeout: the reader's drain-check cadence, and the
-    /// bound on how long a mid-frame stall can hold the thread.
-    pub read_timeout: Duration,
-    /// How long a reply may wait for send-queue space before the
-    /// connection is declared dead (client not draining its socket).
-    pub reply_stall: Duration,
-    /// Page size used when a `QueryPage` request asks for `limit = 0`.
-    pub default_page: usize,
-    /// Hard cap on a single result page.
-    pub max_page: usize,
-    /// Capacity (ids) of one `Notify` frame; matches are coalesced up
-    /// to this many per push.
-    pub notify_batch: usize,
-}
+/// Send-queue capacity in frames.
+pub(crate) const SEND_QUEUE_FRAMES: usize = 512;
+/// Send-queue capacity in bytes (whichever bound hits first).
+pub(crate) const SEND_QUEUE_BYTES: usize = 8 << 20;
+/// Socket read timeout: the reader's drain-check cadence, and the bound
+/// on how long a mid-frame stall can hold the thread.
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// How long a reply may wait for send-queue space, and a socket write
+/// for progress, before the connection is declared dead (the client is
+/// not draining its socket).
+pub const REPLY_STALL: Duration = Duration::from_secs(10);
+/// Page size used when a `QueryPage` request asks for `limit = 0`.
+const DEFAULT_PAGE: usize = 32;
+/// Hard cap on a single result page.
+const MAX_PAGE: usize = 4096;
+/// Capacity (ids) of one `Notify` frame; matches are coalesced up to
+/// this many per push.
+const NOTIFY_BATCH: usize = 256;
 
-impl Default for ConnConfig {
-    fn default() -> Self {
-        ConnConfig {
-            send_queue_frames: 512,
-            send_queue_bytes: 8 << 20,
-            read_timeout: Duration::from_millis(50),
-            reply_stall: Duration::from_secs(10),
-            default_page: 32,
-            max_page: 4096,
-            notify_batch: 256,
-        }
-    }
-}
-
-/// Outcome of a non-blocking push enqueue.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum PushOutcome {
-    /// Queued for the writer.
-    Queued,
-    /// Dropped: the queue was at capacity.
-    Shed,
-    /// The connection is closed.
-    Closed,
-}
-
-/// Result of a writer-side dequeue.
-enum Pop {
+/// One entry of the send queue.
+enum Outbound {
+    /// An encoded reply frame.
     Frame(Vec<u8>),
-    Empty,
-    Closed,
+    /// A subscription for the writer to serve from here on.
+    Subscribe(Box<SubPush>),
 }
 
-#[derive(Debug, Default)]
+/// What the writer does next.
+enum Next {
+    Item(Outbound),
+    /// Nothing queued: step the subscriptions.
+    Serve,
+    /// Closed and drained: end every subscription, then send the
+    /// farewell frame, if any.
+    Closed(Option<Vec<u8>>),
+}
+
+#[derive(Default)]
 struct QueueInner {
-    frames: VecDeque<Vec<u8>>,
+    items: VecDeque<Outbound>,
     bytes: usize,
+    /// A subscription has news the writer has not looked at.
+    woken: bool,
     closed: bool,
+    /// The connection's last frame, sent after every `SubClosed`.
+    farewell: Option<Vec<u8>>,
 }
 
-/// Bounded frame queue between producers (reader, pumps) and the writer.
-#[derive(Debug)]
+/// Bounded queue between the reader and the writer. It holds replies
+/// and subscription hand-offs; pushes never enter it.
 pub(crate) struct SendQueue {
     /// Lock order: leaf — nothing else is acquired while this is held.
+    /// The waker ([`Wake`] below) takes it on the commit path, under
+    /// `publish_order` and the subscriber registry, so no subscription
+    /// is ever polled, handed off or dropped while it is held.
     sendq: Mutex<QueueInner>,
     space: Condvar,
     ready: Condvar,
@@ -133,28 +125,32 @@ impl SendQueue {
         self.sendq.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Frames currently queued (the admission gate's queue-depth input).
+    /// Entries currently queued (the admission gate's queue-depth input).
     pub(crate) fn depth(&self) -> usize {
-        self.locked().frames.len()
+        self.locked().items.len()
     }
 
-    /// Enqueues a reply, waiting up to `stall` for space. `Err` means
-    /// the connection is closed or the client stalled too long.
-    pub(crate) fn push_reply(&self, frame: Vec<u8>, stall: Duration) -> Result<(), ()> {
+    /// Enqueues `item`, waiting up to `stall` for space. `Err` means the
+    /// connection is closed or the client stalled too long.
+    fn push(&self, item: Outbound, stall: Duration) -> Result<(), ()> {
         let deadline = Instant::now() + stall;
         let mut inner = self.locked();
         loop {
-            if inner.closed {
-                return Err(());
-            }
-            if inner.frames.len() < self.cap_frames && inner.bytes < self.cap_bytes {
-                inner.bytes += frame.len();
-                inner.frames.push_back(frame);
+            if !inner.closed && inner.items.len() < self.cap_frames && inner.bytes < self.cap_bytes
+            {
+                if let Outbound::Frame(frame) = &item {
+                    inner.bytes += frame.len();
+                }
+                inner.items.push_back(item);
                 self.ready.notify_one();
                 return Ok(());
             }
             let now = Instant::now();
-            if now >= deadline {
+            if inner.closed || now >= deadline {
+                // A refused subscription unregisters when dropped, which
+                // takes the subscriber lock: release `sendq` first.
+                drop(inner);
+                drop(item);
                 return Err(());
             }
             let (guard, _timeout) = self
@@ -165,52 +161,92 @@ impl SendQueue {
         }
     }
 
-    /// Enqueues a push if space allows; sheds otherwise.
-    pub(crate) fn try_push(&self, frame: Vec<u8>) -> PushOutcome {
+    /// Marks the queue closed, with `farewell` as the connection's last
+    /// frame. Already-queued entries are still served by the writer;
+    /// producers fail from now on. Only the first close counts.
+    pub(crate) fn close(&self, farewell: Option<Vec<u8>>) {
         let mut inner = self.locked();
-        if inner.closed {
-            return PushOutcome::Closed;
+        if !inner.closed {
+            inner.closed = true;
+            inner.farewell = farewell;
         }
-        if inner.frames.len() >= self.cap_frames || inner.bytes >= self.cap_bytes {
-            return PushOutcome::Shed;
-        }
-        inner.bytes += frame.len();
-        inner.frames.push_back(frame);
-        self.ready.notify_one();
-        PushOutcome::Queued
-    }
-
-    /// Marks the queue closed. Already-queued frames are still drained
-    /// by the writer; producers fail from now on.
-    pub(crate) fn close(&self) {
-        let mut inner = self.locked();
-        inner.closed = true;
         self.ready.notify_all();
         self.space.notify_all();
     }
 
-    /// Writer-side dequeue with a timeout.
-    fn pop_timeout(&self, timeout: Duration) -> Pop {
+    /// Writer-side dequeue. Queued entries come first. With none, it
+    /// returns [`Next::Serve`] at once when `serve` is set (a
+    /// subscription may have more to send) or a subscription woke the
+    /// writer, and otherwise sleeps until one of those happens.
+    fn next(&self, serve: bool) -> Next {
         let mut inner = self.locked();
-        if let Some(frame) = inner.frames.pop_front() {
-            inner.bytes -= frame.len();
-            self.space.notify_all();
-            return Pop::Frame(frame);
-        }
-        if inner.closed {
-            return Pop::Closed;
-        }
-        let (mut guard, _timeout) =
-            self.ready.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
-        match guard.frames.pop_front() {
-            Some(frame) => {
-                guard.bytes -= frame.len();
+        loop {
+            if let Some(item) = inner.items.pop_front() {
+                if let Outbound::Frame(frame) = &item {
+                    inner.bytes -= frame.len();
+                }
                 self.space.notify_all();
-                Pop::Frame(frame)
+                return Next::Item(item);
             }
-            None if guard.closed => Pop::Closed,
-            None => Pop::Empty,
+            if inner.closed {
+                return Next::Closed(inner.farewell.take());
+            }
+            if std::mem::take(&mut inner.woken) || serve {
+                return Next::Serve;
+            }
+            inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+/// Set on each subscription the writer serves: a commit that reaches it
+/// wakes the writer. Takes only `sendq`.
+impl Wake for SendQueue {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.locked().woken = true;
+        self.ready.notify_one();
+    }
+}
+
+/// One subscription served by a connection's writer.
+struct SubPush {
+    /// The `Subscribe` request's op, which tags every push.
+    op: u64,
+    sub: Subscription,
+    /// An event read while coalescing that opens the next frame.
+    held: Option<Event>,
+}
+
+impl SubPush {
+    /// The subscription's next push frame, or `None` when it has
+    /// nothing to send now. Consecutive matches coalesce into one
+    /// `Notify` of at most [`NOTIFY_BATCH`] ids; a `CaughtUp` or
+    /// `Lagged` event ends the batch and becomes the next frame, so
+    /// every frame keeps its position in the stream.
+    fn step(&mut self) -> Option<WireMsg> {
+        let op = self.op;
+        let first = self.held.take().or_else(|| self.sub.try_next())?;
+        Some(match first {
+            Event::CaughtUp { version } => WireMsg::SubCaughtUp { op, version },
+            Event::Lagged(missed) => WireMsg::Lagged { op, missed },
+            Event::Match(record) => {
+                let mut ids = vec![record.id];
+                while ids.len() < NOTIFY_BATCH {
+                    match self.sub.try_next() {
+                        Some(Event::Match(r)) => ids.push(r.id),
+                        other => {
+                            self.held = other;
+                            break;
+                        }
+                    }
+                }
+                WireMsg::Notify { op, ids }
+            }
+        })
     }
 }
 
@@ -227,34 +263,20 @@ pub(crate) struct ServerCtx {
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) gate: Arc<AdmissionGate>,
     pub(crate) draining: Arc<AtomicBool>,
-    pub(crate) config: ConnConfig,
-}
-
-struct Pump {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
-/// Why the reader loop ended (drives the teardown frames).
-enum ReaderExit {
-    /// Clean client close or client-side error: no farewell owed.
-    Peer,
-    /// Server drain: finish in-flight work, say goodbye.
-    Drain,
-    /// The send queue died (writer error / reply stall).
-    QueueDead,
 }
 
 /// The reader thread body: frame decode loop + inline dispatch.
 pub(crate) fn reader_loop(mut stream: TcpStream, conn: Arc<ConnShared>, ctx: Arc<ServerCtx>) {
     let mut dec = FrameDecoder::new();
     let mut buf = vec![0u8; 16 << 10];
-    let mut pumps: Vec<Pump> = Vec::new();
-    let mut exit = ReaderExit::Peer;
+    // The connection's last frame, when one is owed: `Goodbye` on drain,
+    // an `Error` naming a framing fault. A peer that left or a dead send
+    // queue is owed nothing.
+    let mut farewell = None;
 
     'conn: loop {
         if ctx.draining.load(Ordering::Acquire) {
-            exit = ReaderExit::Drain;
+            farewell = Some(encode_msg(&WireMsg::Goodbye { op: 0 }));
             break;
         }
         match stream.read(&mut buf) {
@@ -272,22 +294,17 @@ pub(crate) fn reader_loop(mut stream: TcpStream, conn: Arc<ConnShared>, ctx: Arc
                 loop {
                     match dec.next_frame() {
                         Ok(Some(frame)) => {
-                            match dispatch(&frame.kind, &frame.payload, &conn, &ctx, &mut pumps) {
-                                Ok(()) => {}
-                                Err(()) => {
-                                    exit = ReaderExit::QueueDead;
-                                    break 'conn;
-                                }
+                            if dispatch(&frame.kind, &frame.payload, &conn, &ctx).is_err() {
+                                break 'conn;
                             }
                         }
                         Ok(None) => break,
                         Err(e) => {
                             // Framing is unrecoverable: the stream can
                             // no longer be trusted. Tell the client why
-                            // (best effort) and drop the connection.
-                            let farewell =
-                                encode_msg(&WireMsg::Error { op: 0, message: e.to_string() });
-                            let _queued = conn.sendq.try_push(farewell);
+                            // and drop the connection.
+                            farewell =
+                                Some(encode_msg(&WireMsg::Error { op: 0, message: e.to_string() }));
                             break 'conn;
                         }
                     }
@@ -303,20 +320,9 @@ pub(crate) fn reader_loop(mut stream: TcpStream, conn: Arc<ConnShared>, ctx: Arc
         }
     }
 
-    // Teardown. Order matters: pumps first (each sends its terminal
-    // SubClosed), then the connection-terminal Goodbye on drain, then
-    // close the queue so the writer flushes and exits.
-    for pump in &pumps {
-        pump.stop.store(true, Ordering::Release);
-    }
-    for pump in pumps {
-        let _joined = pump.handle.join();
-    }
-    if matches!(exit, ReaderExit::Drain) {
-        let _queued =
-            conn.sendq.push_reply(encode_msg(&WireMsg::Goodbye { op: 0 }), ctx.config.reply_stall);
-    }
-    conn.sendq.close();
+    // Teardown: the writer sends what is queued, a `SubClosed` for each
+    // subscription, then the farewell, and exits.
+    conn.sendq.close(farewell);
     if let Err(_e) = stream.shutdown(Shutdown::Read) {
         // Peer already gone; the writer half closes the rest.
     }
@@ -324,31 +330,92 @@ pub(crate) fn reader_loop(mut stream: TcpStream, conn: Arc<ConnShared>, ctx: Arc
     conn.done.store(true, Ordering::Release);
 }
 
-/// The writer thread body: drain the queue, own all socket writes.
+/// The writer thread body: sends replies, serves subscriptions, owns
+/// all socket writes.
 pub(crate) fn writer_loop(mut stream: TcpStream, sendq: Arc<SendQueue>, stats: Arc<ServerStats>) {
-    loop {
-        match sendq.pop_timeout(Duration::from_millis(100)) {
-            Pop::Frame(bytes) => match stream.write_all(&bytes) {
-                Ok(()) => ServerStats::add(&stats.bytes_out, bytes.len() as u64),
-                Err(_) => {
-                    // Peer unreachable: close the queue so producers
-                    // fail fast instead of queueing into the void.
-                    sendq.close();
-                    break;
-                }
-            },
-            Pop::Empty => continue,
-            Pop::Closed => {
-                if let Err(_e) = stream.flush() {
-                    // Peer already gone; nothing further to deliver.
-                }
-                break;
-            }
-        }
+    let mut subs = Vec::new();
+    if let Err(_e) = write_until_closed(&mut stream, &sendq, &stats, &mut subs) {
+        // Peer unreachable, or stuck past REPLY_STALL: close the queue
+        // so the reader fails fast instead of queueing into the void.
+        sendq.close(None);
+        // Take what is still queued, so no handed-off subscription is
+        // dropped along with the queue (possibly under the registry lock).
+        while let Next::Item(_) = sendq.next(false) {}
     }
+    // Dropping a subscription takes the subscriber lock: done here,
+    // with `sendq` not held.
+    drop(subs);
     if let Err(_e) = stream.shutdown(Shutdown::Write) {
         // Already closed by the peer or the reader half.
     }
+}
+
+fn write_until_closed(
+    stream: &mut TcpStream,
+    sendq: &Arc<SendQueue>,
+    stats: &ServerStats,
+    subs: &mut Vec<SubPush>,
+) -> std::io::Result<()> {
+    let waker = Waker::from(Arc::clone(sendq));
+    let mut send = |frame: &[u8]| -> std::io::Result<()> {
+        write_frame(stream, frame)?;
+        ServerStats::add(&stats.bytes_out, frame.len() as u64);
+        Ok(())
+    };
+    // Whether a subscription may have more to send without a new wake.
+    let mut serve = false;
+    loop {
+        match sendq.next(serve) {
+            Next::Item(Outbound::Frame(frame)) => send(&frame)?,
+            Next::Item(Outbound::Subscribe(mut sub)) => {
+                sub.sub.set_waker(waker.clone());
+                subs.push(*sub);
+                serve = true;
+            }
+            Next::Serve => {
+                serve = false;
+                for sub in subs.iter_mut() {
+                    let Some(msg) = sub.step() else { continue };
+                    if let WireMsg::Lagged { missed, .. } = msg {
+                        ServerStats::add(&stats.queue_shed, missed);
+                    }
+                    send(&encode_msg(&msg))?;
+                    serve = true;
+                }
+            }
+            Next::Closed(farewell) => {
+                // Terminal frames: subscribers can rely on SubClosed (or
+                // the connection-level Goodbye) ending every stream.
+                for sub in subs.iter() {
+                    send(&encode_msg(&WireMsg::SubClosed { op: sub.op }))?;
+                }
+                if let Some(frame) = farewell {
+                    send(&frame)?;
+                }
+                return Ok(());
+            }
+        }
+    }
+}
+
+/// Writes one whole frame, or fails once [`REPLY_STALL`] has passed
+/// without it going out. The socket's write timeout (also `REPLY_STALL`)
+/// bounds each blocked `write`; the deadline bounds a frame that
+/// trickles out in parts.
+fn write_frame(stream: &mut TcpStream, mut frame: &[u8]) -> std::io::Result<()> {
+    let deadline = Instant::now() + REPLY_STALL;
+    while !frame.is_empty() {
+        match stream.write(frame) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => frame = frame.get(n..).unwrap_or_default(),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !frame.is_empty() && Instant::now() >= deadline {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+    }
+    Ok(())
 }
 
 /// Handles one decoded frame on the reader thread. `Err(())` means the
@@ -358,9 +425,8 @@ fn dispatch(
     payload: &[u8],
     conn: &Arc<ConnShared>,
     ctx: &Arc<ServerCtx>,
-    pumps: &mut Vec<Pump>,
 ) -> Result<(), ()> {
-    let reply = |msg: &WireMsg| conn.sendq.push_reply(encode_msg(msg), ctx.config.reply_stall);
+    let reply = |msg: &WireMsg| conn.sendq.push(Outbound::Frame(encode_msg(msg)), REPLY_STALL);
 
     // Peek the op (always the body's first varint) so sheds and decode
     // errors can name the operation without decoding the whole body.
@@ -405,8 +471,8 @@ fn dispatch(
         WireMsg::QueryPage { op, query, after, limit } => {
             ServerStats::bump(&ctx.stats.queries);
             let page = match limit as usize {
-                0 => ctx.config.default_page,
-                n => n.min(ctx.config.max_page),
+                0 => DEFAULT_PAGE,
+                n => n.min(MAX_PAGE),
             };
             let mut parsed = match pass_query::parse(&query) {
                 Ok(q) => q,
@@ -428,10 +494,10 @@ fn dispatch(
         WireMsg::Subscribe { op, statement } => match ctx.pass.subscribe_text(&statement) {
             Ok(sub) => {
                 ServerStats::bump(&ctx.stats.subscriptions);
-                let stop = Arc::new(AtomicBool::new(false));
-                let handle = spawn_pump(op, sub, Arc::clone(&stop), Arc::clone(conn), ctx);
-                pumps.push(Pump { stop, handle });
-                Ok(())
+                conn.sendq.push(
+                    Outbound::Subscribe(Box::new(SubPush { op, sub, held: None })),
+                    REPLY_STALL,
+                )
             }
             Err(e) => reply(&WireMsg::Error { op, message: e.to_string() }),
         },
@@ -443,136 +509,100 @@ fn dispatch(
     }
 }
 
-/// Spawns the pump thread for one subscription: drains events, coalesces
-/// matches into `Notify` frames, sheds to `Lagged` when the send queue
-/// is full, and always terminates the stream with `SubClosed`.
-fn spawn_pump(
-    op: u64,
-    mut sub: pass_core::Subscription,
-    stop: Arc<AtomicBool>,
-    conn: Arc<ConnShared>,
-    ctx: &Arc<ServerCtx>,
-) -> JoinHandle<()> {
-    let ctx = Arc::clone(ctx);
-    std::thread::spawn(move || {
-        // Records the pump knows were missed: queue sheds here, plus
-        // in-process subscription lag. Reported in the next Lagged
-        // frame that fits.
-        let mut owed_lag: u64 = 0;
-        'pump: loop {
-            if stop.load(Ordering::Acquire) || ctx.draining.load(Ordering::Acquire) {
-                break;
-            }
-            // Settle any lag debt first, so Lagged frames keep their
-            // position in the stream.
-            if owed_lag > 0 {
-                match conn.sendq.try_push(encode_msg(&WireMsg::Lagged { op, missed: owed_lag })) {
-                    PushOutcome::Queued => owed_lag = 0,
-                    PushOutcome::Shed => {
-                        std::thread::sleep(Duration::from_millis(5));
-                        continue;
-                    }
-                    PushOutcome::Closed => break,
-                }
-            }
-            let first = match sub.next_timeout(Duration::from_millis(50)) {
-                Some(event) => event,
-                None => continue,
-            };
-            match first {
-                Event::CaughtUp { version } => {
-                    match conn.sendq.try_push(encode_msg(&WireMsg::SubCaughtUp { op, version })) {
-                        PushOutcome::Queued => {}
-                        PushOutcome::Shed => {
-                            // CaughtUp is a position marker; a shed here
-                            // degrades to lag like anything else.
-                            owed_lag += 1;
-                        }
-                        PushOutcome::Closed => break 'pump,
-                    }
-                }
-                Event::Lagged(n) => owed_lag += n,
-                Event::Match(record) => {
-                    let mut ids = vec![record.id];
-                    let mut caught_up = None;
-                    while ids.len() < ctx.config.notify_batch {
-                        match sub.try_next() {
-                            Some(Event::Match(r)) => ids.push(r.id),
-                            Some(Event::Lagged(n)) => {
-                                owed_lag += n;
-                                break;
-                            }
-                            Some(Event::CaughtUp { version }) => {
-                                // Seen mid-coalesce (catch-up matches end
-                                // here); the marker frame goes out right
-                                // after this Notify.
-                                caught_up = Some(version);
-                                break;
-                            }
-                            None => break,
-                        }
-                    }
-                    let missed = ids.len() as u64;
-                    match conn.sendq.try_push(encode_msg(&WireMsg::Notify { op, ids })) {
-                        PushOutcome::Queued => {}
-                        PushOutcome::Shed => {
-                            ServerStats::add(&ctx.stats.queue_shed, 1);
-                            owed_lag += missed;
-                        }
-                        PushOutcome::Closed => break 'pump,
-                    }
-                    if let Some(version) = caught_up {
-                        match conn.sendq.try_push(encode_msg(&WireMsg::SubCaughtUp { op, version }))
-                        {
-                            PushOutcome::Queued => {}
-                            PushOutcome::Shed => owed_lag += 1,
-                            PushOutcome::Closed => break 'pump,
-                        }
-                    }
-                }
-            }
-        }
-        // Terminal frame: subscribers can rely on SubClosed (or the
-        // connection-level Goodbye) ending every subscription stream.
-        let _queued =
-            conn.sendq.push_reply(encode_msg(&WireMsg::SubClosed { op }), Duration::from_secs(1));
-    })
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use pass_model::SiteId;
+
+    const SHORT: Duration = Duration::from_millis(30);
 
     #[test]
-    fn send_queue_sheds_pushes_but_blocks_replies() {
+    fn send_queue_blocks_replies_until_space() {
         let q = SendQueue::new(2, 1 << 20);
-        assert_eq!(q.try_push(vec![1]), PushOutcome::Queued);
-        assert_eq!(q.try_push(vec![2]), PushOutcome::Queued);
-        assert_eq!(q.try_push(vec![3]), PushOutcome::Shed);
+        assert!(q.push(Outbound::Frame(vec![1]), SHORT).is_ok());
+        assert!(q.push(Outbound::Frame(vec![2]), SHORT).is_ok());
         // A reply waits for space and times out when nobody drains.
-        assert!(q.push_reply(vec![4], Duration::from_millis(30)).is_err());
-        // Drain one; both producer classes fit again.
-        assert!(matches!(q.pop_timeout(Duration::from_millis(10)), Pop::Frame(_)));
-        assert_eq!(q.try_push(vec![5]), PushOutcome::Queued);
+        assert!(q.push(Outbound::Frame(vec![3]), SHORT).is_err());
+        // Drain one; a reply fits again.
+        assert!(matches!(q.next(false), Next::Item(Outbound::Frame(f)) if f == [1]));
+        assert!(q.push(Outbound::Frame(vec![4]), SHORT).is_ok());
     }
 
     #[test]
     fn closed_queue_fails_producers_and_drains_consumers() {
         let q = SendQueue::new(8, 1 << 20);
-        assert_eq!(q.try_push(vec![1]), PushOutcome::Queued);
-        q.close();
-        assert_eq!(q.try_push(vec![2]), PushOutcome::Closed);
-        assert!(q.push_reply(vec![3], Duration::from_millis(10)).is_err());
-        assert!(matches!(q.pop_timeout(Duration::from_millis(10)), Pop::Frame(_)));
-        assert!(matches!(q.pop_timeout(Duration::from_millis(10)), Pop::Closed));
+        assert!(q.push(Outbound::Frame(vec![1]), SHORT).is_ok());
+        q.close(Some(vec![9]));
+        q.close(None); // only the first close sets the farewell
+        assert!(q.push(Outbound::Frame(vec![3]), SHORT).is_err());
+        assert!(matches!(q.next(false), Next::Item(Outbound::Frame(f)) if f == [1]));
+        assert!(matches!(q.next(false), Next::Closed(Some(f)) if f == [9]));
     }
 
     #[test]
     fn byte_cap_bounds_queue() {
         let q = SendQueue::new(100, 10);
-        assert_eq!(q.try_push(vec![0; 10]), PushOutcome::Queued);
-        assert_eq!(q.try_push(vec![0; 1]), PushOutcome::Shed);
+        assert!(q.push(Outbound::Frame(vec![0; 10]), SHORT).is_ok());
+        assert!(q.push(Outbound::Frame(vec![0; 1]), SHORT).is_err());
+    }
+
+    #[test]
+    fn wake_hands_the_writer_a_serve_turn() {
+        let q = SendQueue::new(8, 1 << 20);
+        Waker::from(Arc::clone(&q)).wake();
+        assert!(q.push(Outbound::Frame(vec![1]), SHORT).is_ok());
+        // Replies go first, then the woken subscriptions get their turn.
+        assert!(matches!(q.next(false), Next::Item(_)));
+        assert!(matches!(q.next(false), Next::Serve));
+        q.close(None);
+        assert!(matches!(q.next(false), Next::Closed(None)));
+    }
+
+    fn subscribe(pass: &Pass, capacity: usize) -> SubPush {
+        let statement = pass_query::parse_subscribe(r#"SUBSCRIBE FIND WHERE domain = "loadgen""#)
+            .expect("statement");
+        let sub = pass.subscribe_with(&statement.query, capacity).expect("subscribe");
+        SubPush { op: 7, sub, held: None }
+    }
+
+    #[test]
+    fn step_reports_the_core_queues_lag_then_the_survivor() {
+        let pass = Pass::open_memory(SiteId(1));
+        let mut push = subscribe(&pass, 1);
+        assert!(matches!(push.step(), Some(WireMsg::SubCaughtUp { op: 7, .. })));
+        // Five single-batch commits into a one-commit queue: the first
+        // four are dropped in the core channel, the fifth survives.
+        let mut last = Vec::new();
+        for seq in 0..5 {
+            last = pass.ingest_batch(&pass_loadgen::workload::batch(1, seq, 2, 2)).expect("commit");
+        }
+        assert_eq!(push.step(), Some(WireMsg::Lagged { op: 7, missed: 8 }));
+        assert_eq!(push.step(), Some(WireMsg::Notify { op: 7, ids: last }));
+        assert_eq!(push.step(), None);
+    }
+
+    #[test]
+    fn step_coalesces_matches_and_keeps_the_marker_in_place() {
+        let pass = Pass::open_memory(SiteId(1));
+        let ids = pass.ingest_batch(&pass_loadgen::workload::batch(1, 0, 300, 1)).expect("commit");
+        let mut push = subscribe(&pass, 4);
+        let mut notified = Vec::new();
+        for expect in [NOTIFY_BATCH, 300 - NOTIFY_BATCH] {
+            match push.step() {
+                Some(WireMsg::Notify { op: 7, ids }) => {
+                    assert_eq!(ids.len(), expect);
+                    notified.extend(ids);
+                }
+                other => panic!("expected a catch-up Notify, got {other:?}"),
+            }
+        }
+        assert!(matches!(push.step(), Some(WireMsg::SubCaughtUp { op: 7, .. })));
+        assert_eq!(push.step(), None);
+        let (mut got, mut want) = (notified, ids);
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "catch-up notifies every committed id once");
     }
 }

@@ -10,16 +10,17 @@
 //! * **Messages** ([`pass_distrib::wire`]): the canonical binary codec
 //!   for the request/response vocabulary (publish, paged query,
 //!   subscribe, stats) that mirrors the simulator's `ArchMsg` shapes.
-//! * **Connections** ([`conn`]): one reader and one writer thread per
-//!   connection; requests dispatch inline on the reader, replies and
-//!   pushes go through a bounded send queue. Replies apply
-//!   backpressure; subscription pushes shed to `Lagged` frames so a
-//!   slow subscriber never blocks ingest.
-//! * **Admission control** ([`admission`]): global in-flight-byte and
-//!   per-connection queue-depth thresholds. Over the line, publishes
-//!   are refused with an explicit `Overloaded` reply instead of
-//!   queueing toward collapse — the open-loop experiments (E24) measure
-//!   exactly this knee.
+//! * **Connections** ([`conn`]): exactly two threads per connection,
+//!   whatever it subscribes to. Requests dispatch inline on the reader;
+//!   replies go through a bounded send queue and apply backpressure.
+//!   The writer sends them and serves every subscription between them;
+//!   a slow subscriber's pushes are shed only in its `pass-core` queue,
+//!   reported in a `Lagged` frame, and never block ingest.
+//! * **Admission control** ([`admission`]): a connection cap, a global
+//!   in-flight-byte budget and a per-connection queue-depth threshold.
+//!   Over the line, publishes are refused with an explicit `Overloaded`
+//!   reply instead of queueing toward collapse — the open-loop
+//!   experiments (E24) measure exactly this knee.
 //! * **Lifecycle** ([`server`]): accept loop, connection registry, and
 //!   a graceful SIGTERM-style drain that finishes in-flight commits,
 //!   closes subscriptions with a terminal frame, and flushes WALs.
@@ -42,7 +43,6 @@ pub mod stats;
 
 pub use admission::{AdmissionConfig, AdmissionGate, AdmissionPermit};
 pub use client::{Client, PublishOutcome};
-pub use conn::ConnConfig;
 pub use error::{Result, ServerError};
 pub use frame::{encode_msg, Frame, FrameDecoder, FrameError, HEADER_LEN, MAX_FRAME};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -2,7 +2,10 @@
 //! the graceful drain.
 
 use crate::admission::{AdmissionConfig, AdmissionGate};
-use crate::conn::{reader_loop, writer_loop, ConnConfig, ConnShared, SendQueue, ServerCtx};
+use crate::conn::{
+    reader_loop, writer_loop, ConnShared, SendQueue, ServerCtx, READ_TIMEOUT, REPLY_STALL,
+    SEND_QUEUE_BYTES, SEND_QUEUE_FRAMES,
+};
 use crate::error::{Result, ServerError};
 use crate::frame::encode_msg;
 use crate::stats::ServerStats;
@@ -15,14 +18,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Server-wide configuration.
+/// Server-wide configuration. Per-connection sizes and timeouts are
+/// constants in [`crate::conn`].
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Admission thresholds (connection cap, in-flight bytes, queue
-    /// depth).
+    /// Admission thresholds (connection cap, in-flight bytes).
     pub admission: AdmissionConfig,
-    /// Per-connection tuning (queue sizes, timeouts, page sizes).
-    pub conn: ConnConfig,
 }
 
 struct ConnEntry {
@@ -73,7 +74,6 @@ pub fn serve(
         stats: Arc::clone(&stats),
         gate,
         draining: Arc::clone(&draining),
-        config: config.conn.clone(),
     });
 
     let accept_shared = Arc::clone(&shared);
@@ -129,13 +129,15 @@ fn refuse(mut stream: TcpStream, stats: &Arc<ServerStats>) {
 
 fn spawn_conn(stream: TcpStream, shared: &Arc<ServerShared>, ctx: &Arc<ServerCtx>) -> Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(ctx.config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    // A client that stopped reading cannot hold the writer (or a drain).
+    stream.set_write_timeout(Some(REPLY_STALL))?;
     let write_half = stream.try_clone()?;
 
     ServerStats::bump(&shared.stats.conns_accepted);
     ServerStats::bump(&shared.stats.conns_active);
 
-    let sendq = SendQueue::new(ctx.config.send_queue_frames, ctx.config.send_queue_bytes);
+    let sendq = SendQueue::new(SEND_QUEUE_FRAMES, SEND_QUEUE_BYTES);
     let conn = Arc::new(ConnShared { sendq: Arc::clone(&sendq), done: AtomicBool::new(false) });
 
     let reader_conn = Arc::clone(&conn);
@@ -195,9 +197,10 @@ impl ServerHandle {
     ///    by the OS, and racing accepts get a terminal `Goodbye`);
     /// 2. readers finish the request they are processing — in-flight
     ///    commits complete, nothing new is read;
-    /// 3. subscription pumps stop, each terminating its stream with a
-    ///    `SubClosed` frame, and every connection gets a terminal
-    ///    `Goodbye` before its writer flushes and closes;
+    /// 3. each writer sends the replies already queued, a `SubClosed`
+    ///    frame for every subscription it serves, and a terminal
+    ///    `Goodbye`, then closes; a client that stopped reading holds its
+    ///    writer for at most [`REPLY_STALL`] without progress;
     /// 4. the store's WALs are flushed to disk.
     ///
     /// Idempotent; returns once every connection thread has exited and

@@ -25,7 +25,8 @@ pub struct ServerStats {
     pub queries: AtomicU64,
     /// Subscriptions opened.
     pub subscriptions: AtomicU64,
-    /// Push frames shed because a connection's send queue was full.
+    /// Records reported missed in `Lagged` frames: commits a
+    /// subscription's queue dropped because its consumer fell behind.
     pub queue_shed: AtomicU64,
     /// Frame bytes received (headers + payloads).
     pub bytes_in: AtomicU64,

@@ -12,7 +12,6 @@ use std::time::Duration;
 fn tiny_budget_config(max_in_flight_bytes: u64) -> ServerConfig {
     ServerConfig {
         admission: AdmissionConfig { max_in_flight_bytes, ..AdmissionConfig::default() },
-        ..ServerConfig::default()
     }
 }
 
