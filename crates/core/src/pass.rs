@@ -46,8 +46,10 @@
 //!
 //! Readers do wait for writers at one point: a commit publishes by
 //! mutating the state under the write lock (copy-on-write via
-//! `Arc::make_mut`, which deep-copies the state, inside that lock, on the
-//! first write after an outstanding snapshot was taken). Taking a
+//! `Arc::make_mut`, which copies the state, inside that lock, on the
+//! first write after an outstanding snapshot was taken: the graph and
+//! posting tables, but not the record bytes, whose chunks the copy
+//! shares). Taking a
 //! snapshot, and every `Pass` read that borrows the state
 //! ([`Pass::get_record`], [`Pass::contains`], ...), waits while a publish
 //! merges its index delta. That section is kept short: a commit encodes
@@ -217,6 +219,25 @@ fn identity_failure(id: TupleSetId) -> PassError {
 
 fn digest_mismatch(id: TupleSetId) -> PassError {
     PassError::Model(ModelError::Invalid(format!("content digest mismatch for {id}")))
+}
+
+/// The rows under `prefix` whose id starts with the byte `first`, as
+/// `(id, value)` in key order, keys that are not keyspace keys skipped:
+/// one of 256 slices of the id space. Every whole-prefix read goes slice
+/// by slice. One scan of a prefix would allocate a key and a value per
+/// stored set and free them only at its end; an open would leave those
+/// pages resident, and the audit would hold every set's readings at once.
+fn scan_slice(
+    store: &dyn KvStore,
+    prefix: u8,
+    first: u8,
+) -> Result<impl Iterator<Item = (TupleSetId, Vec<u8>)>> {
+    let (end, end_len) = match first.checked_add(1) {
+        Some(next) => ([prefix, next], 2),
+        None => ([prefix + 1, 0], 1),
+    };
+    let rows = store.scan_range(&[prefix, first], Some(&end[..end_len]))?;
+    Ok(rows.into_iter().filter_map(|(key, value)| Some((keyspace::parse(&key)?.1, value))))
 }
 
 /// Joins `record` with its stored readings; `None` when either is gone.
@@ -464,45 +485,36 @@ impl Pass {
     }
 
     /// Rebuilds the in-memory indexes from the stored records in one
-    /// streaming pass: each scanned row is decoded once for its index
-    /// entries, its value buffer moves into the record table, and every
-    /// [`REBUILD_CHUNK`] records are merged into the indexes as one
-    /// [`IndexDelta`], so peak memory stays close to the resident state
-    /// the open leaves behind.
+    /// streaming pass over 256 slices of the id space ([`scan_slice`]),
+    /// so no more than a slice of rows is ever held: each row is decoded
+    /// once for its index entries and its bytes are copied onto the
+    /// delta's buffer as it is read, and every [`REBUILD_CHUNK`] records
+    /// are merged into the indexes as one [`IndexDelta`] (their bytes
+    /// onto the record table in one copy). Peak memory stays close to the
+    /// resident state the open leaves behind. The data markers follow,
+    /// slice by slice too.
     fn rebuild_indexes(&self) -> Result<()> {
         let mut state = State::default();
-        let rows = self.store.scan_prefix(&[keyspace::RECORD])?;
-        state.index.reserve(rows.len());
         let mut delta = IndexDelta::with_capacity(REBUILD_CHUNK);
-        for (key, value) in rows {
-            let Some((_, id)) = keyspace::parse(&key) else {
-                continue;
-            };
-            let record = ProvenanceRecord::decode_all(&value)?;
-            debug_assert_eq!(record.id, id, "key/record id agreement");
-            delta.push(&record, value.into_boxed_slice());
-            if delta.len() == REBUILD_CHUNK {
-                let mut full =
-                    std::mem::replace(&mut delta, IndexDelta::with_capacity(REBUILD_CHUNK));
-                state.index.insert_delta(&mut full);
+        for first in 0..=u8::MAX {
+            for (id, value) in scan_slice(&*self.store, keyspace::RECORD, first)? {
+                let record = ProvenanceRecord::decode_all(&value)?;
+                debug_assert_eq!(record.id, id, "key/record id agreement");
+                delta.push(&record, &value);
+                if delta.len() == REBUILD_CHUNK {
+                    state.index.insert_delta(&mut delta);
+                }
             }
         }
         state.index.insert_delta(&mut delta);
         state.index.sort_time();
         state.index.shrink_to_fit();
-        // Markers are read in 256 slices of the id space. One scan of the
-        // whole prefix would allocate a key and a value per stored set on
-        // top of the built indexes and free them only at the end, and the
-        // open would leave those pages resident.
         for first in 0..=u8::MAX {
-            let next = [keyspace::MARKER, first.wrapping_add(1)];
-            let end: &[u8] = if first == u8::MAX { &[keyspace::MARKER + 1] } else { &next };
-            for (key, _) in self.store.scan_range(&[keyspace::MARKER, first], Some(end))? {
+            for (id, _) in scan_slice(&*self.store, keyspace::MARKER, first)? {
                 // A marker whose record is missing sets no bit; the audit
                 // (`verify_consistency`) reports it from storage.
-                match keyspace::parse(&key) {
-                    Some((_, id)) if state.index.contains(id) => state.set_data(id, true),
-                    _ => {}
+                if state.index.contains(id) {
+                    state.set_data(id, true);
                 }
             }
         }
@@ -657,9 +669,9 @@ impl Pass {
         // batch goes through the intent-log protocol, which keeps the
         // multi-WAL write all-or-nothing across crashes (see
         // [`pass_storage::sharded`]). The Phase 0 bytes move into the
-        // batch, and a copy of each record's goes to the index delta,
-        // which extracts the index entries here, ahead of the serialized
-        // section.
+        // batch, and each record's are copied onto the index delta's one
+        // byte buffer; the delta extracts the index entries here, ahead
+        // of the serialized section.
         let mut parts: Vec<(usize, WriteBatch)> = Vec::new();
         let mut slot_of: HashMap<usize, usize> = HashMap::new();
         let mut delta = IndexDelta::with_capacity(fresh.len());
@@ -672,7 +684,7 @@ impl Pass {
                 parts.len() - 1
             });
             let batch = &mut parts[slot].1;
-            delta.push(record, record_bytes.as_slice().into());
+            delta.push(record, &record_bytes);
             batch.put(keyspace::key(keyspace::RECORD, record.id).to_vec(), record_bytes);
             batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data);
             batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
@@ -768,21 +780,24 @@ impl Pass {
             return Err(PassError::NotFound(id));
         };
         record.annotate(annotation.clone());
-        let encoded: Box<[u8]> = record.encode_to_vec().into();
+        let encoded = record.encode_to_vec();
         self.store.put(&keyspace::key(keyspace::RECORD, id), &encoded)?;
         // Presence was checked above and the shard lock pins it; a miss
         // inside means the state diverged, and `annotate` skips it rather
         // than panic mid-publish.
-        self.publish(|state| state.index.annotate(id, std::slice::from_ref(&annotation), encoded));
+        self.publish(|state| state.index.annotate(id, std::slice::from_ref(&annotation), &encoded));
         Ok(())
     }
 
     // -- Retrieval -----------------------------------------------------
 
     /// The provenance record for `id`, if present (decoded from its
-    /// resident bytes).
+    /// resident bytes). The read guard is held only to take the bytes,
+    /// which keep their chunk alive; the decode runs after it is
+    /// released.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.read().index.get(id)
+        let bytes = self.state.read().index.encoding(id)?;
+        bytes.decode()
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -891,19 +906,18 @@ impl Pass {
             drop(current);
             let mut merged = existing;
             merged.annotations.extend(fresh.iter().cloned());
-            let encoded: Box<[u8]> = merged.encode_to_vec().into();
+            let encoded = merged.encode_to_vec();
             self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
-            self.publish(|state| state.index.annotate(record.id, &fresh, encoded));
+            self.publish(|state| state.index.annotate(record.id, &fresh, &encoded));
             return Ok((false, fresh.len()));
         }
         // New record: persist and index, with no DATA/MARKER keys — the
         // readings live elsewhere (or were removed; PASS property 4). The
         // shard lock keeps the id absent until the publish below.
         drop(current);
-        let encoded: Box<[u8]> = encoded.into();
         self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
         let mut delta = IndexDelta::with_capacity(1);
-        delta.push(record, encoded);
+        delta.push(record, &encoded);
         let order = self.publish_order.lock();
         let ((), version) = self.publish(|state| {
             state.index.insert_delta(&mut delta);
@@ -1263,47 +1277,53 @@ impl Pass {
     }
 
     /// Audits storage against the invariants (see [`ConsistencyReport`]).
+    /// An id's record, readings and marker fall in the same slice of the
+    /// id space ([`scan_slice`]), so the audit walks the three prefixes
+    /// slice by slice and holds one slice's rows and ids at a time.
     pub fn verify_consistency(&self) -> Result<ConsistencyReport> {
         let mut report = ConsistencyReport::default();
-        let mut record_ids = HashSet::new();
-        let mut digests: HashMap<TupleSetId, Digest128> = HashMap::new();
-        for (key, value) in self.store.scan_prefix(&[keyspace::RECORD])? {
-            let Some((_, id)) = keyspace::parse(&key) else { continue };
-            report.records += 1;
-            record_ids.insert(id);
-            match ProvenanceRecord::decode_verified(&value) {
-                Ok((record, verified)) => {
-                    if !verified || record.id != id {
-                        report.identity_failures.push(id);
-                    }
-                    digests.insert(id, record.content_digest);
-                }
-                Err(_) => report.identity_failures.push(id),
-            }
-        }
+        // Each record's content digest, `None` when the record fails to
+        // decode.
+        let mut digests: HashMap<TupleSetId, Option<Digest128>> = HashMap::new();
         let mut data_ids = HashSet::new();
-        for (key, value) in self.store.scan_prefix(&[keyspace::DATA])? {
-            let Some((_, id)) = keyspace::parse(&key) else { continue };
-            report.data_blobs += 1;
-            data_ids.insert(id);
-            if !record_ids.contains(&id) {
-                report.orphan_data.push(id);
-                continue;
-            }
-            // The stored bytes are the canonical encoding the digest
-            // was taken over: hash them as they are.
-            if digests.get(&id) != Some(&Digest128::of(&value)) {
-                report.digest_mismatches.push(id);
-            }
-        }
         let mut marker_ids = HashSet::new();
-        for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
-            if let Some((_, id)) = keyspace::parse(&key) {
+        for first in 0..=u8::MAX {
+            digests.clear();
+            data_ids.clear();
+            marker_ids.clear();
+            for (id, value) in scan_slice(&*self.store, keyspace::RECORD, first)? {
+                report.records += 1;
+                let digest = match ProvenanceRecord::decode_verified(&value) {
+                    Ok((record, verified)) => {
+                        if !verified || record.id != id {
+                            report.identity_failures.push(id);
+                        }
+                        Some(record.content_digest)
+                    }
+                    Err(_) => {
+                        report.identity_failures.push(id);
+                        None
+                    }
+                };
+                digests.insert(id, digest);
+            }
+            for (id, value) in scan_slice(&*self.store, keyspace::DATA, first)? {
+                report.data_blobs += 1;
+                data_ids.insert(id);
+                let Some(digest) = digests.get(&id) else {
+                    report.orphan_data.push(id);
+                    continue;
+                };
+                // The stored bytes are the canonical encoding the digest
+                // was taken over: hash them as they are.
+                if *digest != Some(Digest128::of(&value)) {
+                    report.digest_mismatches.push(id);
+                }
+            }
+            for (id, _) in scan_slice(&*self.store, keyspace::MARKER, first)? {
                 marker_ids.insert(id);
             }
-        }
-        for id in marker_ids.symmetric_difference(&data_ids) {
-            report.marker_mismatches.push(*id);
+            report.marker_mismatches.extend(marker_ids.symmetric_difference(&data_ids));
         }
         Ok(report)
     }

@@ -222,7 +222,7 @@ impl Chase {
 /// when the site already stores it.
 pub(crate) fn index_record(index: &mut RecordIndex, record: &ProvenanceRecord) {
     if !index.contains(record.id) {
-        index.insert(record, record.encode_to_vec().into());
+        index.insert(record, &record.encode_to_vec());
     }
 }
 

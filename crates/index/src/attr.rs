@@ -24,6 +24,14 @@ impl AttrIndex {
         AttrIndex::default()
     }
 
+    /// Drops every posting list's spare capacity (after a bulk load).
+    pub fn shrink_to_fit(&mut self) {
+        self.by_attr
+            .values_mut()
+            .flat_map(|values| values.values_mut())
+            .for_each(PostingList::shrink_to_fit);
+    }
+
     /// Indexes every attribute of a record.
     pub fn insert_attrs(&mut self, idx: NodeIdx, attrs: &Attributes) {
         for (name, value) in attrs.iter() {

@@ -27,6 +27,11 @@ impl KeywordIndex {
         KeywordIndex::default()
     }
 
+    /// Drops every posting list's spare capacity (after a bulk load).
+    pub fn shrink_to_fit(&mut self) {
+        self.postings.values_mut().for_each(PostingList::shrink_to_fit);
+    }
+
     /// Indexes one document's text under a node.
     pub fn insert(&mut self, idx: NodeIdx, text: &str) {
         for token in tokenize(text) {

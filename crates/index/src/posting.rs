@@ -176,34 +176,32 @@ impl PostingList {
             }
             return;
         }
-        // General path: linear merge.
-        let old = std::mem::take(&mut self.items);
-        self.items = Vec::with_capacity(old.len() + run.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old.len() && j < run.len() {
-            match old[i].cmp(&run[j]) {
-                std::cmp::Ordering::Less => {
-                    self.items.push(old[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.items.push(run[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    self.items.push(old[i]);
-                    i += 1;
-                    j += 1;
-                }
+        // General path: merge from the back into room grown at the end of
+        // the list itself (amortized, as the append grows it), so a merge
+        // neither allocates a second list nor frees the first: a list
+        // rebuilt at each batch would leave a hole of its old size behind
+        // every time it grows.
+        let old_len = self.items.len();
+        self.items.resize(old_len + run.len(), 0);
+        let (mut i, mut j) = (old_len, run.len());
+        for k in (0..self.items.len()).rev() {
+            if j == 0 {
+                break;
             }
-        }
-        self.items.extend_from_slice(&old[i..]);
-        for &x in &run[j..] {
-            if self.items.last() != Some(&x) {
-                self.items.push(x);
+            if i > 0 && self.items[i - 1] > run[j - 1] {
+                i -= 1;
+                self.items[k] = self.items[i];
+            } else {
+                j -= 1;
+                self.items[k] = run[j];
             }
         }
         self.items.dedup();
+    }
+
+    /// Drops spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
     }
 
     /// Heap bytes used.

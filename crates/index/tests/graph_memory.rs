@@ -51,10 +51,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Builds a graph of `nodes` nodes the way an open's bulk load does
-/// (`RecordIndex::reserve`, inserts, `RecordIndex::shrink_to_fit`): node
-/// tables reserved for the record count, edge tables grown on demand,
-/// and the growth slack trimmed at the end. A raw root, then each node
+/// Builds a graph of `nodes` nodes as a bulk load would: node tables
+/// reserved for the record count, edge tables grown on demand, and the
+/// growth slack trimmed at the end (`RecordIndex::shrink_to_fit`). A raw root, then each node
 /// derived from one earlier node, and every tenth from a second one too
 /// — about one edge per node. Returns the graph and the heap bytes it
 /// holds.

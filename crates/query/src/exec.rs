@@ -674,7 +674,7 @@ mod tests {
     fn index_of(records: Vec<ProvenanceRecord>) -> FixtureProvider {
         let mut index = RecordIndex::new();
         for record in &records {
-            index.insert(record, record.encode_to_vec().into());
+            index.insert(record, &record.encode_to_vec());
         }
         Counted::new(index)
     }

@@ -153,6 +153,7 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod record_index;
+mod record_table;
 
 pub use ast::{CmpOp, LineageClause, OrderBy, Predicate, Query, Subscribe};
 pub use error::{QueryError, Result};
@@ -163,3 +164,4 @@ pub use exec::{
 pub use parser::{parse, parse_predicate, parse_subscribe};
 pub use plan::{plan, IndexExpr, Plan, PlanSource};
 pub use record_index::{IndexDelta, RecordIndex};
+pub use record_table::RecordBytes;

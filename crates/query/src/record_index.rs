@@ -8,15 +8,22 @@
 //! contributes to the indexes is decided in one place, [`IndexDelta::push`].
 //!
 //! Each stored record is resident once, as its canonical encoding (the
-//! same bytes a store writes under the record's key), in a table indexed
-//! by the graph's [`NodeIdx`]. Counting, membership, ids, parents and the
-//! created-order scan never touch those bytes: they read the graph and a
-//! `created_at` column. [`RecordIndex::get`], [`RecordIndex::records`]
-//! and [`Provider::fetch`] decode a record on every call.
+//! same bytes a store writes under the record's key), in a
+//! record table indexed by the graph's [`NodeIdx`]: append-only byte
+//! chunks shared by `Arc`, so cloning an index (the copy-on-write path
+//! under a live snapshot) copies chunk pointers and one span per node,
+//! not records. A batch's encodings travel in one buffer of its
+//! [`IndexDelta`] and reach the table with one copy. Counting,
+//! membership, ids, parents and the created-order scan never touch those
+//! bytes: they read the graph and a `created_at` column.
+//! [`RecordIndex::get`], [`RecordIndex::records`] and [`Provider::fetch`]
+//! decode a record on every call; [`RecordIndex::encoding`] hands out the
+//! bytes, holding their chunk, to decode elsewhere.
 
 use crate::ast::{LineageClause, Query};
 use crate::error::Result;
 use crate::exec::{execute, order_key, Cursor, PreparedQuery, Provider, QueryEngine, QueryResult};
+use crate::record_table::{RecordBytes, RecordTable};
 use pass_index::keyword::tokenize;
 use pass_index::{
     AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
@@ -40,6 +47,8 @@ use std::sync::{Arc, OnceLock};
 #[derive(Default)]
 pub struct IndexDelta {
     records: Vec<Pending>,
+    /// Every record's canonical encoding, back to back in batch order.
+    bytes: Vec<u8>,
     /// Every record's parent edges, back to back in batch order.
     parents: Vec<(TupleSetId, bool)>,
     /// The batch's distinct `(attribute, value)` pairs, each with its
@@ -66,7 +75,8 @@ pub struct IndexDelta {
 struct Pending {
     id: TupleSetId,
     created_at: Timestamp,
-    encoding: Box<[u8]>,
+    /// Where the record's encoding ends in the delta's byte buffer.
+    bytes_end: usize,
     /// Where the record's parent edges end in the delta's edge list.
     parents_end: usize,
 }
@@ -150,22 +160,23 @@ impl IndexDelta {
         IndexDelta { records: Vec::with_capacity(records), ..IndexDelta::default() }
     }
 
-    /// Adds `record`, to be held as `encoding`, which must be its
-    /// canonical encoding (callers already have it: the bytes they write
-    /// to storage, or read back from it). Extracts the record's index
+    /// Adds `record`, to be held as a copy of `encoding`, which must be
+    /// its canonical encoding (callers already have it: the bytes they
+    /// write to storage, or read back from it). Extracts the record's index
     /// entries: its attributes, the multi-valued `tool.name` /
     /// `tool.version` attributes, the `origin.site` / `created_at` /
     /// `ancestry.parents` pseudo-attributes, annotation and description
     /// text, and its declared time window.
-    pub fn push(&mut self, record: &ProvenanceRecord, encoding: Box<[u8]>) {
+    pub fn push(&mut self, record: &ProvenanceRecord, encoding: &[u8]) {
         // Positions stand in for `NodeIdx`es until `insert_delta`.
         let slot = NodeIdx::try_from(self.records.len())
             .expect("a batch holds fewer records than a NodeIdx can count");
         self.parents.extend(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)));
+        self.bytes.extend_from_slice(encoding);
         self.records.push(Pending {
             id: record.id,
             created_at: record.created_at,
-            encoding,
+            bytes_end: self.bytes.len(),
             parents_end: self.parents.len(),
         });
         for (name, value) in record.attributes.iter() {
@@ -268,7 +279,7 @@ impl IndexDelta {
 /// Decodes a resident encoding. Resident bytes came from the encoder or
 /// from a checksummed scan that already decoded them once, so a failure
 /// here is a bug, not bad input.
-fn decode(bytes: &[u8]) -> Option<ProvenanceRecord> {
+pub(crate) fn decode(bytes: &[u8]) -> Option<ProvenanceRecord> {
     let record = ProvenanceRecord::decode_all(bytes);
     debug_assert!(record.is_ok(), "resident record fails to decode: {record:?}");
     record.ok()
@@ -296,17 +307,13 @@ pub struct RecordIndex {
     attrs: AttrIndex,
     keywords: KeywordIndex,
     time: TimeIndex,
-    /// Each stored record's canonical encoding, by `NodeIdx`; `None` for
+    /// Each stored record's canonical encoding, by `NodeIdx`; none for
     /// placeholders (parents referenced but not stored here). As long as
     /// the graph.
-    records: Vec<Option<Box<[u8]>>>,
+    records: RecordTable,
     /// Each stored record's `created_at`, by `NodeIdx`: the created-order
     /// scan's sort key, read without decoding.
     created: Vec<Timestamp>,
-    /// Number of `Some` entries in `records`.
-    stored: usize,
-    /// Total length of the encodings in `records`.
-    record_bytes: usize,
     created_scans: CreatedScanCache,
 }
 
@@ -316,10 +323,10 @@ impl RecordIndex {
         RecordIndex::default()
     }
 
-    /// Indexes one record, held as `encoding` (its canonical encoding,
-    /// built by the caller), and sorts the time index; a no-op when the
-    /// id is already stored.
-    pub fn insert(&mut self, record: &ProvenanceRecord, encoding: Box<[u8]>) {
+    /// Indexes one record, held as a copy of `encoding` (its canonical
+    /// encoding, built by the caller), and sorts the time index; a no-op
+    /// when the id is already stored.
+    pub fn insert(&mut self, record: &ProvenanceRecord, encoding: &[u8]) {
         if self.contains(record.id) {
             return;
         }
@@ -331,7 +338,8 @@ impl RecordIndex {
 
     /// Merges a pre-extracted batch and empties `delta` (a caller that
     /// merges under a lock frees the delta's buffers after leaving it):
-    /// each record's bytes and graph edges, then each distinct attribute
+    /// each record's graph edges, the batch's record bytes in one copy
+    /// onto the record table, then each distinct attribute
     /// value's and token's run of nodes into its posting list, so
     /// maintenance cost is amortized over the batch and nothing is
     /// sorted but the runs interning left out of order. The caller must
@@ -341,6 +349,7 @@ impl RecordIndex {
     pub fn insert_delta(&mut self, delta: &mut IndexDelta) {
         let IndexDelta {
             records,
+            bytes,
             parents,
             attrs,
             attr_rows,
@@ -354,23 +363,23 @@ impl RecordIndex {
         } = delta;
         idxs.clear();
         let mut start = 0;
-        for pending in records.drain(..) {
+        for pending in records.iter() {
             let idx = self.graph.insert(pending.id, &parents[start..pending.parents_end]);
             start = pending.parents_end;
-            // Interning may have added placeholder parents too.
-            let nodes = self.graph.node_count();
-            self.records.resize_with(nodes, || None);
-            self.created.resize(nodes, Timestamp(0));
-            self.record_bytes += pending.encoding.len();
-            let previous = self.records[idx as usize].replace(pending.encoding);
-            debug_assert!(previous.is_none(), "{} was already stored", pending.id);
-            match previous {
-                Some(old) => self.record_bytes -= old.len(),
-                None => self.stored += 1,
-            }
-            self.created[idx as usize] = pending.created_at;
+            debug_assert!(!self.records.contains(idx), "{} was already stored", pending.id);
             idxs.push(idx);
         }
+        // Interning may have added placeholder parents too.
+        let nodes = self.graph.node_count();
+        self.records.resize(nodes);
+        self.created.resize(nodes, Timestamp(0));
+        for (pending, &idx) in records.iter().zip(idxs.iter()) {
+            self.created[idx as usize] = pending.created_at;
+        }
+        self.records
+            .append(bytes, idxs.iter().zip(records.iter()).map(|(&idx, p)| (idx, p.bytes_end)));
+        records.clear();
+        bytes.clear();
         parents.clear();
         runs.build(attr_rows, idxs);
         for (name, values) in std::mem::take(attrs) {
@@ -401,41 +410,31 @@ impl RecordIndex {
     /// Replaces a stored record's bytes with `encoding`, which must be
     /// the canonical encoding of the record with `annotations` appended
     /// (the caller builds it for its storage write), and indexes the
-    /// annotations' text. Returns false (and changes nothing) when `id`
-    /// is not stored.
+    /// annotations' text. The new bytes are appended to the record
+    /// table; the old ones stay in their chunk, unreferenced. Returns
+    /// false (and changes nothing) when `id` is not stored.
     pub fn annotate(
         &mut self,
         id: TupleSetId,
         annotations: &[Annotation],
-        encoding: Box<[u8]>,
+        encoding: &[u8],
     ) -> bool {
         let Some(idx) = self.stored_node(id) else {
             return false;
         };
-        self.record_bytes += encoding.len();
-        if let Some(old) = self.records[idx as usize].replace(encoding) {
-            self.record_bytes -= old.len();
-        }
+        self.records.set(idx, encoding);
         for ann in annotations {
             self.keywords.insert(idx, &ann.text);
         }
         true
     }
 
-    /// Reserves room for `additional` more records: their graph nodes,
-    /// byte slots and `created_at` entries. Derivation edges are not
-    /// reserved: how many a record names is known only once it is
-    /// decoded. [`RecordIndex::shrink_to_fit`] trims the growth slack.
-    pub fn reserve(&mut self, additional: usize) {
-        self.graph.reserve(additional);
-        self.records.reserve(additional);
-        self.created.reserve(additional);
-    }
-
-    /// Drops spare capacity after a bulk load: the edge tables' growth
-    /// slack, and the node tables' where placeholder parents outgrew a
-    /// [`RecordIndex::reserve`].
+    /// Drops spare capacity after a bulk load: the growth slack of the
+    /// posting lists, the graph's tables, the record table's span array
+    /// and tail, and the `created_at` column.
     pub fn shrink_to_fit(&mut self) {
+        self.attrs.shrink_to_fit();
+        self.keywords.shrink_to_fit();
         self.graph.shrink_to_fit();
         self.records.shrink_to_fit();
         self.created.shrink_to_fit();
@@ -443,43 +442,39 @@ impl RecordIndex {
 
     /// Number of records stored.
     pub fn len(&self) -> usize {
-        self.stored
+        self.records.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.stored == 0
+        self.records.is_empty()
     }
 
     /// The node of a stored record (`None` for placeholders and unknown
     /// ids).
     fn stored_node(&self, id: TupleSetId) -> Option<NodeIdx> {
-        self.graph.lookup(id).filter(|&idx| self.encoding_at(idx).is_some())
-    }
-
-    fn encoding_at(&self, idx: NodeIdx) -> Option<&[u8]> {
-        self.records.get(idx as usize)?.as_deref()
-    }
-
-    /// Nodes of stored records, ascending.
-    fn stored_nodes(&self) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_some())
-            .map(|(idx, _)| idx as NodeIdx)
+        self.graph.lookup(id).filter(|&idx| self.records.contains(idx))
     }
 
     /// The id and `created_at` of the record stored at `idx`, read
     /// without decoding (`None` for placeholders and unknown nodes).
     pub fn created_of(&self, idx: NodeIdx) -> Option<(TupleSetId, Timestamp)> {
-        self.encoding_at(idx)?;
+        if !self.records.contains(idx) {
+            return None;
+        }
         Some((self.graph.resolve(idx)?, self.created[idx as usize]))
     }
 
     /// The record stored under `id`, decoded.
     pub fn get(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        decode(self.encoding_at(self.stored_node(id)?)?)
+        decode(self.records.get(self.stored_node(id)?)?)
+    }
+
+    /// The canonical encoding of the record stored under `id`, holding
+    /// its chunk: a caller under a lock takes it there and decodes it
+    /// ([`RecordBytes::decode`]) after leaving the lock.
+    pub fn encoding(&self, id: TupleSetId) -> Option<RecordBytes> {
+        self.records.share(self.stored_node(id)?)
     }
 
     /// True when the record is stored here.
@@ -489,12 +484,12 @@ impl RecordIndex {
 
     /// Every stored record, decoded one at a time (in node order).
     pub fn records(&self) -> impl Iterator<Item = ProvenanceRecord> + '_ {
-        self.records.iter().filter_map(|slot| decode(slot.as_deref()?))
+        self.records.iter().filter_map(decode)
     }
 
     /// Every stored record's id (in node order).
     pub fn record_ids(&self) -> impl Iterator<Item = TupleSetId> + '_ {
-        self.stored_nodes().filter_map(|idx| self.graph.resolve(idx))
+        self.records.nodes().filter_map(|idx| self.graph.resolve(idx))
     }
 
     /// Direct parents of a stored record, in ancestry order (a parent
@@ -515,7 +510,7 @@ impl RecordIndex {
     }
 
     /// Approximate bytes held by the indexes and the `created_at` column
-    /// (record encodings excluded; see [`RecordIndex::record_bytes`]).
+    /// (the record table excluded; see [`RecordIndex::record_bytes`]).
     pub fn size_bytes(&self) -> usize {
         self.attrs.size_bytes()
             + self.keywords.size_bytes()
@@ -526,7 +521,7 @@ impl RecordIndex {
 
     /// Total bytes of the resident record encodings.
     pub fn record_bytes(&self) -> usize {
-        self.record_bytes
+        self.records.record_bytes()
     }
 
     /// [`Provider::lineage`]: breadth-first over the graph; placeholder
@@ -584,7 +579,7 @@ impl Provider for RecordIndex {
         self.attrs.has_attr(attr)
     }
     fn all_nodes(&self) -> PostingList {
-        PostingList::from_sorted(self.stored_nodes().collect())
+        PostingList::from_sorted(self.records.nodes().collect())
     }
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
         self.closure(clause)
@@ -594,7 +589,7 @@ impl Provider for RecordIndex {
     }
     /// Decodes the record's resident bytes.
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        decode(self.encoding_at(idx)?)
+        decode(self.records.get(idx)?)
     }
     /// Built once per index state from the `created_at` column and
     /// shared by every cursor (O(n log n) on the first ordered query
@@ -603,7 +598,8 @@ impl Provider for RecordIndex {
         let cell = if desc { &self.created_scans.desc } else { &self.created_scans.asc };
         let scan = cell.get_or_init(|| {
             let mut keyed: Vec<_> = self
-                .stored_nodes()
+                .records
+                .nodes()
                 .filter_map(|idx| {
                     let id = self.graph.resolve(idx)?;
                     Some((order_key(self.created[idx as usize], id, desc), idx))
@@ -625,6 +621,7 @@ impl QueryEngine for RecordIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_table::CHUNK_BYTES;
     use pass_model::codec::Encode;
     use pass_model::{Digest128, ProvenanceBuilder, SiteId, ToolDescriptor};
     use proptest::prelude::*;
@@ -636,8 +633,8 @@ mod tests {
             .build(Digest128::of(&[n]))
     }
 
-    fn bytes(record: &ProvenanceRecord) -> Box<[u8]> {
-        record.encode_to_vec().into()
+    fn bytes(record: &ProvenanceRecord) -> Vec<u8> {
+        record.encode_to_vec()
     }
 
     #[test]
@@ -645,9 +642,9 @@ mod tests {
         let mut index = RecordIndex::new();
         let a = record("traffic", 1);
         let b = record("weather", 2);
-        index.insert(&a, bytes(&a));
-        index.insert(&b, bytes(&b));
-        index.insert(&a, bytes(&a)); // idempotent
+        index.insert(&a, &bytes(&a));
+        index.insert(&b, &bytes(&b));
+        index.insert(&a, &bytes(&a)); // idempotent
         assert_eq!(index.len(), 2);
         assert_eq!(index.record_bytes(), bytes(&a).len() + bytes(&b).len());
         let res = index.query(&crate::parse(r#"FIND WHERE domain = "traffic""#).unwrap()).unwrap();
@@ -662,8 +659,8 @@ mod tests {
             .attr("domain", "x")
             .derived_from(root.id, ToolDescriptor::new("t", "1"))
             .build(Digest128::of(b"c"));
-        index.insert(&root, bytes(&root));
-        index.insert(&child, bytes(&child));
+        index.insert(&root, &bytes(&root));
+        index.insert(&child, &bytes(&child));
         let q = crate::parse(&format!("FIND ANCESTORS OF ts:{}", child.id.full_hex())).unwrap();
         let res = index.query(&q).unwrap();
         assert_eq!(res.ids(), vec![root.id]);
@@ -675,13 +672,15 @@ mod tests {
     const FOREIGN: TupleSetId = TupleSetId(0xf0_0000);
 
     /// Record `i` of the pool, per its spec `(kind, pick, created, user
-    /// created_at attribute, value)`. `kind` 0 is a raw capture; 1
+    /// created_at attribute, value, size)`. `kind` 0 is a raw capture; 1
     /// derives from an earlier pool record, 2 names that parent twice,
     /// 3 adds [`FOREIGN`]. Creation times come from a range of four, so
-    /// ties are common.
-    fn pool(specs: &[(u8, usize, u64, bool, i64)]) -> Vec<ProvenanceRecord> {
+    /// ties are common. `size` 6 pads the record to half a record-table
+    /// chunk and 7 past a whole one, so tables of a few records seal
+    /// chunks and give a record a chunk of its own.
+    fn pool(specs: &[(u8, usize, u64, bool, i64, u8)]) -> Vec<ProvenanceRecord> {
         let mut out: Vec<ProvenanceRecord> = Vec::with_capacity(specs.len());
-        for (i, &(kind, pick, created, user_created, value)) in specs.iter().enumerate() {
+        for (i, &(kind, pick, created, user_created, value, size)) in specs.iter().enumerate() {
             let mut builder =
                 ProvenanceBuilder::new(SiteId(1 + (i % 2) as u32), Timestamp(created))
                     .attr("domain", ["traffic", "weather"][i % 2])
@@ -691,6 +690,11 @@ mod tests {
             }
             if value % 2 == 0 {
                 builder = builder.attr(keys::DESCRIPTION, format!("window {value}"));
+            }
+            match size {
+                6 => builder = builder.attr("pad", "p".repeat(CHUNK_BYTES / 2)),
+                7 => builder = builder.attr("pad", "p".repeat(CHUNK_BYTES + 1)),
+                _ => {}
             }
             if kind > 0 && i > 0 {
                 let tool = ToolDescriptor::new("agg", "1");
@@ -779,14 +783,18 @@ mod tests {
         /// The byte table answers exactly what a map of decoded records
         /// would, under random one-record inserts, batch deltas,
         /// annotations with caller-built encodings, and clone-then-insert
-        /// (which must not reuse the original's cached scans). Records
-        /// meet their parents as placeholders first whenever the insert
-        /// order puts a child ahead; a user attribute named `created_at`
-        /// shows why the created scan cannot read the attribute postings.
+        /// (which must not reuse the original's cached scans, nor change
+        /// the original's bytes). Records meet their parents as
+        /// placeholders first whenever the insert order puts a child
+        /// ahead; a user attribute named `created_at` shows why the
+        /// created scan cannot read the attribute postings. Padded pool
+        /// records cross record-table chunk boundaries: a record larger
+        /// than a chunk, annotations of records whose chunk was sealed,
+        /// and appends after a clone that seal or copy the shared tail.
         #[test]
         fn byte_table_agrees_with_decoded_records(
             specs in proptest::collection::vec(
-                (0u8..4, 0usize..64, 0u64..4, any::<bool>(), 0i64..6), 2..20),
+                (0u8..4, 0usize..64, 0u64..4, any::<bool>(), 0i64..6, 0u8..8), 2..20),
             ops in proptest::collection::vec((0u8..5, 0usize..64, 0usize..64), 1..30),
         ) {
             let pool = pool(&specs);
@@ -798,14 +806,14 @@ mod tests {
                 match op {
                     0 => {
                         // Stored records keep their (annotated) bytes.
-                        index.insert(pick, bytes(pick));
+                        index.insert(pick, &bytes(pick));
                         oracle.entry(pick.id).or_insert_with(|| pick.clone());
                     }
                     1 => {
                         let mut delta = IndexDelta::default();
                         for record in (0..=b % 4).map(|k| &pool[(a + k) % n]) {
                             oracle.entry(record.id).or_insert_with(|| {
-                                delta.push(record, bytes(record));
+                                delta.push(record, &bytes(record));
                                 record.clone()
                             });
                         }
@@ -818,10 +826,10 @@ mod tests {
                             Some(record) => {
                                 record.annotate(note.clone());
                                 let encoding = bytes(record);
-                                prop_assert!(index.annotate(pick.id, &[note], encoding));
+                                prop_assert!(index.annotate(pick.id, &[note], &encoding));
                             }
                             None => {
-                                prop_assert!(!index.annotate(pick.id, &[note], bytes(pick)));
+                                prop_assert!(!index.annotate(pick.id, &[note], &bytes(pick)));
                             }
                         }
                     }
@@ -829,7 +837,7 @@ mod tests {
                         // Warm the original's scans, then insert into a clone.
                         let before = (index.created_scan(false), index.created_scan(true));
                         let mut copy = index.clone();
-                        copy.insert(pick, bytes(pick));
+                        copy.insert(pick, &bytes(pick));
                         prop_assert_eq!((index.created_scan(false), index.created_scan(true)), before);
                         assert_agrees(&index, &oracle);
                         oracle.entry(pick.id).or_insert_with(|| pick.clone());

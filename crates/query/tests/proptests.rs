@@ -17,7 +17,7 @@ use proptest::prelude::*;
 fn index_of(records: &[ProvenanceRecord]) -> RecordIndex {
     let mut index = RecordIndex::new();
     for record in records {
-        index.insert(record, record.encode_to_vec().into());
+        index.insert(record, &record.encode_to_vec());
     }
     index
 }

@@ -16,7 +16,7 @@ fn big_store(n: usize) -> Counted<RecordIndex> {
             .attr("domain", if i % 2 == 0 { "traffic" } else { "weather" })
             .attr("zone", (i % 64) as i64)
             .build(Digest128::of(&(i as u64).to_be_bytes()));
-        delta.push(&record, record.encode_to_vec().into());
+        delta.push(&record, &record.encode_to_vec());
     }
     let mut index = RecordIndex::new();
     index.insert_delta(&mut delta);

@@ -248,7 +248,10 @@ impl LsmEngine {
     /// Forces a memtable flush (normally triggered by size).
     pub fn force_flush(&self) -> Result<()> {
         let mut inner = self.inner.write();
-        flush_locked(&mut inner)
+        let flushed = flush_locked(&mut inner)?;
+        drop(inner);
+        drop(flushed);
+        Ok(())
     }
 
     /// Merges every live table into one, dropping tombstones (normally
@@ -429,17 +432,18 @@ impl KvStore for LsmEngine {
         if batch.is_empty() {
             return Ok(());
         }
-        let stall = {
+        let (stall, flushed) = {
             let mut inner = self.inner.write();
             inner.wal.append(&batch.encode())?;
             apply_to_memtable(&mut inner.mem, batch);
             if inner.mem.approx_bytes() >= inner.opts.memtable_bytes {
-                flush_locked(&mut inner)?;
-                inner.flush_signal.is_some() && inner.tables.len() >= STALL_TABLES
+                let flushed = flush_locked(&mut inner)?;
+                (inner.flush_signal.is_some() && inner.tables.len() >= STALL_TABLES, flushed)
             } else {
-                false
+                (false, MemTable::default())
             }
         };
+        drop(flushed);
         if stall {
             self.stall_for_backlog();
         }
@@ -471,7 +475,10 @@ impl KvStore for LsmEngine {
         if inner.mem.is_empty() {
             return inner.wal.sync();
         }
-        flush_locked(&mut inner)
+        let flushed = flush_locked(&mut inner)?;
+        drop(inner);
+        drop(flushed);
+        Ok(())
     }
 }
 
@@ -484,9 +491,13 @@ fn apply_to_memtable(mem: &mut MemTable, batch: WriteBatch) {
     }
 }
 
-fn flush_locked(inner: &mut Inner) -> Result<()> {
+/// Writes the memtable out as a table and registers it, and returns the
+/// flushed memtable (empty when there was nothing to flush) so the caller
+/// frees its entries after releasing the engine lock: freeing a full
+/// memtable's buffers takes milliseconds.
+fn flush_locked(inner: &mut Inner) -> Result<MemTable> {
     if inner.mem.is_empty() {
-        return Ok(());
+        return Ok(MemTable::default());
     }
     let id = inner.next_id;
     inner.next_id += 1;
@@ -510,7 +521,7 @@ fn flush_locked(inner: &mut Inner) -> Result<()> {
 
     let table = SsTable::open_with_cache(&path, inner.opts.cache.clone())?;
     inner.tables.insert(0, TableHandle { table: Arc::new(table), meta });
-    inner.mem.clear();
+    let flushed = std::mem::take(&mut inner.mem);
     // The WAL's contents are now durable in the table; start a fresh log.
     inner.wal = Wal::create(inner.dir.join(WAL_FILE), inner.opts.sync)?;
     inner.flushes += 1;
@@ -519,7 +530,7 @@ fn flush_locked(inner: &mut Inner) -> Result<()> {
     if let Some(signal) = &inner.flush_signal {
         signal.notify();
     }
-    Ok(())
+    Ok(flushed)
 }
 
 /// Index of `ids` as a contiguous newest-first run in `tables`, `None`
