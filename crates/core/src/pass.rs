@@ -35,6 +35,14 @@
 //! * *durability*: after a crash, either every set of the batch is
 //!   visible or none is (WAL replay applies batches atomically).
 //!
+//! Every mutation reaches storage and the published state through one
+//! private commit function (`Pass::commit`): one storage batch, then,
+//! inside the serialized `publish_order` section, one publish, the
+//! broadcast of any added records and the counters. Tuple sets and bare
+//! records (`Pass::ingest_record`, an archive's metadata-only entries)
+//! are added by one group commit; annotations, and the removal and
+//! restore of readings, commit one record at a time.
+//!
 //! # Snapshot-isolated reads
 //!
 //! All in-memory index state lives in one immutable `State` behind an
@@ -66,8 +74,10 @@
 //! lock and storage engine (own WAL and memtable on disk) — see
 //! [`crate::shard`]. A batch takes only the locks of the shards it
 //! touches, so writers on disjoint shards run their validation, WAL
-//! appends, and fsyncs fully in parallel; cross-shard batches stay
-//! atomic through a roll-forward intent log. What stays global is
+//! appends, and fsyncs fully in parallel. The commit hands its whole
+//! batch to one `KvStore::apply`; the sharded store routes it, and a
+//! batch that spans shards stays atomic through its roll-forward intent
+//! log. What stays global is
 //! *visibility*: every commit publishes one new state under the global
 //! version counter inside a short, serialized publish+broadcast
 //! section, so snapshot isolation and the subscription handoff are
@@ -182,20 +192,31 @@ fn read_data(store: &dyn KvStore, id: TupleSetId) -> Result<Option<Vec<Reading>>
     }
 }
 
-/// A tuple set's stored bytes: its record's canonical encoding and its
-/// readings' (the `RECORD` and `DATA` values).
-#[derive(Default)]
+/// A tuple set's stored bytes: its record's canonical encoding and,
+/// unless it is a bare record, its readings' (the `RECORD` and `DATA`
+/// values).
 struct Encoded {
     record: Vec<u8>,
-    data: Vec<u8>,
+    data: Option<Vec<u8>>,
 }
 
-/// Encodes `ts` once, through `scratch`, into exactly sized buffers.
+/// A tuple set to commit: its record and, unless it is a bare record,
+/// its readings.
+type Entry<'a> = (&'a ProvenanceRecord, Option<&'a [Reading]>);
+
+fn entry(ts: &TupleSet) -> Entry<'_> {
+    (&ts.provenance, Some(&ts.readings))
+}
+
+/// Encodes `set` once, through `scratch`, into exactly sized buffers.
 /// With `verify`, checks the record's identity over the record bytes and
 /// its content digest over the readings bytes, the bytes that are
 /// stored.
-fn encode_set(ts: &TupleSet, verify: bool, scratch: &mut Vec<u8>) -> Result<Encoded> {
-    let record = &ts.provenance;
+fn encode_set(
+    (record, readings): Entry<'_>,
+    verify: bool,
+    scratch: &mut Vec<u8>,
+) -> Result<Encoded> {
     scratch.clear();
     if verify {
         if !record.encode_verified_into(scratch) {
@@ -205,12 +226,15 @@ fn encode_set(ts: &TupleSet, verify: bool, scratch: &mut Vec<u8>) -> Result<Enco
         record.encode_into(scratch);
     }
     let record_bytes = scratch.as_slice().to_vec();
+    let Some(readings) = readings else {
+        return Ok(Encoded { record: record_bytes, data: None });
+    };
     scratch.clear();
-    TupleSet::encode_readings_into(&ts.readings, scratch);
+    TupleSet::encode_readings_into(readings, scratch);
     if verify && Digest128::of(scratch) != record.content_digest {
         return Err(digest_mismatch(record.id));
     }
-    Ok(Encoded { record: record_bytes, data: scratch.as_slice().to_vec() })
+    Ok(Encoded { record: record_bytes, data: Some(scratch.as_slice().to_vec()) })
 }
 
 fn identity_failure(id: TupleSetId) -> PassError {
@@ -339,11 +363,10 @@ pub struct Pass {
     /// replace it copy-on-write under the commit lock.
     state: RwLock<Arc<State>>,
     /// Per-shard commit locks (one lock — the old global commit mutex —
-    /// when `shards = 1`) plus the direct shard handles the commit path
-    /// writes through. A commit holds the locks of exactly the shards it
-    /// touches, across storage I/O, so the state write lock itself is
-    /// only taken for the brief in-memory publish step and writers on
-    /// disjoint shards overlap their WAL appends and fsyncs.
+    /// when `shards = 1`). A commit holds the locks of exactly the
+    /// shards it touches, across storage I/O, so the state write lock
+    /// itself is only taken for the brief in-memory publish step and
+    /// writers on disjoint shards overlap their WAL appends and fsyncs.
     sharding: Sharding,
     /// Serializes the publish+broadcast step across shard-parallel
     /// writers so subscription changelogs leave in version order (the
@@ -423,7 +446,7 @@ impl Pass {
     pub fn open_with_store(store: Arc<dyn KvStore>, config: PassConfig) -> Result<Pass> {
         Pass::open_internal(
             store,
-            Sharding::single(),
+            Sharding::new(1),
             config,
             Arc::new(AtomicU64::new(1)),
             Arc::new(PinRegistry::default()),
@@ -530,21 +553,47 @@ impl Pass {
         self.version.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Runs an in-memory state mutation under copy-on-write: clones the
-    /// published state only when snapshots still reference it, then
-    /// publishes the mutated state. The write lock is held only for the
-    /// mutation itself, never across storage I/O. The new version is
-    /// assigned inside the lock, atomically with publication — otherwise
-    /// a racing snapshot could pair the old state with the new version.
-    /// Returns the mutation result and the version the commit was
-    /// published under (writers broadcast subscription changelogs tagged
-    /// with it).
-    fn publish<R>(&self, mutate: impl FnOnce(&mut State) -> R) -> (R, u64) {
-        let mut guard = self.state.write();
-        let state = Arc::make_mut(&mut guard);
-        let out = mutate(state);
-        state.version = self.next_version();
-        (out, state.version)
+    /// The one commit path: applies `batch` to storage, then, inside the
+    /// serialized `publish_order` section, runs `mutate` on the state
+    /// copy-on-write (cloning it only when snapshots still reference
+    /// it), publishes it under the next version, broadcasts the `added`
+    /// records to subscribers and counts them. The state write lock is
+    /// held only for the mutation itself, never across storage I/O. The
+    /// new version is assigned inside that lock, atomically with
+    /// publication — otherwise a racing snapshot could pair the old state
+    /// with the new version.
+    ///
+    /// Lock order: called with the commit lock of every shard `batch`
+    /// touches held; takes the intent-log mutex (inside
+    /// `KvStore::apply`, storage only), then `publish_order`, then the
+    /// state write lock.
+    fn commit<'r>(
+        &self,
+        batch: WriteBatch,
+        mutate: impl FnOnce(&mut State),
+        added: impl ExactSizeIterator<Item = &'r ProvenanceRecord>,
+    ) -> Result<()> {
+        self.store.apply(batch)?;
+        let order = self.publish_order.lock();
+        let version = {
+            let mut guard = self.state.write();
+            let state = Arc::make_mut(&mut guard);
+            mutate(state);
+            state.version = self.next_version();
+            state.version
+        };
+        let count = added.len() as u64;
+        if count > 0 {
+            // Broadcast while still holding the publish-order lock so
+            // subscribers receive changelogs in version order even under
+            // shard-parallel writers. The record clones are paid only
+            // when a subscriber exists.
+            self.hub.broadcast(version, || added.cloned().collect());
+            self.metrics.ingests.fetch_add(count, Ordering::Relaxed);
+            self.metrics.batches.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(order);
+        Ok(())
     }
 
     // -- Snapshot reads ------------------------------------------------
@@ -585,39 +634,48 @@ impl Pass {
     /// ones are skipped idempotently (their ids still appear in the
     /// returned vector, in input order).
     ///
-    /// Lock order: delegates to the shared batch commit, which takes the
-    /// touched shard commit locks (ascending) and then `publish_order`.
+    /// Lock order: delegates to the group commit, which takes the touched
+    /// shard commit locks (ascending) and then `publish_order`.
     pub fn ingest_batch(&self, sets: &[TupleSet]) -> Result<Vec<TupleSetId>> {
-        self.ingest_batch_inner(sets, true)
+        self.group_commit(sets.iter().map(entry), true)?;
+        Ok(sets.iter().map(|ts| ts.provenance.id).collect())
     }
 
-    /// Shared batch commit. `verify` re-checks identity and content
-    /// binding per set; [`Pass::capture_batch`] passes `false` because it
-    /// built (and therefore already hashed) the records itself one line
-    /// earlier. Collision and duplicate checks always run.
+    /// The group commit behind every addition of tuple sets and bare
+    /// records. `verify` re-checks identity and content binding per set;
+    /// [`Pass::capture_batch`] passes `false` because it built (and
+    /// therefore already hashed) the records itself one line earlier.
+    /// Collision and duplicate checks always run. Returns the positions
+    /// in `sets` of the sets it added, ascending: a set identical to a
+    /// stored one or to an earlier set of the batch is skipped.
     ///
     /// Lock order: shard commit locks (ascending, via
     /// [`Sharding::lock_many`]) → intent-log mutex (inside
-    /// `apply_parts`, storage only) → `publish_order` → the state write
-    /// lock inside `publish`. Strictly this sequence; never backwards.
-    fn ingest_batch_inner(&self, sets: &[TupleSet], verify: bool) -> Result<Vec<TupleSetId>> {
-        if sets.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// `KvStore::apply`, storage only) → `publish_order` → the state write
+    /// lock, the last three inside [`Pass::commit`]. Strictly this
+    /// sequence; never backwards.
+    fn group_commit<'a>(
+        &self,
+        sets: impl ExactSizeIterator<Item = Entry<'a>>,
+        verify: bool,
+    ) -> Result<Vec<usize>> {
         // Phase 0, before any lock: encode each record and its readings
         // once. The identity and content checks hash these very bytes,
         // and they are what storage and the index delta keep.
         let mut scratch = Vec::new();
         let mut encoded = Vec::with_capacity(sets.len());
-        for ts in sets {
-            encoded.push(encode_set(ts, verify, &mut scratch)?);
+        for set in sets {
+            encoded.push((set.0, encode_set(set, verify, &mut scratch)?));
+        }
+        if encoded.is_empty() {
+            return Ok(Vec::new());
         }
         // Take the commit locks of exactly the shards this batch touches,
         // in ascending index order (the deadlock-free total order shared
         // by every multi-shard committer). Writers whose shard sets are
         // disjoint proceed fully in parallel from here on.
         let mut involved: Vec<usize> =
-            sets.iter().map(|ts| self.sharding.shard_of(ts.provenance.id)).collect();
+            encoded.iter().map(|(record, _)| self.sharding.shard_of(record.id)).collect();
         involved.sort_unstable();
         involved.dedup();
         let _commit = self.sharding.lock_many(&involved);
@@ -631,12 +689,9 @@ impl Pass {
         // publisher's `Arc::make_mut` to deep-copy the entire state,
         // serializing shard-parallel writers on copy work.
         let current = self.state.read();
-        let mut fresh: Vec<usize> = Vec::with_capacity(sets.len());
-        let mut seen: HashMap<TupleSetId, Digest128> = HashMap::with_capacity(sets.len());
-        let mut ids = Vec::with_capacity(sets.len());
-        for (i, ts) in sets.iter().enumerate() {
-            let record = &ts.provenance;
-            ids.push(record.id);
+        let mut fresh: Vec<usize> = Vec::with_capacity(encoded.len());
+        let mut seen: HashMap<TupleSetId, Digest128> = HashMap::with_capacity(encoded.len());
+        for (i, (record, _)) in encoded.iter().enumerate() {
             // PASS property 3: identical id ⇒ identical provenance.
             // Identity binds the content digest, so matching ids with
             // matching digests are the same tuple set.
@@ -656,63 +711,53 @@ impl Pass {
             }
         }
         if fresh.is_empty() {
-            return Ok(ids);
+            return Ok(fresh);
         }
-        // Release the read guard: `publish` takes the write side of the
+        // Release the read guard: `commit` takes the write side of the
         // same lock, and holding the guard across Phase 2 would stall
         // every other shard's publish behind our storage fsync.
         drop(current);
 
-        // Phase 2: one storage sub-batch per participating shard. A
-        // single-shard batch is one engine apply — one WAL append, one
-        // fsync, exactly the old single-store commit. A cross-shard
-        // batch goes through the intent-log protocol, which keeps the
-        // multi-WAL write all-or-nothing across crashes (see
-        // [`pass_storage::sharded`]). The Phase 0 bytes move into the
-        // batch, and each record's are copied onto the index delta's one
-        // byte buffer; the delta extracts the index entries here, ahead
-        // of the serialized section.
-        let mut parts: Vec<(usize, WriteBatch)> = Vec::new();
-        let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        // Phase 2: one storage batch. The Phase 0 bytes move into it,
+        // and each record's are copied onto the index delta's one byte
+        // buffer; the delta extracts the index entries here, ahead of
+        // the serialized section. A bare record has no DATA or MARKER
+        // key: its readings live elsewhere (or were removed; PASS
+        // property 4).
+        let mut batch = WriteBatch::new();
         let mut delta = IndexDelta::with_capacity(fresh.len());
         for &i in &fresh {
-            let record = &sets[i].provenance;
-            let Encoded { record: record_bytes, data } = std::mem::take(&mut encoded[i]);
-            let shard = self.sharding.shard_of(record.id);
-            let slot = *slot_of.entry(shard).or_insert_with(|| {
-                parts.push((shard, WriteBatch::new()));
-                parts.len() - 1
-            });
-            let batch = &mut parts[slot].1;
-            delta.push(record, &record_bytes);
-            batch.put(keyspace::key(keyspace::RECORD, record.id).to_vec(), record_bytes);
-            batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data);
-            batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
-        }
-        self.sharding.apply_parts(&self.store, parts)?;
-
-        // Phase 3: one bulk index publish under the global version. The
-        // delta (record bytes, edges, attribute rows grouped by value,
-        // tokenized docs) was extracted *before* the serialized section;
-        // only graph interning, the posting merges, and the broadcast
-        // sit inside it.
-        let order = self.publish_order.lock();
-        let ((), version) = self.publish(|state| {
-            state.index.insert_delta(&mut delta);
-            state.index.sort_time();
-            for &i in &fresh {
-                state.set_data(sets[i].provenance.id, true);
+            let (record, bytes) = &mut encoded[i];
+            let id = record.id;
+            delta.push(record, &bytes.record);
+            batch.put(
+                keyspace::key(keyspace::RECORD, id).to_vec(),
+                std::mem::take(&mut bytes.record),
+            );
+            if let Some(data) = &mut bytes.data {
+                batch.put(keyspace::key(keyspace::DATA, id).to_vec(), std::mem::take(data));
+                batch.put(keyspace::key(keyspace::MARKER, id).to_vec(), vec![1u8]);
             }
-        });
-        // Broadcast while still holding the publish-order lock so
-        // subscribers receive changelogs in version order even under
-        // shard-parallel writers. The record clones are paid only when
-        // a subscriber exists.
-        self.hub.broadcast(version, || fresh.iter().map(|&i| sets[i].provenance.clone()).collect());
-        drop(order);
-        self.metrics.ingests.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        Ok(ids)
+        }
+
+        // Phase 3: one storage apply and one bulk index publish under the
+        // global version. Only graph interning, the posting merges, and
+        // the broadcast sit inside the serialized section.
+        self.commit(
+            batch,
+            |state| {
+                state.index.insert_delta(&mut delta);
+                state.index.sort_time();
+                for &i in &fresh {
+                    let (record, bytes) = &encoded[i];
+                    if bytes.data.is_some() {
+                        state.set_data(record.id, true);
+                    }
+                }
+            },
+            fresh.iter().map(|&i| encoded[i].0),
+        )?;
+        Ok(fresh)
     }
 
     /// Captures a raw tuple set produced at this site.
@@ -730,8 +775,8 @@ impl Pass {
     /// with this site's provenance; the batch then follows the
     /// [`Pass::ingest_batch`] atomicity contract.
     ///
-    /// Lock order: delegates to the shared batch commit — shard commit
-    /// locks (ascending), then `publish_order`.
+    /// Lock order: delegates to the group commit — shard commit locks
+    /// (ascending), then `publish_order`.
     pub fn capture_batch(
         &self,
         items: impl IntoIterator<Item = (Attributes, Vec<Reading>, Timestamp)>,
@@ -747,7 +792,8 @@ impl Pass {
             .collect();
         // Identity and digest hold by construction (the digest was hashed
         // into the identity one line up); skip the re-verification pass.
-        self.ingest_batch_inner(&sets, false)
+        self.group_commit(sets.iter().map(entry), false)?;
+        Ok(sets.iter().map(|ts| ts.provenance.id).collect())
     }
 
     /// Derives a new tuple set from `parents` using `tool`, ingesting the
@@ -772,21 +818,41 @@ impl Pass {
 
     /// Attaches an annotation to an existing record (identity unchanged).
     ///
-    /// Lock order: takes one shard commit lock, then publishes; never
-    /// holds more than one shard lock.
+    /// Lock order: takes one shard commit lock, then commits; never holds
+    /// more than one shard lock.
     pub fn annotate(&self, id: TupleSetId, annotation: Annotation) -> Result<()> {
+        self.append_annotations(id, |_| vec![annotation]).map(drop)
+    }
+
+    /// Appends the annotations `pick` selects, given the stored record
+    /// `id`, to that record (identity unchanged): one commit rewrites the
+    /// record and indexes their keywords. Returns how many it appended.
+    ///
+    /// Lock order: takes `id`'s shard commit lock, then commits
+    /// ([`Pass::commit`]); never holds more than one shard lock.
+    fn append_annotations(
+        &self,
+        id: TupleSetId,
+        pick: impl FnOnce(&ProvenanceRecord) -> Vec<Annotation>,
+    ) -> Result<usize> {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(id));
-        let Some(mut record) = self.get_record(id) else {
-            return Err(PassError::NotFound(id));
-        };
-        record.annotate(annotation.clone());
+        let mut record = self.get_record(id).ok_or(PassError::NotFound(id))?;
+        let fresh = pick(&record);
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        record.annotations.extend_from_slice(&fresh);
         let encoded = record.encode_to_vec();
-        self.store.put(&keyspace::key(keyspace::RECORD, id), &encoded)?;
+        let mut batch = WriteBatch::new();
+        batch.put(keyspace::key(keyspace::RECORD, id).to_vec(), encoded.clone());
         // Presence was checked above and the shard lock pins it; a miss
         // inside means the state diverged, and `annotate` skips it rather
         // than panic mid-publish.
-        self.publish(|state| state.index.annotate(id, std::slice::from_ref(&annotation), &encoded));
-        Ok(())
+        let mutate = |state: &mut State| {
+            state.index.annotate(id, &fresh, &encoded);
+        };
+        self.commit(batch, mutate, std::iter::empty())?;
+        Ok(fresh.len())
     }
 
     // -- Retrieval -----------------------------------------------------
@@ -842,24 +908,58 @@ impl Pass {
     /// Deletes the *readings* of a tuple set; the provenance record and
     /// every index entry survive. Returns whether data was present.
     ///
-    /// Lock order: takes one shard commit lock, then publishes; never
-    /// holds more than one shard lock.
+    /// Lock order: takes one shard commit lock, then commits; never holds
+    /// more than one shard lock.
     pub fn remove_data(&self, id: TupleSetId) -> Result<bool> {
+        self.set_readings(id, None)
+    }
+
+    /// Stores (`Some`: the content digest the stored record must carry,
+    /// and the readings) or deletes (`None`) the readings of the stored
+    /// record `id`, unless they are already present or absent; stored
+    /// readings must hash to the digest. One commit writes or deletes
+    /// the `DATA` and `MARKER` keys and flips the record's data bit.
+    /// Returns whether it changed them.
+    ///
+    /// Lock order: takes `id`'s shard commit lock, then commits
+    /// ([`Pass::commit`]); never holds more than one shard lock.
+    fn set_readings(
+        &self,
+        id: TupleSetId,
+        readings: Option<(Digest128, &[Reading])>,
+    ) -> Result<bool> {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(id));
-        let current = self.state.read();
-        if !current.index.contains(id) {
-            return Err(PassError::NotFound(id));
+        {
+            let state = self.state.read();
+            let existing = state.index.get(id).ok_or(PassError::NotFound(id))?;
+            if readings.is_some_and(|(digest, _)| digest != existing.content_digest) {
+                return Err(PassError::IdentityCollision(id));
+            }
+            if state.readings_present(id) == readings.is_some() {
+                return Ok(false);
+            }
         }
-        let had = current.readings_present(id);
-        drop(current);
-        if had {
-            let mut batch = WriteBatch::new();
-            batch.delete(keyspace::key(keyspace::DATA, id).to_vec());
-            batch.delete(keyspace::key(keyspace::MARKER, id).to_vec());
-            self.store.apply(batch)?;
-            self.publish(|state| state.set_data(id, false));
+        let data_key = keyspace::key(keyspace::DATA, id).to_vec();
+        let marker_key = keyspace::key(keyspace::MARKER, id).to_vec();
+        let mut batch = WriteBatch::new();
+        match readings {
+            Some((digest, readings)) => {
+                let mut data = Vec::with_capacity(readings.len() * 24 + 8);
+                TupleSet::encode_readings_into(readings, &mut data);
+                if Digest128::of(&data) != digest {
+                    return Err(digest_mismatch(id));
+                }
+                batch.put(data_key, data);
+                batch.put(marker_key, vec![1u8]);
+            }
+            None => {
+                batch.delete(data_key);
+                batch.delete(marker_key);
+            }
         }
-        Ok(had)
+        let present = readings.is_some();
+        self.commit(batch, |state| state.set_data(id, present), std::iter::empty())?;
+        Ok(true)
     }
 
     // -- Archive exchange (§V: merging local PASS installations) --------
@@ -872,61 +972,53 @@ impl Pass {
     /// identity, its annotations (the only post-hoc, identity-free
     /// field) are unioned in; an identity match with a different content
     /// digest is a forgery and is rejected.
+    ///
+    /// Lock order: delegates to the archive merge (group commit, then
+    /// one shard commit lock at a time).
     pub fn ingest_record(&self, record: &ProvenanceRecord) -> Result<TupleSetId> {
-        self.merge_record(record).map(|_| record.id)
+        self.merge(&[(record, None)])?;
+        Ok(record.id)
     }
 
-    /// Merge core shared by [`Pass::ingest_record`] and
-    /// [`Pass::import_archive`]. Returns `(was_new, annotations_merged)`.
+    /// The archive merge shared by [`Pass::ingest_record`] and
+    /// [`Pass::import_archive`], a set union: one group commit adds every
+    /// entry not yet stored, and each other entry unions its annotations
+    /// into the stored record and, when it carries readings this store
+    /// lacks, restores them.
     ///
-    /// Lock order: one shard commit lock, then `publish_order` (new
-    /// records only), then the state write lock inside `publish`.
-    fn merge_record(&self, record: &ProvenanceRecord) -> Result<(bool, usize)> {
-        // The identity is checked over the encoding a new record is
-        // stored as.
-        let mut encoded = Vec::new();
-        if !record.encode_verified_into(&mut encoded) {
-            return Err(identity_failure(record.id));
-        }
-        let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
-        let current = self.state.read();
-        if let Some(existing) = current.index.get(record.id) {
-            if existing.content_digest != record.content_digest {
-                return Err(PassError::IdentityCollision(record.id));
+    /// Lock order: runs the group commit, then takes one shard commit
+    /// lock at a time (in `append_annotations` and `set_readings`).
+    fn merge(&self, entries: &[Entry<'_>]) -> Result<ImportStats> {
+        let mut added = self.group_commit(entries.iter().copied(), true)?.into_iter().peekable();
+        let mut stats = ImportStats::default();
+        for (i, &(record, readings)) in entries.iter().enumerate() {
+            if added.next_if_eq(&i).is_some() {
+                match readings {
+                    Some(_) => stats.tuple_sets_added += 1,
+                    None => stats.records_added += 1,
+                }
+                continue;
             }
-            let fresh: Vec<Annotation> = record
-                .annotations
-                .iter()
-                .filter(|a| !existing.annotations.contains(a))
-                .cloned()
-                .collect();
-            if fresh.is_empty() {
-                return Ok((false, 0));
+            // The group commit checked this entry's identity and digest
+            // against the stored record it matched.
+            let anns = self.append_annotations(record.id, |stored| {
+                let new = |a: &&Annotation| !stored.annotations.contains(a);
+                record.annotations.iter().filter(new).cloned().collect()
+            })?;
+            stats.annotations_merged += anns;
+            let restored = match readings {
+                Some(readings) if !self.has_data(record.id) => {
+                    self.set_readings(record.id, Some((record.content_digest, readings)))?
+                }
+                _ => false,
+            };
+            if restored {
+                stats.data_restored += 1;
+            } else if anns == 0 {
+                stats.already_present += 1;
             }
-            drop(current);
-            let mut merged = existing;
-            merged.annotations.extend(fresh.iter().cloned());
-            let encoded = merged.encode_to_vec();
-            self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
-            self.publish(|state| state.index.annotate(record.id, &fresh, &encoded));
-            return Ok((false, fresh.len()));
         }
-        // New record: persist and index, with no DATA/MARKER keys — the
-        // readings live elsewhere (or were removed; PASS property 4). The
-        // shard lock keeps the id absent until the publish below.
-        drop(current);
-        self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
-        let mut delta = IndexDelta::with_capacity(1);
-        delta.push(record, &encoded);
-        let order = self.publish_order.lock();
-        let ((), version) = self.publish(|state| {
-            state.index.insert_delta(&mut delta);
-            state.index.sort_time();
-        });
-        self.hub.broadcast(version, || vec![record.clone()]);
-        drop(order);
-        self.metrics.ingests.fetch_add(1, Ordering::Relaxed);
-        Ok((true, 0))
+        Ok(stats)
     }
 
     /// Re-attaches readings to a record whose data is absent here.
@@ -936,32 +1028,10 @@ impl Pass {
     /// Removal (property 4) is deliberate but not a tombstone: an
     /// archive that still holds the readings re-supplies them.
     ///
-    /// Lock order: takes one shard commit lock, then publishes; never
-    /// holds more than one shard lock.
+    /// Lock order: takes one shard commit lock, then commits; never holds
+    /// more than one shard lock.
     pub fn restore_data(&self, ts: &TupleSet) -> Result<bool> {
-        let record = &ts.provenance;
-        let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
-        {
-            let state = self.state.read();
-            let existing = state.index.get(record.id).ok_or(PassError::NotFound(record.id))?;
-            if existing.content_digest != record.content_digest {
-                return Err(PassError::IdentityCollision(record.id));
-            }
-            if state.readings_present(record.id) {
-                return Ok(false);
-            }
-        }
-        let mut data_buf = Vec::with_capacity(ts.readings.len() * 24 + 8);
-        TupleSet::encode_readings_into(&ts.readings, &mut data_buf);
-        if Digest128::of(&data_buf) != record.content_digest {
-            return Err(digest_mismatch(record.id));
-        }
-        let mut batch = WriteBatch::new();
-        batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data_buf);
-        batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
-        self.store.apply(batch)?;
-        self.publish(|state| state.set_data(record.id, true));
-        Ok(true)
+        self.set_readings(ts.provenance.id, Some((ts.provenance.content_digest, &ts.readings)))
     }
 
     /// Exports everything this store holds, split into full tuple sets
@@ -994,46 +1064,14 @@ impl Pass {
     /// set union: re-importing is a no-op, and importing A into B yields
     /// the same record set as importing B into A. Annotations union;
     /// archives that carry readings restore them on records whose data
-    /// is absent here.
+    /// is absent here. Every entry not yet stored lands in one atomic
+    /// group commit.
+    ///
+    /// Lock order: delegates to the archive merge (group commit, then
+    /// one shard commit lock at a time).
     pub fn import_archive(&self, archive: &ArchiveExport) -> Result<ImportStats> {
-        let mut stats = ImportStats::default();
-        // Group commit: every tuple set not yet present lands in one
-        // atomic batch; the rest follow the per-record merge path.
-        let fresh: Vec<TupleSet> = archive
-            .tuple_sets
-            .iter()
-            .filter(|ts| !self.contains(ts.provenance.id))
-            .cloned()
-            .collect();
-        let fresh_ids: HashSet<TupleSetId> = fresh.iter().map(|ts| ts.provenance.id).collect();
-        if !fresh.is_empty() {
-            self.ingest_batch(&fresh)?;
-            stats.tuple_sets_added = fresh.len();
-        }
-        for ts in &archive.tuple_sets {
-            if fresh_ids.contains(&ts.provenance.id) {
-                continue;
-            }
-            let (_, anns) = self.merge_record(&ts.provenance)?;
-            stats.annotations_merged += anns;
-            let restored =
-                if self.has_data(ts.provenance.id) { false } else { self.restore_data(ts)? };
-            if restored {
-                stats.data_restored += 1;
-            } else if anns == 0 {
-                stats.already_present += 1;
-            }
-        }
-        for record in &archive.records_only {
-            let (was_new, anns) = self.merge_record(record)?;
-            stats.annotations_merged += anns;
-            if was_new {
-                stats.records_added += 1;
-            } else if anns == 0 {
-                stats.already_present += 1;
-            }
-        }
-        Ok(stats)
+        let records = archive.records_only.iter().map(|record| (record, None));
+        self.merge(&archive.tuple_sets.iter().map(entry).chain(records).collect::<Vec<_>>())
     }
 
     // -- Query ---------------------------------------------------------

@@ -8,14 +8,17 @@
 //! * a **single-shard** batch takes one shard lock — writers on other
 //!   shards commit truly concurrently, each through its own WAL;
 //! * a **cross-shard** batch takes every participating shard's lock in
-//!   ascending index order (the deadlock-free total order) and commits
-//!   through the storage layer's intent-log protocol
-//!   ([`pass_storage::ShardedStore`]), which makes the multi-WAL write
-//!   all-or-nothing across crashes.
+//!   ascending index order (the deadlock-free total order).
+//!
+//! Either way the commit hands its one batch to `KvStore::apply`. The
+//! storage layer's [`pass_storage::ShardedStore`] routes it: a batch on
+//! one shard goes straight to that shard's engine, and a batch that
+//! spans shards commits through the intent-log protocol, which makes the
+//! multi-WAL write all-or-nothing across crashes.
 //!
 //! Commit *visibility* stays global: every commit — whatever its shard
 //! set — publishes one new in-memory state under the global version
-//! counter (see `Pass::publish`), so snapshots and subscription tails
+//! counter (see `Pass::commit`), so snapshots and subscription tails
 //! observe one total commit order, exactly as before sharding.
 //!
 //! # Disk layout
@@ -41,23 +44,16 @@ const SHARDS_FILE: &str = "SHARDS";
 /// Cross-shard intent log (see [`pass_storage::sharded`]).
 const XLOG_FILE: &str = "xcommit.log";
 
-/// Per-shard commit locks plus the direct shard handles the commit path
-/// writes through.
+/// Per-shard commit locks. The storage the commit path writes through is
+/// one [`KvStore`]; a partitioned store routes each batch itself.
 pub(crate) struct Sharding {
     locks: Box<[Mutex<()>]>,
-    /// `Some` when the backing store really is partitioned; `None` for a
-    /// single engine (including every `open_with_store` embedding).
-    sharded: Option<Arc<ShardedStore>>,
 }
 
 impl Sharding {
-    pub(crate) fn single() -> Self {
-        Sharding { locks: vec![Mutex::new(())].into_boxed_slice(), sharded: None }
-    }
-
-    pub(crate) fn over(sharded: Arc<ShardedStore>) -> Self {
-        let locks = (0..sharded.shard_count()).map(|_| Mutex::new(())).collect::<Vec<_>>();
-        Sharding { locks: locks.into_boxed_slice(), sharded: Some(sharded) }
+    /// `count` commit locks (≥ 1).
+    pub(crate) fn new(count: usize) -> Self {
+        Sharding { locks: (0..count).map(|_| Mutex::new(())).collect() }
     }
 
     /// Number of commit shards (≥ 1).
@@ -92,37 +88,6 @@ impl Sharding {
         // pass-lint: allow(l1, reason="shard indexes come from shard_of(), which reduces modulo the lock count")
         shards.iter().map(|&s| self.locks[s].lock()).collect()
     }
-
-    /// Applies pre-partitioned per-shard batches under the caller-held
-    /// shard locks: directly on a single engine, per shard otherwise,
-    /// through the intent-log protocol when the commit spans shards.
-    ///
-    /// Lock order: called with every participating shard's commit lock
-    /// already held (taken via [`Sharding::lock_many`]); may take only
-    /// the intent-log mutex, which nests inside the shard locks.
-    pub(crate) fn apply_parts(
-        &self,
-        store: &Arc<dyn KvStore>,
-        mut parts: Vec<(usize, pass_storage::WriteBatch)>,
-    ) -> std::result::Result<(), StorageError> {
-        match &self.sharded {
-            None => {
-                debug_assert!(parts.len() <= 1, "single store sees one part");
-                match parts.pop() {
-                    Some((_, batch)) => store.apply(batch),
-                    None => Ok(()),
-                }
-            }
-            Some(sharded) => match (parts.pop(), parts.is_empty()) {
-                (None, _) => Ok(()),
-                (Some((shard, batch)), true) => sharded.apply_to(shard, batch),
-                (Some(last), false) => {
-                    parts.push(last);
-                    sharded.apply_split(parts)
-                }
-            },
-        }
-    }
 }
 
 /// What `open_disk` hands back: the routed store, the shard structure,
@@ -142,7 +107,7 @@ pub(crate) fn open_disk(
     let effective = effective_shards(dir, requested)?;
     if effective == 1 {
         let engine = Arc::new(LsmEngine::open(dir.to_path_buf(), options.clone())?);
-        return Ok((Arc::clone(&engine) as Arc<dyn KvStore>, Sharding::single(), vec![engine]));
+        return Ok((Arc::clone(&engine) as Arc<dyn KvStore>, Sharding::new(1), vec![engine]));
     }
     std::fs::create_dir_all(dir)
         .map_err(|e| StorageError::io(format!("creating store dir {}", dir.display()), e))?;
@@ -161,25 +126,23 @@ pub(crate) fn open_disk(
     }
     let router: pass_storage::ShardRouter =
         Box::new(move |key: &[u8]| keyspace::shard_of_key(key, effective));
-    let sharded =
-        Arc::new(ShardedStore::open(engines, router, Some(dir.join(XLOG_FILE)), options.sync)?);
-    Ok((Arc::clone(&sharded) as Arc<dyn KvStore>, Sharding::over(sharded), typed))
+    let sharded = ShardedStore::open(engines, router, Some(dir.join(XLOG_FILE)), options.sync)?;
+    Ok((Arc::new(sharded), Sharding::new(effective), typed))
 }
 
 /// Opens the memory backend with `requested` shards (no layout to
 /// honor — volatile stores are born fresh).
 pub(crate) fn open_memory(requested: usize) -> Result<(Arc<dyn KvStore>, Sharding)> {
     if requested <= 1 {
-        return Ok((Arc::new(pass_storage::MemEngine::new()), Sharding::single()));
+        return Ok((Arc::new(pass_storage::MemEngine::new()), Sharding::new(1)));
     }
     let engines: Vec<Arc<dyn KvStore>> = (0..requested)
         .map(|_| Arc::new(pass_storage::MemEngine::new()) as Arc<dyn KvStore>)
         .collect();
     let router: pass_storage::ShardRouter =
         Box::new(move |key: &[u8]| keyspace::shard_of_key(key, requested));
-    let sharded =
-        Arc::new(ShardedStore::open(engines, router, None, pass_storage::SyncPolicy::default())?);
-    Ok((Arc::clone(&sharded) as Arc<dyn KvStore>, Sharding::over(sharded)))
+    let sharded = ShardedStore::open(engines, router, None, pass_storage::SyncPolicy::default())?;
+    Ok((Arc::new(sharded), Sharding::new(requested)))
 }
 
 /// Resolves the shard count for a disk directory: `SHARDS` marker, then

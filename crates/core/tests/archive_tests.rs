@@ -72,6 +72,20 @@ fn import_is_idempotent() {
 }
 
 #[test]
+fn a_tuple_set_listed_twice_is_added_once() {
+    let a = Pass::open_memory(SiteId(1));
+    capture(&a, 1, 1);
+    let mut archive = a.export_archive().unwrap();
+    archive.tuple_sets.push(archive.tuple_sets[0].clone());
+    let b = Pass::open_memory(SiteId(2));
+    let stats = b.import_archive(&archive).unwrap();
+    assert_eq!(stats.tuple_sets_added, 1, "{stats:?}");
+    assert_eq!(stats.already_present, 1, "{stats:?}");
+    assert_eq!(stats.changed(), 1);
+    assert_eq!(b.len(), 1);
+}
+
+#[test]
 fn lineage_spans_stores_after_merge() {
     // Site 1 captures raw data; site 2 derives from it (parent not local);
     // merging both into an archive store answers the full closure.

@@ -103,6 +103,21 @@ fn capture_batch_issues_exactly_one_apply() {
 }
 
 #[test]
+fn a_new_bare_record_is_one_group_commit() {
+    let (pass, store) = counting_pass();
+    let record = &sets(1)[0].provenance;
+    let before = store.applies();
+    pass.ingest_record(record).unwrap();
+    assert_eq!(store.applies() - before, 1);
+    assert!(pass.contains(record.id) && !pass.has_data(record.id));
+    assert_eq!((pass.stats().ingests, pass.stats().batches), (1, 1));
+    // Re-ingesting it writes nothing and counts nothing.
+    pass.ingest_record(record).unwrap();
+    assert_eq!(store.applies() - before, 1);
+    assert_eq!((pass.stats().ingests, pass.stats().batches), (1, 1));
+}
+
+#[test]
 fn mid_batch_validation_failure_leaves_no_partial_state() {
     let (pass, store) = counting_pass();
     let mut batch = sets(32);

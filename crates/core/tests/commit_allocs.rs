@@ -41,7 +41,7 @@ const MAX_ALLOCS_PER_SET: f64 = 7.5;
 /// sets of a 100k-set load.
 const FLAT_SLACK: f64 = 1.1;
 /// Allowed allocation calls per set at one set per commit.
-const MAX_ALLOCS_SINGLE: f64 = 64.0;
+const MAX_ALLOCS_SINGLE: f64 = 62.0;
 /// Sets per group commit in the batched loads.
 const BATCH: usize = 1_000;
 /// Sets in one counted window.

@@ -1,9 +1,9 @@
 //! Interleaving-exploration model of the sharded commit + publish +
 //! subscribe handoff, built with a vendored loom-compatible shim
 //! (`vendor/loom`). The model mirrors the protocol in
-//! `pass::ingest_batch_inner` / `shard::lock_many` rather than driving
-//! the real `Pass` (whose internals use `std`/`parking_lot` primitives
-//! the shim cannot instrument):
+//! `Pass::group_commit` / `Pass::commit` / `shard::lock_many` rather
+//! than driving the real `Pass` (whose internals use `std`/`parking_lot`
+//! primitives the shim cannot instrument):
 //!
 //!   1. take per-shard commit locks in ascending shard order,
 //!   2. apply the batch to every locked shard,
@@ -56,7 +56,7 @@ impl Model {
     }
 
     /// One commit: lock `targets` (must be sorted ascending), apply,
-    /// publish. Mirrors `ingest_batch_inner`'s lock chain.
+    /// publish. Mirrors `group_commit`'s lock chain.
     fn commit(&self, targets: &[usize]) {
         debug_assert!(targets.windows(2).all(|w| w[0] < w[1]), "ascending lock order");
         let mut guards = Vec::with_capacity(targets.len());

@@ -377,11 +377,11 @@ fn annotated_and_merged_records_reopen_unchanged() {
             .unwrap();
         pass.annotate(raw, Annotation::new(Timestamp(30), "ops", "calibration drift noted"))
             .unwrap();
-        // `merge_record` on a stored record: its annotations union in.
+        // The archive merge on a stored record: its annotations union in.
         let mut replica = pass.get_record(derived).unwrap();
         replica.annotate(Annotation::new(Timestamp(40), "hub", "checked upstream"));
         pass.ingest_record(&replica).unwrap();
-        // `merge_record` on a new record, annotated afterwards.
+        // The archive merge on a new record, annotated afterwards.
         let bare = ProvenanceBuilder::new(SiteId(9), Timestamp(50))
             .attr(keys::DOMAIN, "traffic")
             .derived_from(derived, ToolDescriptor::new("rollup", "1"))

@@ -170,13 +170,21 @@ impl KvStore for DyingShard {
 }
 
 /// Builds an injection harness over an existing 2-shard store directory:
-/// shard 0 is healthy, shard 1 can be killed mid-commit.
-fn injection_store(dir: &std::path::Path) -> (Arc<ShardedStore>, Arc<DyingShard>) {
-    let opts = EngineOptions::default();
-    let healthy: Arc<dyn KvStore> =
-        Arc::new(LsmEngine::open(dir.join("shard-00"), opts.clone()).unwrap());
-    let dying = Arc::new(DyingShard::alive(LsmEngine::open(dir.join("shard-01"), opts).unwrap()));
-    let shards: Vec<Arc<dyn KvStore>> = vec![healthy, Arc::clone(&dying) as Arc<dyn KvStore>];
+/// shard `victim` can be killed mid-commit, the other stays healthy.
+fn injection_store(dir: &std::path::Path, victim: usize) -> (Arc<ShardedStore>, Arc<DyingShard>) {
+    let open = |i: usize| {
+        LsmEngine::open(dir.join(format!("shard-{i:02}")), EngineOptions::default()).unwrap()
+    };
+    let dying = Arc::new(DyingShard::alive(open(victim)));
+    let shards: Vec<Arc<dyn KvStore>> = (0..2)
+        .map(|i| {
+            if i == victim {
+                Arc::clone(&dying) as Arc<dyn KvStore>
+            } else {
+                Arc::new(open(i)) as Arc<dyn KvStore>
+            }
+        })
+        .collect();
     let store = ShardedStore::open(
         shards,
         Box::new(|key: &[u8]| keyspace::shard_of_key(key, 2)),
@@ -187,15 +195,19 @@ fn injection_store(dir: &std::path::Path) -> (Arc<ShardedStore>, Arc<DyingShard>
     (Arc::new(store), dying)
 }
 
-fn triple(ts: &TupleSet) -> WriteBatch {
+/// One batch holding the record, readings and marker keys of every set,
+/// in the order given — the batch a group commit of `sets` writes.
+fn triples(sets: &[&TupleSet]) -> WriteBatch {
     use pass_model::codec::Encode;
     let mut batch = WriteBatch::new();
-    let id = ts.provenance.id;
-    let mut data_buf = Vec::new();
-    ts.readings.encode_into(&mut data_buf);
-    batch.put(keyspace::key(keyspace::RECORD, id).to_vec(), ts.provenance.encode_to_vec());
-    batch.put(keyspace::key(keyspace::DATA, id).to_vec(), data_buf);
-    batch.put(keyspace::key(keyspace::MARKER, id).to_vec(), vec![1u8]);
+    for ts in sets {
+        let id = ts.provenance.id;
+        let mut data_buf = Vec::new();
+        ts.readings.encode_into(&mut data_buf);
+        batch.put(keyspace::key(keyspace::RECORD, id).to_vec(), ts.provenance.encode_to_vec());
+        batch.put(keyspace::key(keyspace::DATA, id).to_vec(), data_buf);
+        batch.put(keyspace::key(keyspace::MARKER, id).to_vec(), vec![1u8]);
+    }
     batch
 }
 
@@ -213,10 +225,10 @@ fn crash_between_shard_wal_appends_rolls_forward() {
 
     let on0 = mk_on_shard(0, 2, 2);
     let on1 = mk_on_shard(1, 2, 3);
-    let (store, dying) = injection_store(dir.path());
+    // Shards apply in ascending order: shard 0 applies, then shard 1 dies.
+    let (store, dying) = injection_store(dir.path(), 1);
     dying.kill();
-    let parts = vec![(0usize, triple(&on0)), (1usize, triple(&on1))];
-    let err = store.apply_split(parts).expect_err("shard 1 dies mid-commit");
+    let err = store.apply(triples(&[&on1, &on0])).expect_err("shard 1 dies mid-commit");
     assert!(err.to_string().contains("injected crash"), "unexpected error: {err}");
     drop(store);
     drop(dying);
@@ -251,18 +263,21 @@ fn torn_cross_shard_intent_recovers_to_nothing() {
 
     let on0 = mk_on_shard(0, 2, 4);
     let on1 = mk_on_shard(1, 2, 5);
-    // Kill *both* shard applies so the durable intent is the only trace
-    // of the commit, then tear it: every truncation point inside the
-    // intent record must discard the whole commit.
-    let (store, dying) = injection_store(dir.path());
+    // Kill shard 0, the first in apply order, so no shard applies and
+    // the durable intent is the only trace of the commit; then tear it:
+    // every truncation point inside the intent record must discard the
+    // whole commit.
+    let (store, dying) = injection_store(dir.path(), 0);
     dying.kill();
-    let block0 = triple(&on0);
-    let err = store
-        .apply_split(vec![(1usize, triple(&on1)), (0usize, block0)])
-        .expect_err("first (dying) shard fails");
+    let err = store.apply(triples(&[&on0, &on1])).expect_err("first (dying) shard fails");
     assert!(err.to_string().contains("injected crash"));
     drop(store);
     drop(dying);
+    let s0 = LsmEngine::open(dir.path().join("shard-00"), EngineOptions::default()).unwrap();
+    let s1 = LsmEngine::open(dir.path().join("shard-01"), EngineOptions::default()).unwrap();
+    assert!(s0.get(&keyspace::key(keyspace::RECORD, on0.provenance.id)).unwrap().is_none());
+    assert!(s1.get(&keyspace::key(keyspace::RECORD, on1.provenance.id)).unwrap().is_none());
+    drop((s0, s1));
 
     let xlog = dir.path().join("xcommit.log");
     let full = std::fs::metadata(&xlog).unwrap().len();

@@ -5,7 +5,9 @@
 //! touching different shards never contend on storage. A router function
 //! (supplied by the layer that owns the key layout) maps every key to
 //! its shard; all keys of one logical object must route to the same
-//! shard for single-shard commits to stay atomic.
+//! shard for single-shard commits to stay atomic. [`KvStore::apply`] is
+//! the only write entry: it routes each op once and sends a batch on one
+//! shard straight to that shard's engine.
 //!
 //! # Cross-shard atomicity: the intent log
 //!
@@ -16,10 +18,11 @@
 //! roll *back*. So cross-shard commits roll **forward** through a
 //! coordinator intent log (`xcommit.log`):
 //!
-//! 1. the **full** batch is appended to the intent log (one record,
-//!    CRC-framed by the WAL codec) and made durable per the sync
-//!    policy — this append is the commit point;
-//! 2. the per-shard sub-batches are applied to their shard engines;
+//! 1. the **full** batch, encoded once as it stands, is appended to the
+//!    intent log (one record, CRC-framed by the WAL codec) and made
+//!    durable per the sync policy — this append is the commit point;
+//! 2. the batch is split by the router and the sub-batches are applied
+//!    to their shard engines in ascending shard order;
 //! 3. the intent log is reset to empty — the completion mark.
 //!
 //! Recovery at open replays a non-empty intent log: re-split the batch
@@ -90,17 +93,6 @@ impl ShardedStore {
         Ok(store)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Direct handle to one shard's engine.
-    pub fn shard(&self, idx: usize) -> &Arc<dyn KvStore> {
-        // pass-lint: allow(l1, reason="debug/test accessor; the index is a caller-supplied constant, not untrusted input")
-        &self.shards[idx]
-    }
-
     /// Fallible shard lookup for the apply paths: an out-of-range index
     /// surfaces as an error instead of a panic, keeping recovery and
     /// commit code panic-free even on nonsense input.
@@ -114,105 +106,66 @@ impl ShardedStore {
     }
 
     /// The shard a key routes to.
-    pub fn route(&self, key: &[u8]) -> usize {
+    fn route(&self, key: &[u8]) -> usize {
         (self.router)(key) % self.shards.len()
     }
 
-    /// Applies a batch whose keys all route to `shard` — the fast path a
-    /// caller that already partitioned by shard uses to skip re-routing.
-    /// One shard engine, one WAL append, same atomicity as any
-    /// single-engine batch.
-    pub fn apply_to(&self, shard: usize, batch: WriteBatch) -> Result<()> {
-        debug_assert!(
-            batch.ops().iter().all(|op| self.route(op.key()) == shard),
-            "sub-batch contains keys routed to another shard"
-        );
-        self.shard_at(shard)?.apply(batch)
+    /// The shard of each op of `batch`, in op order.
+    fn routes(&self, batch: &WriteBatch) -> Vec<usize> {
+        batch.ops().iter().map(|op| self.route(op.key())).collect()
     }
 
-    /// Applies pre-partitioned per-shard sub-batches as one atomic
-    /// cross-shard commit (the intent-log protocol above). The caller
-    /// must serialize conflicting writers — in PASS, by holding every
-    /// participating shard's commit lock across this call.
+    /// The cross-shard commit (the intent-log protocol above): the batch
+    /// is encoded as it stands into the intent record, then split and
+    /// applied shard by shard. `routes` holds the shard of each op.
     ///
     /// Lock order: called with every participating shard's commit lock
-    /// already held (acquired ascending by the caller); takes only the
+    /// already held (the caller's, acquired ascending); takes only the
     /// intent-log mutex, which nests strictly inside the shard locks.
-    pub fn apply_split(&self, parts: Vec<(usize, WriteBatch)>) -> Result<()> {
-        let mut parts: Vec<(usize, WriteBatch)> =
-            parts.into_iter().filter(|(_, b)| !b.is_empty()).collect();
-        if parts.len() <= 1 {
-            return match parts.pop() {
-                Some((shard, batch)) => self.apply_to(shard, batch),
-                None => Ok(()),
-            };
+    fn apply_across(&self, batch: WriteBatch, routes: &[usize]) -> Result<()> {
+        // Volatile children: nothing survives a crash, so there is no
+        // torn state to reconcile — apply shard by shard.
+        let Some(xlog) = &self.xlog else { return self.apply_per_shard(batch, routes) };
+        let mut log = xlog.lock();
+        if !log.is_empty() {
+            // An earlier commit failed after its commit point; its
+            // intent must not replay after this one.
+            log.reset()?;
         }
-        for (_, batch) in &parts {
-            batch.validate()?;
-        }
-        match &self.xlog {
-            Some(xlog) => {
-                let mut log = xlog.lock();
-                if !log.is_empty() {
-                    // An earlier commit failed after its commit point;
-                    // its intent must not replay after this one.
-                    log.reset()?;
-                }
-                // Step 1: durable intent — the commit point. The full
-                // batch goes in one WAL record; the router re-derives
-                // the split at recovery.
-                let mut combined = WriteBatch::new();
-                for (_, batch) in &parts {
-                    for op in batch.ops() {
-                        match op {
-                            Op::Put { key, value } => combined.put(key.clone(), value.clone()),
-                            Op::Delete { key } => combined.delete(key.clone()),
-                        };
-                    }
-                }
-                log.append(&combined.encode())?;
-                // Step 2: per-shard applies (each its own WAL append).
-                for (shard, batch) in parts {
-                    // pass-lint: allow(l7, reason="shard_at returns the per-shard engine, so this is LsmEngine::apply — name-based resolution aliases it to ShardedStore::apply, which would re-enter the intent log")
-                    self.shard_at(shard)?.apply(batch)?;
-                }
-                // Step 3: completion mark — empty the intent log.
-                log.reset()
-            }
-            // Volatile children: nothing survives a crash, so there is
-            // no torn state to reconcile — apply sequentially.
-            None => {
-                for (shard, batch) in parts {
-                    self.shard_at(shard)?.apply(batch)?;
-                }
-                Ok(())
-            }
-        }
+        // Step 1: durable intent — the commit point. The router
+        // re-derives the split at recovery.
+        log.append(&batch.encode())?;
+        // Step 2: per-shard applies (each its own WAL append).
+        // pass-lint: allow(l7, reason="apply_per_shard calls the per-shard engines' apply (LsmEngine::apply); name-based resolution aliases it to ShardedStore::apply, which would re-enter the intent log")
+        self.apply_per_shard(batch, routes)?;
+        // Step 3: completion mark — empty the intent log.
+        log.reset()
     }
 
-    /// Splits a mixed batch into per-shard sub-batches, preserving op
-    /// order within each shard.
-    pub fn partition(&self, batch: WriteBatch) -> Vec<(usize, WriteBatch)> {
-        let mut per_shard: Vec<WriteBatch> =
-            (0..self.shards.len()).map(|_| WriteBatch::new()).collect();
-        for op in batch.into_ops() {
-            // route() reduces modulo the shard count, so the bucket always
-            // exists; `get_mut` keeps this path index-panic-free anyway.
-            let shard = self.route(op.key());
-            let Some(bucket) = per_shard.get_mut(shard) else {
-                debug_assert!(false, "route() returned out-of-range shard {shard}");
-                continue;
+    /// Splits `batch` by `routes` (the shard of each op), keeping op
+    /// order within a shard, and applies the sub-batches in ascending
+    /// shard order.
+    ///
+    /// Lock order: takes no lock of its own; inside `apply_across` it
+    /// runs under the intent-log mutex.
+    fn apply_per_shard(&self, batch: WriteBatch, routes: &[usize]) -> Result<()> {
+        let mut parts: Vec<WriteBatch> = self.shards.iter().map(|_| WriteBatch::new()).collect();
+        for (op, &shard) in batch.into_ops().into_iter().zip(routes) {
+            let Some(part) = parts.get_mut(shard) else {
+                return Err(StorageError::corrupt(
+                    format!("shard-{shard}"),
+                    format!("op routed to shard {shard} of {}", self.shards.len()),
+                ));
             };
             match op {
-                Op::Put { key, value } => {
-                    bucket.put(key, value);
-                }
-                Op::Delete { key } => {
-                    bucket.delete(key);
-                }
-            }
+                Op::Put { key, value } => part.put(key, value),
+                Op::Delete { key } => part.delete(key),
+            };
         }
-        per_shard.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect()
+        for (engine, part) in self.shards.iter().zip(parts).filter(|(_, b)| !b.is_empty()) {
+            engine.apply(part)?;
+        }
+        Ok(())
     }
 
     /// Replays (roll-forward) a pending cross-shard commit from the
@@ -231,9 +184,8 @@ impl ShardedStore {
             let batch = WriteBatch::decode(payload).ok_or_else(|| {
                 StorageError::corrupt(&path, "undecodable cross-shard intent record")
             })?;
-            for (shard, sub) in self.partition(batch) {
-                self.shard_at(shard)?.apply(sub)?;
-            }
+            let routes = self.routes(&batch);
+            self.apply_per_shard(batch, &routes)?;
         }
         // The intent must reach the OS before any shard applies, so a
         // `Lazy` store still writes it through per record.
@@ -251,12 +203,23 @@ impl KvStore for ShardedStore {
         self.shard_at(self.route(key))?.get(key)
     }
 
+    /// Routes each op once. A batch on one shard goes straight to that
+    /// shard's engine; a batch that spans shards commits through the
+    /// intent log (`apply_across`).
+    ///
     /// Lock order: takes only the intent-log mutex (inside
-    /// `apply_split`); callers that serialize commits hold their shard
+    /// `apply_across`); callers that serialize commits hold their shard
     /// commit locks *before* entering the store.
     fn apply(&self, batch: WriteBatch) -> Result<()> {
         batch.validate()?;
-        self.apply_split(self.partition(batch))
+        let routes = self.routes(&batch);
+        match routes.first() {
+            None => Ok(()),
+            Some(&shard) if routes.iter().all(|&s| s == shard) => {
+                self.shard_at(shard)?.apply(batch)
+            }
+            Some(_) => self.apply_across(batch, &routes),
+        }
     }
 
     fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -293,15 +256,16 @@ mod tests {
 
     #[test]
     fn routes_reads_and_writes_to_owning_shard() {
+        let shards = mem_shards(4);
         let store =
-            ShardedStore::open(mem_shards(4), byte_router(), None, SyncPolicy::OnWrite).unwrap();
+            ShardedStore::open(shards.clone(), byte_router(), None, SyncPolicy::OnWrite).unwrap();
         store.put(&[1, 10], b"a").unwrap();
         store.put(&[2, 20], b"b").unwrap();
         assert_eq!(store.get(&[1, 10]).unwrap(), Some(b"a".to_vec()));
         assert_eq!(store.get(&[2, 20]).unwrap(), Some(b"b".to_vec()));
         // The value really lives only on its shard.
-        assert_eq!(store.shard(1).get(&[1, 10]).unwrap(), Some(b"a".to_vec()));
-        assert_eq!(store.shard(2).get(&[1, 10]).unwrap(), None);
+        assert_eq!(shards[1].get(&[1, 10]).unwrap(), Some(b"a".to_vec()));
+        assert_eq!(shards[2].get(&[1, 10]).unwrap(), None);
     }
 
     #[test]
@@ -318,13 +282,14 @@ mod tests {
 
     #[test]
     fn cross_shard_apply_lands_on_every_shard() {
+        let shards = mem_shards(2);
         let store =
-            ShardedStore::open(mem_shards(2), byte_router(), None, SyncPolicy::OnWrite).unwrap();
+            ShardedStore::open(shards.clone(), byte_router(), None, SyncPolicy::OnWrite).unwrap();
         let mut batch = WriteBatch::new();
         batch.put(vec![0, 1], b"a".to_vec());
         batch.put(vec![1, 1], b"b".to_vec());
         store.apply(batch).unwrap();
-        assert_eq!(store.shard(0).get(&[0, 1]).unwrap(), Some(b"a".to_vec()));
-        assert_eq!(store.shard(1).get(&[1, 1]).unwrap(), Some(b"b".to_vec()));
+        assert_eq!(shards[0].get(&[0, 1]).unwrap(), Some(b"a".to_vec()));
+        assert_eq!(shards[1].get(&[1, 1]).unwrap(), Some(b"b".to_vec()));
     }
 }
