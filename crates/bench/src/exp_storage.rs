@@ -111,7 +111,7 @@ pub fn e23_run(records: usize, maintenance: bool) -> E23Run {
     let worker = maintenance.then(|| {
         spawn_engine_worker(
             Arc::clone(&db),
-            MaintenanceOptions { tick: Duration::from_millis(5), pin_floor: None },
+            MaintenanceOptions { tick: Duration::from_millis(5), ..MaintenanceOptions::default() },
         )
     });
 
@@ -143,7 +143,7 @@ pub fn e23_run(records: usize, maintenance: bool) -> E23Run {
     // the "after" numbers describe a quiesced store.
     drop(worker);
     if maintenance {
-        while db.maybe_compact(None).expect("drain compaction") {}
+        while db.maybe_compact().expect("drain compaction") {}
     }
     let stats = db.stats();
     let looked = stats.cache_hits + stats.cache_misses;

@@ -58,7 +58,6 @@ pub mod config;
 pub mod error;
 pub mod keyspace;
 pub mod pass;
-mod pins;
 pub mod shard;
 pub mod subscribe;
 

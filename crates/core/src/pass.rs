@@ -78,8 +78,8 @@
 //! batch to one `KvStore::apply`; the sharded store routes it, and a
 //! batch that spans shards stays atomic through its roll-forward intent
 //! log. What stays global is
-//! *visibility*: every commit publishes one new state under the global
-//! version counter inside a short, serialized publish+broadcast
+//! *visibility*: every commit publishes one new state, one version
+//! above the last, inside a short, serialized publish+broadcast
 //! section, so snapshot isolation and the subscription handoff are
 //! exactly as strong as in the single-lock store. `shards = 1` (the
 //! default) *is* the single-lock store, same on-disk layout byte for
@@ -89,7 +89,6 @@ use crate::archive::{AgeReport, ArchiveExport, ImportStats};
 use crate::config::{Backend, PassConfig};
 use crate::error::{PassError, Result};
 use crate::keyspace;
-use crate::pins::{PinGuard, PinRegistry};
 use crate::shard::{self, Sharding};
 use crate::subscribe::{Hub, Subscription, WatchState, DEFAULT_SUBSCRIPTION_CAPACITY};
 use parking_lot::{Mutex, RwLock};
@@ -374,14 +373,6 @@ pub struct Pass {
     /// publish and the broadcast — never across storage I/O — so it
     /// costs a short critical section, not commit-wide serialization.
     publish_order: Mutex<()>,
-    /// Global commit version. Shared (`Arc`) because disk engines hold a
-    /// clone as their seal clock: every SSTable flush is stamped with
-    /// the version it was sealed at, which is what lets background
-    /// compaction compare tables against the snapshot pin floor.
-    version: Arc<AtomicU64>,
-    /// Commit versions still pinned by live snapshots/subscriptions —
-    /// the read-side state the storage GC consults (see [`crate::pins`]).
-    pins: Arc<PinRegistry>,
     metrics: Metrics,
     /// Live-subscription registry. Commits broadcast a per-commit
     /// changelog through it — one relaxed atomic load when nobody is
@@ -403,38 +394,22 @@ impl std::fmt::Debug for Pass {
 
 impl Pass {
     /// Opens a store per `config`, rebuilding in-memory indexes from the
-    /// backend's contents. Disk engines get the global commit version as
-    /// their seal clock and one background compaction worker per shard,
-    /// wired to the snapshot pin floor for version GC.
+    /// backend's contents. Disk engines get one background compaction
+    /// worker per shard.
     pub fn open(config: PassConfig) -> Result<Pass> {
         let requested = config.shards.max(1);
-        let version = Arc::new(AtomicU64::new(1));
-        let pins = Arc::new(PinRegistry::default());
         let (store, sharding, engines) = match &config.backend {
             Backend::Memory => {
                 let (store, sharding) = shard::open_memory(requested)?;
                 (store, sharding, Vec::new())
             }
-            Backend::Disk { dir, options } => {
-                let mut options = options.clone();
-                options.seal_clock = Some(Arc::clone(&version));
-                shard::open_disk(dir, &options, requested)?
-            }
+            Backend::Disk { dir, options } => shard::open_disk(dir, options, requested)?,
         };
         let maintenance = engines
             .iter()
-            .map(|engine| {
-                let registry = Arc::clone(&pins);
-                spawn_engine_worker(
-                    Arc::clone(engine),
-                    MaintenanceOptions {
-                        pin_floor: Some(Arc::new(move || registry.floor())),
-                        ..MaintenanceOptions::default()
-                    },
-                )
-            })
+            .map(|engine| spawn_engine_worker(Arc::clone(engine), MaintenanceOptions::default()))
             .collect();
-        Pass::open_internal(store, sharding, config, version, pins, maintenance)
+        Pass::open_internal(store, sharding, config, maintenance)
     }
 
     /// Opens a store over a caller-supplied storage engine. This is the
@@ -444,14 +419,7 @@ impl Pass {
     /// layout `Pass::open` builds, not a property an arbitrary engine
     /// has.
     pub fn open_with_store(store: Arc<dyn KvStore>, config: PassConfig) -> Result<Pass> {
-        Pass::open_internal(
-            store,
-            Sharding::new(1),
-            config,
-            Arc::new(AtomicU64::new(1)),
-            Arc::new(PinRegistry::default()),
-            Vec::new(),
-        )
+        Pass::open_internal(store, Sharding::new(1), config, Vec::new())
     }
 
     /// Lock order: constructor — creates the `publish_order` mutex and
@@ -460,18 +428,16 @@ impl Pass {
         store: Arc<dyn KvStore>,
         sharding: Sharding,
         config: PassConfig,
-        version: Arc<AtomicU64>,
-        pins: Arc<PinRegistry>,
         maintenance: Vec<MaintenanceHandle>,
     ) -> Result<Pass> {
+        // The empty state is version 1; the rebuild publishes version 2.
+        let empty = State { version: 1, ..State::default() };
         let pass = Pass {
             config,
             store,
-            state: RwLock::new(Arc::new(State::default())),
+            state: RwLock::new(Arc::new(empty)),
             sharding,
             publish_order: Mutex::new(()),
-            version,
-            pins,
             metrics: Metrics::default(),
             hub: Arc::new(Hub::default()),
             maintenance,
@@ -498,11 +464,10 @@ impl Pass {
         self.sharding.count()
     }
 
-    /// The commit shard that owns `id` — the routing writers use to
-    /// build single-shard batches (see [`pass_sensor`-style pipelines]
-    /// and the E20 concurrent-writer series).
-    ///
-    /// [`pass_sensor`-style pipelines]: crate::shard
+    /// The commit shard that owns `id` ([`keyspace::shard_of`] over the
+    /// shards in effect). A batch whose sets all share one shard commits
+    /// through one shard lock and one WAL, so writers that group their
+    /// batches by it never contend on disjoint shards.
     pub fn shard_of(&self, id: TupleSetId) -> usize {
         self.sharding.shard_of(id)
     }
@@ -542,26 +507,20 @@ impl Pass {
             }
         }
         let mut guard = self.state.write();
-        state.version = self.next_version();
+        state.version = guard.version + 1;
         *guard = Arc::new(state);
         Ok(())
-    }
-
-    /// Allocates the next commit sequence number. Must be called with the
-    /// state write lock held so version order matches publication order.
-    fn next_version(&self) -> u64 {
-        self.version.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The one commit path: applies `batch` to storage, then, inside the
     /// serialized `publish_order` section, runs `mutate` on the state
     /// copy-on-write (cloning it only when snapshots still reference
-    /// it), publishes it under the next version, broadcasts the `added`
-    /// records to subscribers and counts them. The state write lock is
-    /// held only for the mutation itself, never across storage I/O. The
-    /// new version is assigned inside that lock, atomically with
-    /// publication — otherwise a racing snapshot could pair the old state
-    /// with the new version.
+    /// it), publishes it as the old state's version plus one, broadcasts
+    /// the `added` records to subscribers and counts them. The state
+    /// write lock is held only for the mutation itself, never across
+    /// storage I/O. The new version is assigned inside that lock,
+    /// atomically with publication — otherwise a racing snapshot could
+    /// pair the old state with the new version.
     ///
     /// Lock order: called with the commit lock of every shard `batch`
     /// touches held; takes the intent-log mutex (inside
@@ -579,7 +538,7 @@ impl Pass {
             let mut guard = self.state.write();
             let state = Arc::make_mut(&mut guard);
             mutate(state);
-            state.version = self.next_version();
+            state.version += 1;
             state.version
         };
         let count = added.len() as u64;
@@ -602,13 +561,10 @@ impl Pass {
     /// implements the query [`Provider`] and [`QueryEngine`] traits and
     /// keeps answering consistently while ingest proceeds; it holds the
     /// index state alive until dropped (writers then pay one
-    /// copy-on-write clone on their next commit). It also pins its
-    /// commit version in the GC registry, so background compaction
-    /// keeps every storage version the snapshot can still read.
+    /// copy-on-write clone on their next commit).
     pub fn snapshot(&self) -> Snapshot {
         let state = self.state.read().clone();
-        let pin = self.pins.pin(state.version);
-        Snapshot { state, _pin: pin, store: Arc::clone(&self.store), ops: self.metrics.ops() }
+        Snapshot { state, store: Arc::clone(&self.store), ops: self.metrics.ops() }
     }
 
     // -- Ingest --------------------------------------------------------
@@ -1112,7 +1068,7 @@ impl Pass {
     /// then emits [`crate::Event::CaughtUp`] and *tails* live commits,
     /// delivering every subsequent matching record exactly once, in
     /// commit order. There is no gap and no duplicate at the handoff:
-    /// catch-up covers commit versions ≤ the pinned snapshot's version,
+    /// catch-up covers commit versions ≤ the catch-up snapshot's version,
     /// the tail starts at the next version (see [`crate::subscribe`] for
     /// the protocol).
     ///
@@ -1183,10 +1139,6 @@ impl Pass {
                 return Err(e);
             }
         };
-        // The subscription outlives the snapshot it was armed from, so
-        // it takes its own pin on the same version: storage GC must not
-        // reclaim versions the tail consumer may still read through.
-        let pin = self.pins.pin(snapshot.version());
         Ok(Subscription::new(
             Arc::clone(&self.hub),
             channel,
@@ -1194,7 +1146,6 @@ impl Pass {
             snapshot.version(),
             query.filter.clone(),
             watch,
-            pin,
         ))
     }
 
@@ -1221,14 +1172,6 @@ impl Pass {
     /// Current statistics snapshot.
     pub fn stats(&self) -> PassStats {
         self.state.read().index_stats(self.metrics.ops())
-    }
-
-    /// The oldest commit version still pinned by a live snapshot or
-    /// subscription, or `None` when nothing is pinned. This is the GC
-    /// floor the background maintenance workers consult: tombstones in
-    /// SSTables sealed after it are retained by compaction.
-    pub fn pin_floor(&self) -> Option<u64> {
-        self.pins.floor()
     }
 
     /// Nudges every background maintenance worker outside its tick
@@ -1270,8 +1213,8 @@ impl Pass {
                 }
             }
             cold
-            // Snapshot (and its GC pin) drops here, before the removals
-            // below start generating garbage versions.
+            // The snapshot drops here, before the removals below, so
+            // their commits mutate the state in place.
         };
         let mut export = ArchiveExport::default();
         let mut aged = 0;
@@ -1316,8 +1259,9 @@ impl Pass {
 
     /// Audits storage against the invariants (see [`ConsistencyReport`]).
     /// An id's record, readings and marker fall in the same slice of the
-    /// id space ([`scan_slice`]), so the audit walks the three prefixes
-    /// slice by slice and holds one slice's rows and ids at a time.
+    /// id space (one of 256, by the id's first byte), so the audit walks
+    /// the three prefixes slice by slice and holds one slice's rows and
+    /// ids at a time.
     pub fn verify_consistency(&self) -> Result<ConsistencyReport> {
         let mut report = ConsistencyReport::default();
         // Each record's content digest, `None` when the record fails to
@@ -1369,8 +1313,8 @@ impl Pass {
 
 /// An immutable view of a [`Pass`] at one version.
 ///
-/// Obtained from [`Pass::snapshot`] (an O(1) `Arc` clone plus one pin
-/// registration — see below; reads themselves take no locks). Implements
+/// Obtained from [`Pass::snapshot`] (an O(1) `Arc` clone; reads
+/// themselves take no locks). Implements
 /// the query [`Provider`] and [`QueryEngine`] traits, so the executor —
 /// and any caller — gets repeatable reads: every lookup answers from the
 /// same index state no matter how much ingest has happened since, and
@@ -1382,22 +1326,15 @@ impl Pass {
 /// retrieval, data reads, queries, statistics — so read-only callers
 /// never need to fall back to a `&Pass`. One caveat: reading bytes
 /// ([`Snapshot::get_data`]) go to shared storage, which is not
-/// versioned; [`Snapshot::has_data`] answers from the pinned index
+/// versioned; [`Snapshot::has_data`] answers from the snapshot's index
 /// state, so after a concurrent [`Pass::remove_data`] the two can
-/// briefly disagree.
-///
-/// While the snapshot lives it also pins its commit version for the
-/// storage GC: background compaction will not drop tombstones from
-/// SSTables sealed after the oldest pinned version, so the shared
-/// storage caveat above never extends to *resurrecting* data the
-/// snapshot should not see.
+/// disagree. Storage always answers with the newest value, and
+/// compaction never brings back a deleted one, so removed readings
+/// never reappear.
 pub struct Snapshot {
     state: Arc<State>,
     store: Arc<dyn KvStore>,
     ops: OpCounters,
-    /// Keeps the state's version in the GC pin registry until the
-    /// snapshot drops.
-    _pin: PinGuard,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -1439,7 +1376,7 @@ impl Snapshot {
     /// The readings for `id`: `Ok(None)` when the data was removed (the
     /// record may well still exist — PASS property 4). Reading bytes
     /// come from shared storage, which is not versioned; the index
-    /// state this snapshot pins is.
+    /// state this snapshot holds is.
     pub fn get_data(&self, id: TupleSetId) -> Result<Option<Vec<Reading>>> {
         read_data(&*self.store, id)
     }
@@ -1450,11 +1387,11 @@ impl Snapshot {
     }
 
     /// Record + readings together, when both exist — the snapshot twin
-    /// of [`Pass::get_tuple_set`]. The record comes from the pinned
+    /// of [`Pass::get_tuple_set`]. The record comes from the snapshot's
     /// index state; the readings come from shared storage, which is
     /// *not* versioned. After a concurrent [`Pass::remove_data`] this
-    /// returns `Ok(None)` even though [`Snapshot::has_data`] (pinned)
-    /// still answers `true` — the same divergence documented on
+    /// returns `Ok(None)` even though [`Snapshot::has_data`] (snapshot
+    /// state) still answers `true` — the same divergence documented on
     /// [`Snapshot::get_data`].
     pub fn get_tuple_set(&self, id: TupleSetId) -> Result<Option<TupleSet>> {
         read_tuple_set(&*self.store, self.get_record(id))
@@ -1462,7 +1399,7 @@ impl Snapshot {
 
     /// Lineage closure of `id` as full records — the snapshot twin of
     /// [`Pass::lineage`], with repeatable reads: the closure is computed
-    /// entirely from the pinned index state, so concurrent ingest can
+    /// entirely from the snapshot's index state, so concurrent ingest can
     /// neither grow nor reorder the answer.
     pub fn lineage(
         &self,
@@ -1479,7 +1416,7 @@ impl Snapshot {
     }
 
     /// Store statistics as of this snapshot. Index sizes reflect the
-    /// pinned state; the operation counters (`ingests`, `batches`,
+    /// snapshot's state; the operation counters (`ingests`, `batches`,
     /// `queries`) were captured when the snapshot was taken.
     pub fn stats(&self) -> PassStats {
         self.state.index_stats(self.ops)

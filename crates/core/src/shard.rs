@@ -17,8 +17,8 @@
 //! multi-WAL write all-or-nothing across crashes.
 //!
 //! Commit *visibility* stays global: every commit — whatever its shard
-//! set — publishes one new in-memory state under the global version
-//! counter (see `Pass::commit`), so snapshots and subscription tails
+//! set — publishes one new in-memory state, one version above the last
+//! (see `Pass::commit`), so snapshots and subscription tails
 //! observe one total commit order, exactly as before sharding.
 //!
 //! # Disk layout

@@ -3,7 +3,7 @@
 //! A [`Subscription`] makes one-shot and continuous consumption the same
 //! API: it is obtained from the same query machinery (`prepare` →
 //! subscribe), first drains a **catch-up** phase — a streaming cursor
-//! over the snapshot pinned at subscribe time, so its output is
+//! over the snapshot taken at subscribe time, so its output is
 //! byte-identical to `execute()` — and then **tails** live commits,
 //! delivering every subsequent matching record exactly once, in commit
 //! order.
@@ -23,7 +23,7 @@
 //!    both made it into the snapshot and reached the channel (the
 //!    overlap window) is delivered once, by catch-up — no duplicate.
 //! 3. Writers broadcast while still holding the **publish-order lock**
-//!    (the short serialized section where the global commit version is
+//!    (the short serialized section where the next commit version is
 //!    assigned and the new state published), so changelogs arrive in
 //!    version order — commit order is preserved. This holds under
 //!    sharded multi-writer ingest too: shard-parallel writers overlap
@@ -91,10 +91,10 @@ pub enum Event {
     /// A record matched the subscription (catch-up or live tail).
     Match(ProvenanceRecord),
     /// The catch-up phase is complete: every match so far was visible in
-    /// the pinned snapshot (commit versions ≤ the carried version);
+    /// the catch-up snapshot (commit versions ≤ the carried version);
     /// everything after this event comes from live commits.
     CaughtUp {
-        /// The pinned snapshot's commit version.
+        /// The catch-up snapshot's commit version.
         version: u64,
     },
     /// The consumer fell behind: `n` committed records were discarded
@@ -358,16 +358,13 @@ pub struct Subscription {
     channel: Arc<Channel>,
     catch_up: VecDeque<ProvenanceRecord>,
     caught_up_sent: bool,
-    /// The pinned snapshot's commit version: the tail ignores changelogs
+    /// The catch-up snapshot's commit version: the tail ignores changelogs
     /// at or below it (they are covered by catch-up).
     from_version: u64,
     filter: Predicate,
     watch: Option<WatchState>,
     /// Matches decoded from absorbed changelogs, not yet delivered.
     pending: VecDeque<ProvenanceRecord>,
-    /// Pins `from_version` in the storage-GC registry for the life of
-    /// the subscription (see [`crate::pins`]).
-    _pin: crate::pins::PinGuard,
 }
 
 impl std::fmt::Debug for Subscription {
@@ -387,7 +384,6 @@ impl Subscription {
         from_version: u64,
         filter: Predicate,
         watch: Option<WatchState>,
-        pin: crate::pins::PinGuard,
     ) -> Subscription {
         Subscription {
             hub,
@@ -398,7 +394,6 @@ impl Subscription {
             filter,
             watch,
             pending: VecDeque::new(),
-            _pin: pin,
         }
     }
 

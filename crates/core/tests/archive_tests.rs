@@ -9,8 +9,8 @@
 use pass_core::{Pass, PassError};
 use pass_index::{Direction, TraverseOpts};
 use pass_model::{
-    Annotation, Attributes, Digest128, ProvenanceBuilder, Reading, SensorId, SiteId, Timestamp,
-    ToolDescriptor, TupleSetId,
+    Annotation, Attributes, Digest128, ModelError, ProvenanceBuilder, Reading, SensorId, SiteId,
+    Timestamp, ToolDescriptor, TupleSet, TupleSetId,
 };
 use proptest::prelude::*;
 
@@ -141,6 +141,35 @@ fn removed_data_merges_as_record_only_and_restores() {
     let stats = a.import_archive(&mirror.export_archive().unwrap()).unwrap();
     assert_eq!(stats.data_restored, 1);
     assert_eq!(a.get_data(id).unwrap().unwrap(), vec![reading(42)]);
+}
+
+/// `restore_data` re-attaches removed readings once, and only readings
+/// that hash to the record's content digest.
+#[test]
+fn restore_data_reattaches_only_the_readings_the_record_names() {
+    let pass = Pass::open_memory(SiteId(1));
+    let id = capture(&pass, 1, 42);
+    let original = pass.get_tuple_set(id).unwrap().unwrap();
+    assert!(pass.remove_data(id).unwrap());
+
+    let forged = TupleSet::new_unchecked(original.provenance.clone(), vec![reading(43)]);
+    let refused = pass.restore_data(&forged);
+    assert!(matches!(refused, Err(PassError::Model(ModelError::Invalid(_)))), "{refused:?}");
+    assert!(!pass.has_data(id), "refused readings leave the data absent");
+
+    assert!(pass.restore_data(&original).unwrap());
+    assert_eq!(pass.get_tuple_set(id).unwrap(), Some(original.clone()));
+    assert!(!pass.restore_data(&original).unwrap(), "already present");
+}
+
+#[test]
+fn restore_data_of_an_unknown_record_is_not_found() {
+    let origin = Pass::open_memory(SiteId(1));
+    let id = capture(&origin, 1, 42);
+    let ts = origin.get_tuple_set(id).unwrap().unwrap();
+    let empty = Pass::open_memory(SiteId(1));
+    let missing = empty.restore_data(&ts);
+    assert!(matches!(missing, Err(PassError::NotFound(got)) if got == id), "{missing:?}");
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Background maintenance through the `Pass` API: compaction keeps the
-//! on-disk table set bounded under sustained ingest, snapshot and
-//! subscription pins hold the storage-GC floor down while they live,
-//! and tiered aging moves cold readings into an archive export without
+//! on-disk table set bounded under sustained ingest, live snapshots and
+//! subscriptions keep their answers while merges drop tombstones, and
+//! tiered aging moves cold readings into an archive export without
 //! losing their provenance (PASS property 4).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use pass_core::{Backend, Pass, PassConfig};
+use pass_core::{Backend, Event, Pass, PassConfig};
 use pass_model::{Attributes, Reading, SensorId, SiteId, Timestamp};
 use pass_storage::tempdir::TempDir;
 use pass_storage::EngineOptions;
@@ -65,60 +65,72 @@ fn maintenance_bounds_tables_under_sustained_ingest() {
     }
 }
 
-/// Snapshots and subscriptions pin the GC floor at their version; the
-/// floor rises only as the oldest pin drops.
-#[test]
-fn pin_floor_tracks_snapshots_and_subscriptions() {
-    let dir = TempDir::new("maint-pins");
-    let pass = Pass::open(churn_config(dir.path())).unwrap();
-    assert_eq!(pass.pin_floor(), None, "fresh store has no pinned readers");
-
-    capture_round(&pass, 0, 10);
-    let snap = pass.snapshot();
-    capture_round(&pass, 1, 10);
-    let sub = pass.subscribe_text("SUBSCRIBE FIND").unwrap();
-    capture_round(&pass, 2, 10);
-
-    let floor = pass.pin_floor().expect("two live pins");
-    assert_eq!(floor, snap.version(), "oldest pin wins");
-    assert!(floor < pass.snapshot().version(), "ingest moved past the pinned version");
-
-    drop(snap);
-    let floor = pass.pin_floor().expect("subscription still pinned");
-    assert!(floor > 0);
-    drop(sub);
-    // Only the probe snapshots above ever pinned anything else, and
-    // they were temporaries: the registry must drain to empty.
-    assert_eq!(pass.pin_floor(), None, "all pins released");
-}
-
-/// A snapshot opened before heavy ingest keeps answering from its
-/// version while the worker compacts behind it — repeatable reads under
-/// background churn.
+/// A snapshot and a subscription opened before removals and heavy
+/// ingest keep answering from their version while the worker compacts
+/// behind them: merges that reach the oldest table drop the removals'
+/// tombstones, and neither reader can tell.
 #[test]
 fn snapshot_reads_stay_repeatable_while_maintenance_churns() {
     let dir = TempDir::new("maint-repeatable");
     let pass = Pass::open(churn_config(dir.path())).unwrap();
     capture_round(&pass, 0, 25);
     let snap = pass.snapshot();
-    let seen: Vec<_> = pass.ids();
+    let mut seen: Vec<_> = pass.ids();
+    seen.sort_unstable();
     assert_eq!(snap.len(), 25);
+    let records: Vec<_> = seen.iter().map(|id| snap.get_record(*id).unwrap()).collect();
+    let round_zero = "FIND WHERE round = 0";
+    let answer = snap.query_text(round_zero).unwrap().ids();
+    assert_eq!(answer.len(), 25);
 
+    let mut sub = pass.subscribe_text("SUBSCRIBE FIND").unwrap();
+    let removed: Vec<_> = seen.iter().copied().step_by(3).collect();
+    for id in &removed {
+        assert!(pass.remove_data(*id).unwrap());
+    }
     for round in 1..10 {
         capture_round(&pass, round, 40);
         pass.flush().unwrap();
         pass.wake_maintenance();
     }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while sst_count(dir.path()) > 8 && Instant::now() < deadline {
+        pass.wake_maintenance();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
     // The snapshot still answers exactly its edition...
     assert_eq!(snap.len(), 25, "snapshot does not see later ingest");
-    for id in &seen {
-        assert!(snap.get_tuple_set(*id).unwrap().is_some(), "pinned reads stay whole");
+    assert_eq!(snap.query_text(round_zero).unwrap().ids(), answer);
+    for (id, record) in seen.iter().zip(&records) {
+        assert!(snap.has_data(*id), "presence is the snapshot's");
+        assert_eq!(snap.get_record(*id).as_ref(), Some(record));
+        let gone = removed.contains(id);
+        assert_eq!(snap.get_data(*id).unwrap().is_none(), gone, "readings come from storage");
     }
     // ...while the live store moved on.
     assert_eq!(pass.len(), 25 + 9 * 40);
     assert_eq!(pass.maintenance_errors(), 0);
-    drop(snap);
-    assert_eq!(pass.pin_floor(), None);
+
+    // The subscription delivers its catch-up, then the later commits
+    // only: removals publish no event.
+    let mut matches = Vec::new();
+    let mut caught_up = false;
+    while let Some(event) = sub.try_next() {
+        match event {
+            Event::Match(record) => matches.push(record.id),
+            Event::CaughtUp { .. } => {
+                assert_eq!(matches.len(), 25, "catch-up is the first round");
+                caught_up = true;
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    assert!(caught_up);
+    let mut want = pass.ids();
+    want.sort_unstable();
+    matches.sort_unstable();
+    assert_eq!(matches, want, "every record once, and nothing for the removals");
 }
 
 /// `age_data` implements tiered aging: readings created before the

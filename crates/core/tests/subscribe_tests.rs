@@ -73,6 +73,26 @@ fn catch_up_then_tail_delivers_everything_once() {
     assert_eq!(delivered, want);
 }
 
+/// Commit versions as readers see them: an open publishes version 2,
+/// every commit adds one (a removal too, though it broadcasts nothing),
+/// and a subscription's catch-up version is its snapshot's.
+#[test]
+fn versions_count_commits_from_two_after_an_open() {
+    let pass = Pass::open_memory(SiteId(1));
+    assert_eq!(pass.snapshot().version(), 2);
+    let ids = pass.capture_batch(items(1, 0..3)).unwrap();
+    assert_eq!(pass.snapshot().version(), 3);
+    assert!(pass.remove_data(ids[0]).unwrap());
+    assert_eq!(pass.snapshot().version(), 4);
+
+    let mut sub = pass.subscribe_text("SUBSCRIBE FIND").unwrap();
+    assert_eq!(sub.catch_up_version(), 4);
+    for _ in &ids {
+        assert!(matches!(sub.try_next(), Some(Event::Match(_))));
+    }
+    assert!(matches!(sub.try_next(), Some(Event::CaughtUp { version: 4 })));
+}
+
 #[test]
 fn subscribe_text_speaks_the_statement_grammar() {
     let pass = Pass::open_memory(SiteId(1));

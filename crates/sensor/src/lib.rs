@@ -35,8 +35,7 @@ pub mod workload;
 
 pub use live::{Alert, AlertCondition, AlertRule, AlertStage};
 pub use pipeline::{
-    build_lineage, capture_batch_items, ingest_in_batches, ingest_in_batches_routed, DeriveSpec,
-    LineageShape,
+    build_lineage, capture_batch_items, ingest_in_batches, DeriveSpec, LineageShape,
 };
 pub use spec::CaptureSpec;
 pub use workload::{QuerySpec, Vocabulary, WorkloadClass};

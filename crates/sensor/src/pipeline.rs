@@ -241,53 +241,6 @@ pub fn ingest_in_batches<Id, E>(
     Ok(ids)
 }
 
-/// [`ingest_in_batches`] for a sharded store: routes every spec through
-/// `route` (normally the store's commit-shard hash over the would-be
-/// tuple set id) and chunks **per route**, so each sub-batch commits
-/// through exactly one shard — one commit lock, one WAL — instead of
-/// fanning a mixed batch across shards and paying the cross-shard
-/// two-phase protocol on every commit. This is how multi-writer ingest
-/// reaches shard parallelism: writers feeding disjoint routes never
-/// contend.
-///
-/// Sub-batches are ingested round-robin across routes, so shards fill
-/// evenly over time. Spec order is preserved *within* a route; the
-/// returned ids are in ingestion order (grouped by sub-batch), not
-/// input order — callers that need input order should use
-/// [`ingest_in_batches`].
-pub fn ingest_in_batches_routed<Id, E>(
-    specs: Vec<CaptureSpec>,
-    batch_size: usize,
-    routes: usize,
-    route: impl Fn(&CaptureSpec) -> usize,
-    mut ingest_batch: impl FnMut(Vec<(Attributes, Vec<Reading>, Timestamp)>) -> Result<Vec<Id>, E>,
-) -> Result<Vec<Id>, E> {
-    let batch_size = batch_size.max(1);
-    let routes = routes.max(1);
-    let mut lanes: Vec<Vec<CaptureSpec>> = (0..routes).map(|_| Vec::new()).collect();
-    let total = specs.len();
-    for spec in specs {
-        let lane = route(&spec) % routes;
-        lanes[lane].push(spec);
-    }
-    let mut lanes: Vec<_> = lanes.into_iter().map(|l| l.into_iter().peekable()).collect();
-    let mut ids = Vec::with_capacity(total);
-    loop {
-        let mut drained = true;
-        for lane in &mut lanes {
-            if lane.peek().is_none() {
-                continue;
-            }
-            drained = false;
-            let chunk: Vec<CaptureSpec> = lane.by_ref().take(batch_size).collect();
-            ids.extend(ingest_batch(capture_batch_items(chunk))?);
-        }
-        if drained {
-            return Ok(ids);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,47 +340,6 @@ mod tests {
         assert!(batches.iter().all(|&b| b <= 4));
         assert_eq!(batches.iter().sum::<usize>(), total);
         assert_eq!(batches.len(), total.div_ceil(4));
-    }
-
-    #[test]
-    fn routed_batches_never_mix_routes() {
-        let specs = traffic::generate(
-            &TrafficConfig { sensors: 3, base_rate: 20.0, ..Default::default() },
-            Timestamp::ZERO,
-            10,
-        );
-        let total = specs.len();
-        // Route by sensor id parity — any deterministic spec property works.
-        let route = |spec: &CaptureSpec| spec.readings.first().map_or(0, |r| r.sensor.0 as usize);
-        let expected: Vec<usize> = specs.iter().map(|s| route(s) % 2).collect();
-        let mut seen = 0usize;
-        let mut batch_routes: Vec<Vec<usize>> = Vec::new();
-        let ids = ingest_in_batches_routed::<usize, ()>(specs.clone(), 4, 2, route, |items| {
-            // Re-derive each item's route from its sensor to check purity.
-            let routes: Vec<usize> = items
-                .iter()
-                .map(|(_, readings, _)| readings.first().map_or(0, |r| r.sensor.0 as usize) % 2)
-                .collect();
-            batch_routes.push(routes.clone());
-            seen += items.len();
-            Ok(routes)
-        })
-        .unwrap();
-        assert_eq!(seen, total, "every spec ingested exactly once");
-        for routes in &batch_routes {
-            assert!(
-                routes.windows(2).all(|w| w[0] == w[1]),
-                "a sub-batch spans routes: {routes:?}"
-            );
-            assert!(routes.len() <= 4);
-        }
-        // Both routes were exercised (the generator uses 3 sensors).
-        let mut per_route = [0usize; 2];
-        for r in &ids {
-            per_route[*r] += 1;
-        }
-        assert_eq!(per_route[0] + per_route[1], total);
-        assert_eq!(per_route[0], expected.iter().filter(|&&r| r == 0).count());
     }
 
     #[test]

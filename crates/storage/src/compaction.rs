@@ -29,11 +29,9 @@
 //!    window merges even when no ratio run exists, so read fan-out
 //!    stays bounded under adversarial size distributions.
 //!
-//! Tombstones and shadowed versions are dropped by the merge only when
-//! the caller says so: the run must include the oldest table (nothing
-//! below could be resurrected) and every input must be sealed at or
-//! below the pin floor (no live snapshot/subscription still reads
-//! through it) — the engine makes both checks.
+//! Every merge drops shadowed versions. Tombstones are dropped only when
+//! the run includes the oldest table, where nothing older is left for
+//! them to hide; the engine makes that check.
 //!
 //! The thresholds are fixed constants chosen for this engine, not
 //! RocksDB's universal-compaction defaults; each constant's comment
@@ -77,8 +75,6 @@ pub struct TableInfo {
     pub id: u64,
     /// On-disk bytes.
     pub bytes: u64,
-    /// Engine version the table was sealed at.
-    pub seal_version: u64,
 }
 
 /// Why a pick fired (surfaced in logs/tests, not behavior-bearing).
@@ -159,7 +155,7 @@ pub fn pick(tables: &[TableInfo]) -> Option<Pick> {
 /// Merges `inputs` (newest-first) into a new table at `out_path`,
 /// deduplicating with newest-wins precedence. With `drop_tombstones`
 /// the deletes themselves are elided — only sound when the caller
-/// verified the run includes the oldest table and clears the pin floor.
+/// verified the run includes the oldest table.
 /// Returns the entry count written. The output file is fsynced.
 ///
 /// Each input is read one verified block at a time and its entries are
@@ -196,7 +192,7 @@ mod tests {
     use super::*;
 
     fn info(id: u64, bytes: u64) -> TableInfo {
-        TableInfo { id, bytes, seal_version: 0 }
+        TableInfo { id, bytes }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   [`LsmEngine::maybe_compact`] — the tiered picker of
 //!   [`crate::compaction`]. [`LsmEngine::force_compact`] merges every
 //!   live table through the same body. Either way the merge itself runs
-//!   *outside* the write lock. An engine with no worker attached never
-//!   compacts on its own;
+//!   *outside* the write lock, and drops tombstones exactly when its
+//!   run includes the oldest table. An engine with no worker attached
+//!   never compacts on its own;
 //! * point reads go through the shared [`BlockCache`] when
 //!   [`EngineOptions::cache`] is set; range scans stream each table's
 //!   blocks straight from its file, so a scan cannot flush the hot set.
@@ -32,14 +33,13 @@ use crate::error::{Result, StorageError};
 use crate::iter::{Cursor, IterCursor, Merge};
 use crate::kv::KvStore;
 use crate::maintenance::Signal;
-use crate::manifest::{Manifest, ManifestEdit, TableMeta};
+use crate::manifest::{Manifest, ManifestEdit};
 use crate::memtable::MemTable;
 use crate::sstable::{SsTable, TableOptions};
 use crate::wal::{self, Stop, SyncPolicy, Wal};
 use parking_lot::{Mutex, RwLock};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const WAL_FILE: &str = "wal.log";
@@ -63,10 +63,6 @@ pub struct EngineOptions {
     /// Shared cache for decoded data blocks; `None` ⇒ uncached reads.
     /// Share one [`Arc`] across shard engines to give them one budget.
     pub cache: Option<Arc<BlockCache>>,
-    /// External version clock stamped onto tables at flush
-    /// (`seal_version`). `pass-core` wires its commit version in so
-    /// compaction can compare tables against the snapshot pin floor.
-    pub seal_clock: Option<Arc<AtomicU64>>,
 }
 
 impl Default for EngineOptions {
@@ -76,7 +72,6 @@ impl Default for EngineOptions {
             table: TableOptions::default(),
             sync: SyncPolicy::OnWrite,
             cache: None,
-            seal_clock: None,
         }
     }
 }
@@ -114,10 +109,10 @@ pub struct EngineStats {
     pub recovered_torn_tail: bool,
 }
 
-/// One live table plus its manifest bookkeeping.
+/// One live table plus its manifest id.
 struct TableHandle {
     table: Arc<SsTable>,
-    meta: TableMeta,
+    id: u64,
 }
 
 struct Inner {
@@ -137,8 +132,8 @@ struct Inner {
 }
 
 impl Inner {
-    fn metas(&self) -> Vec<TableMeta> {
-        self.tables.iter().map(|h| h.meta).collect()
+    fn ids(&self) -> Vec<u64> {
+        self.tables.iter().map(|h| h.id).collect()
     }
 }
 
@@ -173,16 +168,16 @@ impl LsmEngine {
         let (manifest, mstate) = Manifest::open(&dir, !on_disk.is_empty())?;
 
         let mut tables = Vec::with_capacity(mstate.tables.len());
-        for meta in &mstate.tables {
-            let table = SsTable::open_with_cache(table_path(&dir, meta.id), opts.cache.clone())?;
-            tables.push(TableHandle { table: Arc::new(table), meta: *meta });
+        for &id in &mstate.tables {
+            let table = SsTable::open_with_cache(table_path(&dir, id), opts.cache.clone())?;
+            tables.push(TableHandle { table: Arc::new(table), id });
         }
 
         // Remove table files the manifest does not know about: debris
         // from a crash mid-flush (never registered) or mid-compaction
         // cleanup (already replaced).
         for (id, path) in &on_disk {
-            if !mstate.tables.iter().any(|t| t.id == *id) {
+            if !mstate.tables.contains(id) {
                 // pass-lint: allow(l8, reason="best-effort debris sweep; an unremovable orphan is re-swept on the next open and never read, because the manifest does not reference it")
                 let _ = std::fs::remove_file(path);
             }
@@ -255,12 +250,12 @@ impl LsmEngine {
     }
 
     /// Merges every live table into one, dropping tombstones (normally
-    /// compaction is tiered and pin-gated; this is the explicit
-    /// everything-now variant for tests and tools). Runs the same
-    /// off-lock merge as [`Self::maybe_compact`]: tables flushed while
-    /// it merges stay above the output.
+    /// compaction is tiered; this is the explicit everything-now variant
+    /// for tests and tools). Runs the same off-lock merge as
+    /// [`Self::maybe_compact`]: tables flushed while it merges stay
+    /// above the output.
     pub fn force_compact(&self) -> Result<()> {
-        self.compact(None, |tables| (tables.len() >= 2).then_some(0..tables.len())).map(drop)
+        self.compact(|tables| (tables.len() >= 2).then_some(0..tables.len())).map(drop)
     }
 
     /// Attaches (or with `None` detaches) a maintenance worker's flush
@@ -289,44 +284,35 @@ impl LsmEngine {
     }
 
     /// Runs at most one tiered compaction if the picker chooses a run,
-    /// returning whether a merge happened. `pin_floor` is the oldest
-    /// version a live snapshot/subscription still pins: tombstones are
-    /// only dropped when the picked run reaches the oldest table *and*
-    /// every input was sealed at or below the floor.
+    /// returning whether a merge happened.
     ///
     /// Lock order: the compaction mutex for the whole call; the state
     /// write lock only briefly, before and after the off-lock merge.
-    pub fn maybe_compact(&self, pin_floor: Option<u64>) -> Result<bool> {
-        self.compact(pin_floor, |tables| compaction::pick(tables).map(|pick| pick.range))
+    pub fn maybe_compact(&self) -> Result<bool> {
+        self.compact(|tables| compaction::pick(tables).map(|pick| pick.range))
     }
 
     /// The one merge body: `choose` names a contiguous newest-first run
     /// of the live tables, which is merged into one table in its place.
-    /// Returns whether a merge happened.
+    /// Tombstones are dropped exactly when the run includes the oldest
+    /// table: nothing older is left for them to hide. Returns whether a
+    /// merge happened.
     ///
     /// Lock order: takes the engine's compaction mutex for the whole
     /// call; takes the state write lock briefly to pick and snapshot the
     /// inputs and allocate the output id, releases it for the merge
     /// itself, then re-takes it to commit the manifest edit and install
     /// the swap.
-    fn compact(
-        &self,
-        pin_floor: Option<u64>,
-        choose: impl FnOnce(&[TableInfo]) -> Option<Range<usize>>,
-    ) -> Result<bool> {
+    fn compact(&self, choose: impl FnOnce(&[TableInfo]) -> Option<Range<usize>>) -> Result<bool> {
         let _serialize = self.compact_lock.lock();
 
         // Phase 1 (locked): pick a run and snapshot its inputs.
-        let (inputs, removed_ids, out_id, out_seal, drop_tombstones, dir, topts) = {
+        let (inputs, removed_ids, out_id, drop_tombstones, dir, topts) = {
             let mut inner = self.inner.write();
             let infos: Vec<TableInfo> = inner
                 .tables
                 .iter()
-                .map(|h| TableInfo {
-                    id: h.meta.id,
-                    bytes: h.table.file_len(),
-                    seal_version: h.meta.seal_version,
-                })
+                .map(|h| TableInfo { id: h.id, bytes: h.table.file_len() })
                 .collect();
             let Some(range) = choose(&infos) else {
                 return Ok(false);
@@ -337,20 +323,14 @@ impl LsmEngine {
                 _ => return Ok(false),
             };
             let inputs: Vec<Arc<SsTable>> = run.iter().map(|h| Arc::clone(&h.table)).collect();
-            let removed_ids: Vec<u64> = run.iter().map(|h| h.meta.id).collect();
-            let max_seal = run.iter().map(|h| h.meta.seal_version).max().unwrap_or(0);
-            // Nothing below the run could be resurrected, and no pinned
-            // reader still sees through its inputs.
-            let drop_tombstones =
-                includes_oldest && pin_floor.is_none_or(|floor| max_seal <= floor);
+            let removed_ids: Vec<u64> = run.iter().map(|h| h.id).collect();
             let out_id = inner.next_id;
             inner.next_id += 1;
             (
                 inputs,
                 removed_ids,
                 out_id,
-                max_seal,
-                drop_tombstones,
+                includes_oldest,
                 inner.dir.clone(),
                 inner.opts.table.clone(),
             )
@@ -377,15 +357,14 @@ impl LsmEngine {
             let _ = std::fs::remove_file(&out_path);
             return Ok(false);
         };
-        let added = TableMeta { id: out_id, seal_version: out_seal };
         let out_table = Arc::new(SsTable::open_with_cache(&out_path, inner.opts.cache.clone())?);
 
-        let mut metas = inner.metas();
-        metas.splice(start..start + removed_ids.len(), std::iter::once(added));
+        let mut ids = inner.ids();
+        ids.splice(start..start + removed_ids.len(), std::iter::once(out_id));
         let next_id = inner.next_id;
         inner.manifest.append(
-            &ManifestEdit::Compact { added, removed: removed_ids.clone() },
-            &metas,
+            &ManifestEdit::Compact { added: out_id, removed: removed_ids.clone() },
+            &ids,
             next_id,
         )?;
 
@@ -396,7 +375,7 @@ impl LsmEngine {
             .unwrap_or_default();
         inner.tables.splice(
             start..start + removed_ids.len(),
-            std::iter::once(TableHandle { table: out_table, meta: added }),
+            std::iter::once(TableHandle { table: out_table, id: out_id }),
         );
         inner.compactions += 1;
         drop(inner);
@@ -510,17 +489,14 @@ fn flush_locked(inner: &mut Inner) -> Result<MemTable> {
     builder.finish()?;
 
     // Commit point: the manifest edit registers the (fsynced) table.
-    let seal_version =
-        inner.opts.seal_clock.as_ref().map_or(0, |clock| clock.load(Ordering::Acquire));
-    let meta = TableMeta { id, seal_version };
-    let mut metas = Vec::with_capacity(inner.tables.len() + 1);
-    metas.push(meta);
-    metas.extend(inner.tables.iter().map(|h| h.meta));
+    let mut ids = Vec::with_capacity(inner.tables.len() + 1);
+    ids.push(id);
+    ids.extend(inner.tables.iter().map(|h| h.id));
     let next_id = inner.next_id;
-    inner.manifest.append(&ManifestEdit::Flush { table: meta }, &metas, next_id)?;
+    inner.manifest.append(&ManifestEdit::Flush { table: id }, &ids, next_id)?;
 
     let table = SsTable::open_with_cache(&path, inner.opts.cache.clone())?;
-    inner.tables.insert(0, TableHandle { table: Arc::new(table), meta });
+    inner.tables.insert(0, TableHandle { table: Arc::new(table), id });
     let flushed = std::mem::take(&mut inner.mem);
     // The WAL's contents are now durable in the table; start a fresh log.
     inner.wal = Wal::create(inner.dir.join(WAL_FILE), inner.opts.sync)?;
@@ -537,9 +513,9 @@ fn flush_locked(inner: &mut Inner) -> Result<MemTable> {
 /// when the run no longer exists as picked.
 fn position_of_run(tables: &[TableHandle], ids: &[u64]) -> Option<usize> {
     let first = ids.first()?;
-    let start = tables.iter().position(|h| h.meta.id == *first)?;
+    let start = tables.iter().position(|h| h.id == *first)?;
     let window = tables.get(start..start + ids.len())?;
-    window.iter().zip(ids).all(|(h, id)| h.meta.id == *id).then_some(start)
+    window.iter().zip(ids).all(|(h, id)| h.id == *id).then_some(start)
 }
 
 fn table_path(dir: &Path, id: u64) -> PathBuf {
@@ -569,6 +545,7 @@ mod tests {
     use super::*;
     use crate::maintenance::{spawn_engine_worker, MaintenanceOptions};
     use crate::tempdir::TempDir;
+    use std::sync::atomic::Ordering;
 
     fn small_opts() -> EngineOptions {
         EngineOptions {
@@ -614,7 +591,7 @@ mod tests {
             db.put(format!("key-{i:05}").as_bytes(), &[0u8; 64]).unwrap();
         }
         // Drain the picker like the worker would.
-        while db.maybe_compact(None).unwrap() {}
+        while db.maybe_compact().unwrap() {}
         let stats = db.stats();
         assert!(stats.flushes > 0, "expected automatic flushes: {stats:?}");
         assert!(stats.compactions > 0, "expected tiered compaction: {stats:?}");
@@ -733,7 +710,7 @@ mod tests {
         let db = LsmEngine::open(dir.path(), small_opts()).unwrap();
         db.put(b"k", b"v").unwrap();
         db.force_flush().unwrap();
-        assert!(!db.maybe_compact(None).unwrap(), "one table needs no merge");
+        assert!(!db.maybe_compact().unwrap(), "one table needs no merge");
     }
 
     #[test]
@@ -748,7 +725,7 @@ mod tests {
         }
         assert!(db.stats().num_tables >= 3);
         // Drain the picker like the worker would.
-        while db.maybe_compact(None).unwrap() {}
+        while db.maybe_compact().unwrap() {}
         let stats = db.stats();
         assert!(stats.compactions > 0);
         assert!(stats.num_tables < 3, "merged down: {stats:?}");
@@ -766,36 +743,36 @@ mod tests {
     }
 
     #[test]
-    fn pin_floor_blocks_tombstone_drop_until_released() {
-        let build = |dir: &TempDir, floor: Option<u64>| -> u64 {
-            let clock = Arc::new(AtomicU64::new(0));
-            let mut opts = small_opts();
-            opts.seal_clock = Some(Arc::clone(&clock));
-            let db = LsmEngine::open(dir.path(), opts).unwrap();
-            clock.store(5, Ordering::Release);
+    fn tombstones_drop_exactly_when_the_merge_reaches_the_oldest_table() {
+        // The oldest table holds `victim` plus `filler` other keys; above
+        // it sit a tombstone for `victim` and two one-key tables.
+        let build = |dir: &TempDir, filler: u32| -> EngineStats {
+            let db = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();
             db.put(b"victim", b"v1").unwrap();
+            for i in 0..filler {
+                db.put(format!("filler-{i:05}").as_bytes(), &[0u8; 64]).unwrap();
+            }
             db.force_flush().unwrap();
-            clock.store(9, Ordering::Release);
             db.delete(b"victim").unwrap();
             db.force_flush().unwrap();
-            // The picker leaves two tables alone; a third flush (one
-            // unrelated key) lets the merge run.
-            db.put(b"bystander", b"b").unwrap();
-            db.force_flush().unwrap();
-            while db.maybe_compact(floor).unwrap() {}
-            assert_eq!(db.get(b"victim").unwrap(), None, "shadowing holds either way");
-            let stats = db.stats();
-            assert_eq!((stats.compactions, stats.num_tables), (1, 1), "{stats:?}");
-            stats.table_entries
+            for key in [b"bystander-1", b"bystander-2"] {
+                db.put(key, b"b").unwrap();
+                db.force_flush().unwrap();
+            }
+            while db.maybe_compact().unwrap() {}
+            assert_eq!(db.get(b"victim").unwrap(), None, "the delete holds either way");
+            db.stats()
         };
-        // A pin at version 7 predates the tombstone's seal (9): the
-        // tombstone must survive the merge, beside the bystander.
-        let dir = TempDir::new("lsm-pin-held");
-        assert_eq!(build(&dir, Some(7)), 2, "tombstone retained under the pin");
-        // No pins: the tombstone (and the shadowed value) are reclaimed;
-        // only the bystander is left.
-        let dir = TempDir::new("lsm-pin-free");
-        assert_eq!(build(&dir, None), 1, "tombstone dropped once unpinned");
+        // Four small tables: the space-amplification trigger merges them
+        // all, the oldest included, so the tombstone goes with its victim.
+        let stats = build(&TempDir::new("lsm-tomb-full"), 0);
+        assert_eq!((stats.compactions, stats.num_tables), (1, 1), "{stats:?}");
+        assert_eq!(stats.table_entries, 2, "only the bystanders are left: {stats:?}");
+        // A large oldest table: the ratio run merges the three small
+        // tables above it and must keep the tombstone that hides `victim`.
+        let stats = build(&TempDir::new("lsm-tomb-ratio"), 500);
+        assert_eq!((stats.compactions, stats.num_tables), (1, 2), "{stats:?}");
+        assert_eq!(stats.table_entries, 501 + 3, "tombstone kept above the oldest: {stats:?}");
     }
 
     #[test]
@@ -804,7 +781,7 @@ mod tests {
         let db = Arc::new(LsmEngine::open(dir.path(), small_opts()).unwrap());
         let handle = spawn_engine_worker(
             Arc::clone(&db),
-            MaintenanceOptions { tick: std::time::Duration::from_millis(20), pin_floor: None },
+            MaintenanceOptions { tick: std::time::Duration::from_millis(20), ..Default::default() },
         );
         for i in 0..3_000u32 {
             db.put(format!("key-{i:05}").as_bytes(), &[7u8; 64]).unwrap();

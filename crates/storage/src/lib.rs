@@ -56,9 +56,9 @@ pub use engine::{EngineOptions, EngineStats, LsmEngine};
 pub use error::{Result, StorageError};
 pub use kv::{prefix_successor, KvStore};
 pub use maintenance::{
-    spawn_engine_worker, spawn_task_worker, MaintenanceHandle, MaintenanceOptions, PinFloor, Signal,
+    spawn_engine_worker, spawn_task_worker, MaintenanceHandle, MaintenanceOptions, Signal,
 };
-pub use manifest::{Manifest, ManifestEdit, ManifestState, TableMeta};
+pub use manifest::{Manifest, ManifestEdit, ManifestState};
 pub use mem::MemEngine;
 pub use sharded::{ShardRouter, ShardedStore};
 pub use wal::SyncPolicy;

@@ -4,8 +4,8 @@
 //! Writers never compact — a flush appends its manifest edit, pokes the
 //! attached worker's [`Signal`], and returns. The worker drains the
 //! compaction picker (possibly several merges back-to-back), then parks
-//! until the next flush or periodic tick. A tick exists so
-//! deletes-without-flushes and pin releases still get serviced.
+//! until the next flush or periodic tick. A tick exists so a picker
+//! drain cut short by an error is retried without waiting for a flush.
 //!
 //! Shutdown contract: dropping the [`MaintenanceHandle`] (or calling
 //! [`MaintenanceHandle::shutdown`]) sets the shutdown flag, wakes the
@@ -13,11 +13,6 @@
 //! which flushes signal nobody and the engine stops compacting until a
 //! new worker attaches. In-flight merges finish; nothing is interrupted
 //! mid-edit, so the manifest never sees a half-committed transition.
-//!
-//! Version GC plumbing: the worker re-reads a `pin_floor` callback
-//! before every merge. `pass-core` wires its snapshot/subscription pin
-//! registry in through it, so tombstones and shadowed versions are only
-//! dropped once no live reader can still observe them.
 //!
 //! [`spawn_task_worker`] reuses the same thread/signal/shutdown shape
 //! for non-engine jobs (pass-core schedules cold-record aging with it).
@@ -29,10 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Callback yielding the oldest version any live reader still pins
-/// (`None` ⇒ no pins, everything reclaimable).
-pub type PinFloor = Arc<dyn Fn() -> Option<u64> + Send + Sync>;
 
 /// Wake-up latch between flush paths and the worker thread.
 ///
@@ -108,26 +99,20 @@ impl Signal {
 }
 
 /// Options for [`spawn_engine_worker`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct MaintenanceOptions {
     /// Periodic wake-up interval (work is also signalled by flushes).
     pub tick: Duration,
-    /// Pin-floor callback for version GC; `None` ⇒ nothing is pinned.
-    pub pin_floor: Option<PinFloor>,
+    /// Inert: `None` is the only value this type admits. Compaction
+    /// consults no reader state; the field stays only so that callers
+    /// built against the old reader-floor callback
+    /// (`MaintenanceOptions { tick, pin_floor: None }`) still compile.
+    pub pin_floor: Option<std::convert::Infallible>,
 }
 
 impl Default for MaintenanceOptions {
     fn default() -> Self {
         MaintenanceOptions { tick: Duration::from_millis(250), pin_floor: None }
-    }
-}
-
-impl std::fmt::Debug for MaintenanceOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaintenanceOptions")
-            .field("tick", &self.tick)
-            .field("pin_floor", &self.pin_floor.as_ref().map(|_| "fn"))
-            .finish()
     }
 }
 
@@ -211,8 +196,7 @@ pub fn spawn_engine_worker(engine: Arc<LsmEngine>, opts: MaintenanceOptions) -> 
             }
             // Drain the picker: one wake-up may owe several merges.
             loop {
-                let floor = opts.pin_floor.as_ref().and_then(|f| f());
-                match engine.maybe_compact(floor) {
+                match engine.maybe_compact() {
                     Ok(true) => continue,
                     Ok(false) => break,
                     Err(e) => {

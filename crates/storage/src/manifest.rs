@@ -53,30 +53,19 @@ const TAG_SNAPSHOT: u64 = 1;
 const TAG_FLUSH: u64 = 2;
 const TAG_COMPACT: u64 = 3;
 
-/// One live SSTable as the manifest tracks it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableMeta {
-    /// Table id (the `sst-<id>.sst` name).
-    pub id: u64,
-    /// Engine version the table was sealed at (0 when no version clock
-    /// is wired in). Compaction uses it to gate tombstone drops against
-    /// the pin floor.
-    pub seal_version: u64,
-}
-
 /// One durable transition of the table set.
 #[derive(Debug, Clone)]
 pub enum ManifestEdit {
     /// A memtable flush produced `table`; it becomes the newest.
     Flush {
-        /// The newly sealed table.
-        table: TableMeta,
+        /// The newly sealed table's id.
+        table: u64,
     },
     /// A compaction replaced the contiguous run `removed` (listed
     /// newest-first) with `added`, at the newest removed position.
     Compact {
-        /// The merge output.
-        added: TableMeta,
+        /// The merge output's id.
+        added: u64,
         /// Input table ids, newest-first; must be live and contiguous.
         removed: Vec<u64>,
     },
@@ -85,8 +74,8 @@ pub enum ManifestEdit {
 /// The recovered table set.
 #[derive(Debug, Clone, Default)]
 pub struct ManifestState {
-    /// Live tables, newest-first.
-    pub tables: Vec<TableMeta>,
+    /// Live table ids (the `sst-<id>.sst` names), newest-first.
+    pub tables: Vec<u64>,
     /// Next table id to allocate.
     pub next_id: u64,
     /// True when a torn (uncommitted) trailing record was discarded.
@@ -157,7 +146,7 @@ impl Manifest {
             apply_record(&log_path, payload, &mut state)?;
         }
         // The allocator can never sit at or below a live id.
-        let max_live = state.tables.iter().map(|t| t.id).max().unwrap_or(0);
+        let max_live = state.tables.iter().copied().max().unwrap_or(0);
         state.next_id = state.next_id.max(max_live + 1);
 
         let manifest = Manifest {
@@ -175,7 +164,7 @@ impl Manifest {
     ///
     /// `live` and `next_id` describe the post-edit state; they feed the
     /// periodic checkpoint rewrite.
-    pub fn append(&mut self, edit: &ManifestEdit, live: &[TableMeta], next_id: u64) -> Result<()> {
+    pub fn append(&mut self, edit: &ManifestEdit, live: &[u64], next_id: u64) -> Result<()> {
         self.log.append(&encode_edit(edit, next_id))?;
         self.edits_since_checkpoint += 1;
         if self.edits_since_checkpoint >= CHECKPOINT_EVERY {
@@ -185,7 +174,7 @@ impl Manifest {
     }
 
     /// Rewrites the log as a single snapshot record via temp + rename.
-    fn checkpoint(&mut self, live: &[TableMeta], next_id: u64) -> Result<()> {
+    fn checkpoint(&mut self, live: &[u64], next_id: u64) -> Result<()> {
         let state = ManifestState { tables: live.to_vec(), next_id, recovered_torn_tail: false };
         let fresh = Self::create_checkpoint(&self.dir, &state)?;
         *self = fresh;
@@ -213,9 +202,8 @@ fn encode_snapshot(state: &ManifestState) -> Vec<u8> {
     put_varint(&mut out, TAG_SNAPSHOT);
     put_varint(&mut out, state.next_id);
     put_varint(&mut out, state.tables.len() as u64);
-    for t in &state.tables {
-        put_varint(&mut out, t.id);
-        put_varint(&mut out, t.seal_version);
+    for id in &state.tables {
+        put_varint(&mut out, *id);
     }
     out
 }
@@ -226,14 +214,12 @@ fn encode_edit(edit: &ManifestEdit, next_id: u64) -> Vec<u8> {
         ManifestEdit::Flush { table } => {
             put_varint(&mut out, TAG_FLUSH);
             put_varint(&mut out, next_id);
-            put_varint(&mut out, table.id);
-            put_varint(&mut out, table.seal_version);
+            put_varint(&mut out, *table);
         }
         ManifestEdit::Compact { added, removed } => {
             put_varint(&mut out, TAG_COMPACT);
             put_varint(&mut out, next_id);
-            put_varint(&mut out, added.id);
-            put_varint(&mut out, added.seal_version);
+            put_varint(&mut out, *added);
             put_varint(&mut out, removed.len() as u64);
             for id in removed {
                 put_varint(&mut out, *id);
@@ -257,26 +243,21 @@ fn apply_record(path: &Path, payload: &[u8], state: &mut ManifestState) -> Resul
                 .ok_or_else(|| bad("manifest snapshot missing table count"))?;
             let mut tables = Vec::new();
             for _ in 0..count {
-                let id = take_varint(payload, &mut pos)
-                    .ok_or_else(|| bad("manifest snapshot truncated table id"))?;
-                let seal_version = take_varint(payload, &mut pos)
-                    .ok_or_else(|| bad("manifest snapshot truncated seal version"))?;
-                tables.push(TableMeta { id, seal_version });
+                tables.push(
+                    take_varint(payload, &mut pos)
+                        .ok_or_else(|| bad("manifest snapshot truncated table id"))?,
+                );
             }
             state.tables = tables;
         }
         TAG_FLUSH => {
             let id = take_varint(payload, &mut pos)
                 .ok_or_else(|| bad("manifest flush missing table id"))?;
-            let seal_version = take_varint(payload, &mut pos)
-                .ok_or_else(|| bad("manifest flush missing seal version"))?;
-            state.tables.insert(0, TableMeta { id, seal_version });
+            state.tables.insert(0, id);
         }
         TAG_COMPACT => {
             let added_id = take_varint(payload, &mut pos)
                 .ok_or_else(|| bad("manifest compact missing added id"))?;
-            let seal_version = take_varint(payload, &mut pos)
-                .ok_or_else(|| bad("manifest compact missing seal version"))?;
             let count = take_varint(payload, &mut pos)
                 .ok_or_else(|| bad("manifest compact missing removed count"))?;
             let mut removed = Vec::new();
@@ -292,19 +273,17 @@ fn apply_record(path: &Path, payload: &[u8], state: &mut ManifestState) -> Resul
             let at = state
                 .tables
                 .iter()
-                .position(|t| Some(t.id) == removed.first().copied())
+                .position(|t| Some(*t) == removed.first().copied())
                 .ok_or_else(|| bad("manifest compact removes an unknown table"))?;
             for id in &removed {
                 let idx = state
                     .tables
                     .iter()
-                    .position(|t| t.id == *id)
+                    .position(|t| t == id)
                     .ok_or_else(|| bad("manifest compact removes an unknown table"))?;
                 state.tables.remove(idx);
             }
-            state
-                .tables
-                .insert(at.min(state.tables.len()), TableMeta { id: added_id, seal_version });
+            state.tables.insert(at.min(state.tables.len()), added_id);
         }
         _ => return Err(bad("manifest record with unknown tag")),
     }
@@ -320,10 +299,6 @@ mod tests {
     use super::*;
     use crate::tempdir::TempDir;
 
-    fn meta(id: u64, seal: u64) -> TableMeta {
-        TableMeta { id, seal_version: seal }
-    }
-
     #[test]
     fn fresh_open_then_edits_replay() {
         let dir = TempDir::new("manifest-fresh");
@@ -331,13 +306,12 @@ mod tests {
         assert!(state.tables.is_empty());
         assert_eq!(state.next_id, 1);
 
-        m.append(&ManifestEdit::Flush { table: meta(1, 10) }, &[meta(1, 10)], 2).unwrap();
-        m.append(&ManifestEdit::Flush { table: meta(2, 20) }, &[meta(2, 20), meta(1, 10)], 3)
-            .unwrap();
+        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
+        m.append(&ManifestEdit::Flush { table: 2 }, &[2, 1], 3).unwrap();
         drop(m);
 
         let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![meta(2, 20), meta(1, 10)]);
+        assert_eq!(state.tables, vec![2, 1]);
         assert_eq!(state.next_id, 3);
         assert!(!state.recovered_torn_tail);
     }
@@ -346,22 +320,17 @@ mod tests {
     fn compact_edit_preserves_recency_position() {
         let dir = TempDir::new("manifest-compact");
         let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        let full = [meta(4, 40), meta(3, 30), meta(2, 20), meta(1, 10)];
+        let full = [4, 3, 2, 1];
         for (i, t) in full.iter().rev().enumerate() {
-            m.append(&ManifestEdit::Flush { table: *t }, &full[full.len() - 1 - i..], t.id + 1)
+            m.append(&ManifestEdit::Flush { table: *t }, &full[full.len() - 1 - i..], t + 1)
                 .unwrap();
         }
         // Merge the middle run [3, 2] into table 5.
-        m.append(
-            &ManifestEdit::Compact { added: meta(5, 30), removed: vec![3, 2] },
-            &[meta(4, 40), meta(5, 30), meta(1, 10)],
-            6,
-        )
-        .unwrap();
+        m.append(&ManifestEdit::Compact { added: 5, removed: vec![3, 2] }, &[4, 5, 1], 6).unwrap();
         drop(m);
 
         let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![meta(4, 40), meta(5, 30), meta(1, 10)]);
+        assert_eq!(state.tables, vec![4, 5, 1]);
         assert_eq!(state.next_id, 6);
     }
 
@@ -369,7 +338,7 @@ mod tests {
     fn torn_tail_is_discarded_and_truncated() {
         let dir = TempDir::new("manifest-torn");
         let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        m.append(&ManifestEdit::Flush { table: meta(1, 1) }, &[meta(1, 1)], 2).unwrap();
+        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
         drop(m);
         // Simulate a crash mid-append: half a header.
         let path = dir.path().join(MANIFEST_NAME);
@@ -379,7 +348,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![meta(1, 1)]);
+        assert_eq!(state.tables, vec![1]);
         assert!(state.recovered_torn_tail);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), before as u64);
     }
@@ -388,7 +357,7 @@ mod tests {
     fn complete_record_with_bad_crc_is_corruption() {
         let dir = TempDir::new("manifest-badcrc");
         let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        m.append(&ManifestEdit::Flush { table: meta(1, 1) }, &[meta(1, 1)], 2).unwrap();
+        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
         drop(m);
         let path = dir.path().join(MANIFEST_NAME);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -402,9 +371,9 @@ mod tests {
     fn checkpoint_compacts_the_log() {
         let dir = TempDir::new("manifest-checkpoint");
         let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        let live = [meta(1, 1)];
+        let live = [1];
         for _ in 0..(CHECKPOINT_EVERY + 3) {
-            m.append(&ManifestEdit::Flush { table: meta(1, 1) }, &live, 2).unwrap();
+            m.append(&ManifestEdit::Flush { table: 1 }, &live, 2).unwrap();
         }
         drop(m);
         let path = dir.path().join(MANIFEST_NAME);
@@ -430,14 +399,25 @@ mod tests {
     }
 
     #[test]
+    fn a_table_record_with_an_extra_field_is_corruption() {
+        // Snapshot of one table (id 1) followed by one more varint, the
+        // shape of a log written when table records carried a second field.
+        let dir = TempDir::new("manifest-extra-field");
+        let mut log = Wal::create(dir.path().join(MANIFEST_NAME), SyncPolicy::Always).unwrap();
+        log.append(&[TAG_SNAPSHOT as u8, 2, 1, 1, 5]).unwrap();
+        drop(log);
+        assert!(Manifest::open(dir.path(), true).is_err());
+    }
+
+    #[test]
     fn stale_tmp_file_is_cleaned_up() {
         let dir = TempDir::new("manifest-tmp");
         let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        m.append(&ManifestEdit::Flush { table: meta(1, 1) }, &[meta(1, 1)], 2).unwrap();
+        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
         drop(m);
         std::fs::write(dir.path().join(TMP_NAME), b"half a checkpoint").unwrap();
         let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![meta(1, 1)]);
+        assert_eq!(state.tables, vec![1]);
         assert!(!dir.path().join(TMP_NAME).exists());
     }
 }

@@ -35,7 +35,7 @@ fn build_workload(dir: &Path) -> u64 {
         }
         db.flush().unwrap();
         // Drain the tiered picker, as the maintenance worker would.
-        while db.maybe_compact(None).unwrap() {}
+        while db.maybe_compact().unwrap() {}
     }
     assert!(db.stats().compactions > 0, "workload must exercise compaction");
     rounds - 1

@@ -98,7 +98,7 @@ proptest! {
                 }
                 Action::Flush => db.force_flush().unwrap(),
                 Action::Compact => db.force_compact().unwrap(),
-                Action::MaybeCompact => while db.maybe_compact(None).unwrap() {},
+                Action::MaybeCompact => while db.maybe_compact().unwrap() {},
                 Action::Reopen => {
                     drop(db);
                     db = LsmEngine::open(dir.path(), tiny_opts()).unwrap();

@@ -52,7 +52,7 @@ fn a_young_store_is_written_about_twice() {
     let (mut seen, mut written) = (0u64, 0u64);
     let mut drain = |db: &LsmEngine| {
         written += new_table_bytes(dir.path(), &mut seen);
-        while db.maybe_compact(None).unwrap() {
+        while db.maybe_compact().unwrap() {
             written += new_table_bytes(dir.path(), &mut seen);
         }
     };
