@@ -464,14 +464,6 @@ impl Pass {
         self.sharding.count()
     }
 
-    /// The commit shard that owns `id` ([`keyspace::shard_of`] over the
-    /// shards in effect). A batch whose sets all share one shard commits
-    /// through one shard lock and one WAL, so writers that group their
-    /// batches by it never contend on disjoint shards.
-    pub fn shard_of(&self, id: TupleSetId) -> usize {
-        self.sharding.shard_of(id)
-    }
-
     /// Rebuilds the in-memory indexes from the stored records in one
     /// streaming pass over 256 slices of the id space ([`scan_slice`]),
     /// so no more than a slice of rows is ever held: each row is decoded

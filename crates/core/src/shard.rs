@@ -24,18 +24,21 @@
 //! # Disk layout
 //!
 //! `shards = 1` is byte-identical to the pre-sharding layout: the
-//! engine roots at the store directory itself (`wal.log`,
-//! `MANIFEST.log`, `sst-*.sst`), no extra files. `shards = N > 1`
-//! writes a `SHARDS` marker file and roots shard `i` at `shard-NN/`;
-//! the cross-shard intent log lives at `xcommit.log`. On reopen the
-//! on-disk layout wins over the configured count — a store's sharding
-//! is decided at creation, like its key encoding.
+//! engine roots at the store directory itself (`wal.log`, `MANIFEST`,
+//! `sst-*.sst`), no extra files. `shards = N > 1` writes a `SHARDS`
+//! marker file (fsynced) and roots shard `i` at `shard-NN/`; the
+//! cross-shard intent log lives at `xcommit.log`. Every sharded open
+//! fsyncs the store directory once its shard directories exist, so the
+//! marker's and the shards' entries are durable before the first
+//! commit. On reopen the on-disk layout wins over the configured count —
+//! a store's sharding is decided at creation, like its key encoding.
 
 use crate::error::Result;
 use crate::keyspace;
 use parking_lot::{Mutex, MutexGuard};
 use pass_model::TupleSetId;
 use pass_storage::{EngineOptions, KvStore, LsmEngine, ShardedStore, StorageError};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -113,7 +116,11 @@ pub(crate) fn open_disk(
         .map_err(|e| StorageError::io(format!("creating store dir {}", dir.display()), e))?;
     let marker = dir.join(SHARDS_FILE);
     if !marker.exists() {
-        std::fs::write(&marker, format!("{effective}\n"))
+        std::fs::File::create(&marker)
+            .and_then(|mut file| {
+                file.write_all(format!("{effective}\n").as_bytes())?;
+                file.sync_all()
+            })
             .map_err(|e| StorageError::io("writing SHARDS marker", e))?;
     }
     let mut typed: Vec<Arc<LsmEngine>> = Vec::with_capacity(effective);
@@ -124,6 +131,7 @@ pub(crate) fn open_disk(
         engines.push(Arc::clone(&engine) as Arc<dyn KvStore>);
         typed.push(engine);
     }
+    pass_storage::manifest::sync_dir(dir)?;
     let router: pass_storage::ShardRouter =
         Box::new(move |key: &[u8]| keyspace::shard_of_key(key, effective));
     let sharded = ShardedStore::open(engines, router, Some(dir.join(XLOG_FILE)), options.sync)?;
@@ -160,8 +168,8 @@ fn effective_shards(dir: &Path, requested: usize) -> Result<usize> {
         return Ok(n);
     }
     // A pre-sharding store has its engine rooted at `dir` directly —
-    // recognizable by its manifest log or a WAL.
-    if dir.join("MANIFEST.log").exists() || dir.join("wal.log").exists() {
+    // recognizable by its manifest or a WAL.
+    if dir.join(pass_storage::manifest::MANIFEST_NAME).exists() || dir.join("wal.log").exists() {
         return Ok(1);
     }
     Ok(requested.max(1))

@@ -33,11 +33,16 @@ fn capture_round(pass: &Pass, round: u64, count: u64) {
     pass.capture_batch(batch).unwrap();
 }
 
-fn sst_count(dir: &Path) -> usize {
+fn sst_names(dir: &Path) -> Vec<String> {
     std::fs::read_dir(dir)
         .unwrap()
-        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".sst"))
-        .count()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".sst"))
+        .collect()
+}
+
+fn sst_count(dir: &Path) -> usize {
+    sst_names(dir).len()
 }
 
 /// Sustained ingest with the worker on: the live table count stays
@@ -131,6 +136,57 @@ fn snapshot_reads_stay_repeatable_while_maintenance_churns() {
     want.sort_unstable();
     matches.sort_unstable();
     assert_eq!(matches, want, "every record once, and nothing for the removals");
+}
+
+/// A merge that does not reach the oldest table keeps the tombstones it
+/// rewrites: the oldest table holds every reading, the removals'
+/// tombstones land in a small table above it, and two more small flushes
+/// make the picker merge the three small tables alone. The removed
+/// readings must stay gone, before and after a reopen.
+#[test]
+fn a_merge_above_the_oldest_table_keeps_the_removals_tombstones() {
+    let dir = TempDir::new("maint-tombstones");
+    let config = || PassConfig {
+        backend: Backend::Disk { dir: dir.path().to_path_buf(), options: EngineOptions::default() },
+        ..PassConfig::memory(SiteId(3))
+    };
+    let pass = Pass::open(config()).unwrap();
+    capture_round(&pass, 0, 300);
+    pass.flush().unwrap();
+    let oldest = sst_names(dir.path());
+    assert_eq!(oldest.len(), 1, "the readings sit in one table");
+
+    let mut ids = pass.ids();
+    ids.sort_unstable();
+    let removed: Vec<_> = ids.iter().copied().step_by(50).collect();
+    for id in &removed {
+        assert!(pass.remove_data(*id).unwrap());
+    }
+    pass.flush().unwrap();
+    for round in 1..3 {
+        capture_round(&pass, round, 4);
+        pass.flush().unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while sst_count(dir.path()) > 2 && Instant::now() < deadline {
+        pass.wake_maintenance();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let tables = sst_names(dir.path());
+    assert_eq!(tables.len(), 2, "the three small tables merged into one: {tables:?}");
+    assert!(tables.contains(&oldest[0]), "the merge left the oldest table alone: {tables:?}");
+    assert_eq!(pass.maintenance_errors(), 0);
+
+    for id in &removed {
+        assert_eq!(pass.get_data(*id).unwrap(), None, "a removed reading stays gone");
+    }
+    drop(pass);
+    let pass = Pass::open(config()).unwrap();
+    for id in &ids {
+        let gone = removed.contains(id);
+        assert_eq!(pass.has_data(*id), !gone, "presence after a reopen");
+        assert_eq!(pass.get_data(*id).unwrap().is_none(), gone, "readings after a reopen");
+    }
 }
 
 /// `age_data` implements tiered aging: readings created before the

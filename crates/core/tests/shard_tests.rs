@@ -338,7 +338,7 @@ fn closure_cache_tracks_global_version_across_cross_shard_commits() {
         })
         .collect();
     let spans: std::collections::HashSet<usize> =
-        children.iter().map(|ts| pass.shard_of(ts.provenance.id)).collect();
+        children.iter().map(|ts| keyspace::shard_of(ts.provenance.id, pass.shards())).collect();
     assert!(spans.len() > 1, "batch must span shards");
     pass.ingest_batch(&children).unwrap();
 

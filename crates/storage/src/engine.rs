@@ -5,11 +5,11 @@
 //!
 //! * writes append a batch to the WAL, then apply to the memtable;
 //! * a full memtable flushes to a new SSTable and resets the WAL;
-//! * the live table set is owned by the crash-safe manifest log
-//!   ([`crate::manifest`]): flushes and compactions commit by appending
-//!   an edit, so a crash leaves either the old or the new edition —
-//!   never a mix — and files the manifest does not name are debris the
-//!   next open deletes;
+//! * the live table set is owned by the crash-safe manifest
+//!   ([`crate::manifest`]): flushes and compactions commit by replacing
+//!   it with the whole new list, so a crash leaves either the old or the
+//!   new edition — never a mix — and table files the manifest does not
+//!   name are debris the next open deletes;
 //! * compaction never runs on the write path: a flush only signals the
 //!   attached maintenance worker ([`crate::maintenance`]), which drains
 //!   [`LsmEngine::maybe_compact`] — the tiered picker of
@@ -22,8 +22,9 @@
 //!   [`EngineOptions::cache`] is set; range scans stream each table's
 //!   blocks straight from its file, so a scan cannot flush the hot set.
 //!
-//! Recovery order on open: replay manifest → open listed tables →
-//! delete unlisted table files → replay the WAL's valid prefix into the
+//! Recovery order on open: read the manifest → open listed tables →
+//! set the next table id above every table file on disk → delete
+//! unlisted table files → replay the WAL's valid prefix into the
 //! memtable.
 
 use crate::batch::WriteBatch;
@@ -33,7 +34,7 @@ use crate::error::{Result, StorageError};
 use crate::iter::{Cursor, IterCursor, Merge};
 use crate::kv::KvStore;
 use crate::maintenance::Signal;
-use crate::manifest::{Manifest, ManifestEdit};
+use crate::manifest;
 use crate::memtable::MemTable;
 use crate::sstable::{SsTable, TableOptions};
 use crate::wal::{self, Stop, SyncPolicy, Wal};
@@ -122,7 +123,7 @@ struct Inner {
     mem: MemTable,
     /// Live tables, newest first (mirrors the manifest order).
     tables: Vec<TableHandle>,
-    manifest: Manifest,
+    /// The next table id: above every table file this engine has seen.
     next_id: u64,
     flushes: u64,
     compactions: u64,
@@ -162,22 +163,26 @@ impl LsmEngine {
         std::fs::create_dir_all(&dir)
             .map_err(|e| StorageError::io(format!("creating engine dir {}", dir.display()), e))?;
 
-        // One directory listing serves the manifest's corruption
-        // heuristic and the debris sweep below.
+        // One directory listing serves the manifest's refusal rule, the
+        // id allocator and the debris sweep below.
         let on_disk = list_table_files(&dir)?;
-        let (manifest, mstate) = Manifest::open(&dir, !on_disk.is_empty())?;
+        let live = manifest::open(&dir, !on_disk.is_empty())?;
 
-        let mut tables = Vec::with_capacity(mstate.tables.len());
-        for &id in &mstate.tables {
+        let mut tables = Vec::with_capacity(live.len());
+        for &id in &live {
             let table = SsTable::open_with_cache(table_path(&dir, id), opts.cache.clone())?;
             tables.push(TableHandle { table: Arc::new(table), id });
         }
+
+        // Counted before the sweep, so no id of a table file that was
+        // ever written here, debris included, is handed out again.
+        let next_id = on_disk.iter().map(|(id, _)| id + 1).max().unwrap_or(1);
 
         // Remove table files the manifest does not know about: debris
         // from a crash mid-flush (never registered) or mid-compaction
         // cleanup (already replaced).
         for (id, path) in &on_disk {
-            if !mstate.tables.contains(id) {
+            if !live.contains(id) {
                 // pass-lint: allow(l8, reason="best-effort debris sweep; an unremovable orphan is re-swept on the next open and never read, because the manifest does not reference it")
                 let _ = std::fs::remove_file(path);
             }
@@ -206,11 +211,10 @@ impl LsmEngine {
                 wal,
                 mem,
                 tables,
-                manifest,
-                next_id: mstate.next_id,
+                next_id,
                 flushes: 0,
                 compactions: 0,
-                recovered_torn_tail: recovery.stop != Stop::End || mstate.recovered_torn_tail,
+                recovered_torn_tail: recovery.stop != Stop::End,
                 flush_signal: None,
             }),
             compact_lock: Mutex::new(()),
@@ -301,13 +305,13 @@ impl LsmEngine {
     /// Lock order: takes the engine's compaction mutex for the whole
     /// call; takes the state write lock briefly to pick and snapshot the
     /// inputs and allocate the output id, releases it for the merge
-    /// itself, then re-takes it to commit the manifest edit and install
+    /// itself, then re-takes it to commit the new table list and install
     /// the swap.
     fn compact(&self, choose: impl FnOnce(&[TableInfo]) -> Option<Range<usize>>) -> Result<bool> {
         let _serialize = self.compact_lock.lock();
 
         // Phase 1 (locked): pick a run and snapshot its inputs.
-        let (inputs, removed_ids, out_id, drop_tombstones, dir, topts) = {
+        let (inputs, from_end, out_id, drop_tombstones, dir, topts) = {
             let mut inner = self.inner.write();
             let infos: Vec<TableInfo> = inner
                 .tables
@@ -317,23 +321,19 @@ impl LsmEngine {
             let Some(range) = choose(&infos) else {
                 return Ok(false);
             };
+            // The run's distance from the oldest end holds until the
+            // commit below: flushes only prepend, and the compaction mutex
+            // keeps every other merge out.
+            let from_end = inner.tables.len().saturating_sub(range.start);
             let includes_oldest = range.end == inner.tables.len();
             let run = match inner.tables.get(range) {
                 Some(run) if !run.is_empty() => run,
                 _ => return Ok(false),
             };
             let inputs: Vec<Arc<SsTable>> = run.iter().map(|h| Arc::clone(&h.table)).collect();
-            let removed_ids: Vec<u64> = run.iter().map(|h| h.id).collect();
             let out_id = inner.next_id;
             inner.next_id += 1;
-            (
-                inputs,
-                removed_ids,
-                out_id,
-                includes_oldest,
-                inner.dir.clone(),
-                inner.opts.table.clone(),
-            )
+            (inputs, from_end, out_id, includes_oldest, inner.dir.clone(), inner.opts.table.clone())
         };
 
         // Phase 2 (unlocked): merge. Inputs are immutable files; writers
@@ -347,36 +347,24 @@ impl LsmEngine {
 
         // Phase 3 (locked): commit the edition swap.
         let mut inner = self.inner.write();
-        let Some(start) = position_of_run(&inner.tables, &removed_ids) else {
-            // Unreachable while the compaction mutex serializes every
-            // merge and flushes only prepend: the picked run cannot
-            // change under us. Kept as a guard — if it ever did, the
-            // output is unregistered debris, so discard it.
-            drop(inner);
-            // pass-lint: allow(l8, reason="the compaction output was never registered in the manifest — failing to discard it leaves unread debris, swept at open")
-            let _ = std::fs::remove_file(&out_path);
-            return Ok(false);
-        };
+        let start = inner.tables.len().saturating_sub(from_end);
+        let run = start..start + inputs.len();
+        debug_assert!(inner.tables.get(run.clone()).is_some_and(|picked| picked
+            .iter()
+            .zip(&inputs)
+            .all(|(h, input)| Arc::ptr_eq(&h.table, input))));
         let out_table = Arc::new(SsTable::open_with_cache(&out_path, inner.opts.cache.clone())?);
 
         let mut ids = inner.ids();
-        ids.splice(start..start + removed_ids.len(), std::iter::once(out_id));
-        let next_id = inner.next_id;
-        inner.manifest.append(
-            &ManifestEdit::Compact { added: out_id, removed: removed_ids.clone() },
-            &ids,
-            next_id,
-        )?;
+        ids.splice(run.clone(), std::iter::once(out_id));
+        manifest::commit(&inner.dir, &ids)?;
 
         let old_paths: Vec<PathBuf> = inner
             .tables
-            .get(start..start + removed_ids.len())
+            .get(run.clone())
             .map(|run| run.iter().map(|h| h.table.path().to_path_buf()).collect())
             .unwrap_or_default();
-        inner.tables.splice(
-            start..start + removed_ids.len(),
-            std::iter::once(TableHandle { table: out_table, id: out_id }),
-        );
+        inner.tables.splice(run, std::iter::once(TableHandle { table: out_table, id: out_id }));
         inner.compactions += 1;
         drop(inner);
         for old in old_paths {
@@ -488,12 +476,13 @@ fn flush_locked(inner: &mut Inner) -> Result<MemTable> {
     }
     builder.finish()?;
 
-    // Commit point: the manifest edit registers the (fsynced) table.
+    // Commit point: the new manifest registers the (fsynced) table, and
+    // its directory fsync makes the table's entry durable before the WAL
+    // is cut below.
     let mut ids = Vec::with_capacity(inner.tables.len() + 1);
     ids.push(id);
     ids.extend(inner.tables.iter().map(|h| h.id));
-    let next_id = inner.next_id;
-    inner.manifest.append(&ManifestEdit::Flush { table: id }, &ids, next_id)?;
+    manifest::commit(&inner.dir, &ids)?;
 
     let table = SsTable::open_with_cache(&path, inner.opts.cache.clone())?;
     inner.tables.insert(0, TableHandle { table: Arc::new(table), id });
@@ -507,15 +496,6 @@ fn flush_locked(inner: &mut Inner) -> Result<MemTable> {
         signal.notify();
     }
     Ok(flushed)
-}
-
-/// Index of `ids` as a contiguous newest-first run in `tables`, `None`
-/// when the run no longer exists as picked.
-fn position_of_run(tables: &[TableHandle], ids: &[u64]) -> Option<usize> {
-    let first = ids.first()?;
-    let start = tables.iter().position(|h| h.id == *first)?;
-    let window = tables.get(start..start + ids.len())?;
-    window.iter().zip(ids).all(|(h, id)| h.id == *id).then_some(start)
 }
 
 fn table_path(dir: &Path, id: u64) -> PathBuf {

@@ -8,8 +8,9 @@
 //! Shape: WAL ([`wal`]) → memtable ([`memtable`]) → SSTables ([`sstable`])
 //! with bloom filters ([`bloom`]), tiered compaction ([`compaction`])
 //! driven by a background maintenance worker ([`maintenance`]), a
-//! crash-safe append-only manifest ([`manifest`]) owning the live table
-//! set, and a sharded block cache ([`cache`]) on the read path.
+//! crash-safe manifest ([`manifest`]), one file replaced atomically on
+//! every edit, owning the live table set, and a sharded block cache
+//! ([`cache`]) on the read path.
 //! Everything is CRC-32C checksummed ([`crc`]).
 //!
 //! Two backends implement the [`KvStore`] trait:
@@ -58,7 +59,6 @@ pub use kv::{prefix_successor, KvStore};
 pub use maintenance::{
     spawn_engine_worker, spawn_task_worker, MaintenanceHandle, MaintenanceOptions, Signal,
 };
-pub use manifest::{Manifest, ManifestEdit, ManifestState};
 pub use mem::MemEngine;
 pub use sharded::{ShardRouter, ShardedStore};
 pub use wal::SyncPolicy;

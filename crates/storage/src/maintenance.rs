@@ -1,7 +1,7 @@
 //! The background maintenance worker: a dedicated thread per
 //! [`LsmEngine`] that runs compaction between commits.
 //!
-//! Writers never compact — a flush appends its manifest edit, pokes the
+//! Writers never compact — a flush commits its new manifest, pokes the
 //! attached worker's [`Signal`], and returns. The worker drains the
 //! compaction picker (possibly several merges back-to-back), then parks
 //! until the next flush or periodic tick. A tick exists so a picker

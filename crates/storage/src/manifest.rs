@@ -1,297 +1,107 @@
-//! Crash-safe manifest: the append-only edit log that owns the live
-//! SSTable set.
+//! Crash-safe manifest: one file, `MANIFEST`, that names the live
+//! SSTables.
 //!
-//! Before this module the engine's table set was directory-scan-owned:
-//! a single-record `MANIFEST` file listed the ids, and anything on disk
-//! that wasn't listed was debris. That shape cannot express compaction
-//! safely — replacing K tables with one needs an *atomic* transition
-//! between two editions of the table set, and rewriting a whole file
-//! per flush is wasteful under sustained ingest.
+//! The file holds exactly one record in the WAL's frame ([`crate::wal`]):
+//! `[len u32 LE][CRC-32C of len ‖ payload, u32 LE][payload]`. The
+//! payload is the live table ids (the `sst-<id>.sst` names), newest
+//! first, as a varint count followed by one varint per id. Every change
+//! of the table set commits through [`commit`], which replaces the file
+//! whole:
 //!
-//! The manifest here is a record log (`MANIFEST.log`) written through
-//! the WAL's own handle ([`crate::wal`]): each record is
-//! `[len u32 LE][CRC-32C of len ‖ payload, u32 LE][payload]`, appended and
-//! fsynced with [`SyncPolicy::Always`]. Payloads are versioned edits:
+//! 1. write the new list to `MANIFEST.tmp` and fsync it;
+//! 2. rename it over `MANIFEST`;
+//! 3. fsync the engine directory, which makes the rename durable, and
+//!    with it every table file created in the directory before the call.
 //!
-//! * **snapshot** (tag 1) — the full table set + the id allocator.
-//!   Written when the log is created and as a periodic checkpoint
-//!   (rewrite via temp file + rename, so the prefix is always one
-//!   complete snapshot).
-//! * **flush** (tag 2) — one new table pushed at the newest position.
-//! * **compact** (tag 3) — one added table replacing a contiguous run
-//!   of removed ids, at the position of the newest removed table.
+//! A crash before the rename leaves the old list, after it the new one:
+//! never a mix. Callers fsync added table files before [`commit`] and
+//! delete removed ones only after it returns.
 //!
-//! Recovery replays the log in order. A torn tail — a record that
-//! extends past EOF, or a run of zero bytes to EOF (an un-synced size
-//! extension) — is the ordinary crash artifact (the edit never
-//! committed): it is discarded and the file truncated. A *complete*,
-//! non-zero record whose CRC fails (or that exceeds the record bound),
-//! or a checksummed record that does not decode, is corruption past the
-//! commit point and fails the open — losing a mid-file edit silently
-//! would unregister live tables and let the debris sweep delete real
-//! data.
+//! [`open`] removes a stale `MANIFEST.tmp` (a commit that never reached
+//! its rename). A missing `MANIFEST` is a fresh directory only
+//! when no table exists: then an empty list is committed, so a table can
+//! never exist without a manifest. Next to existing tables it fails the
+//! open and leaves every file alone, because sweeping the tables as
+//! debris would delete data. Anything other than exactly one valid
+//! record is corruption and fails the open too.
 //!
-//! Ordering invariant: the table list is kept newest-first, and every
-//! edit preserves recency order (a compaction output sits exactly where
-//! its newest input sat). Readers rely on this for newest-wins shadowing.
+//! Ordering invariant: the list is newest-first, and the engine keeps
+//! recency order on every edit (a compaction output sits exactly where
+//! its run sat). Readers rely on this for newest-wins shadowing.
 
 use crate::batch::{put_varint, take_varint};
 use crate::error::{Result, StorageError};
 use crate::wal::{self, Stop, SyncPolicy, Wal};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Current manifest log file name.
-pub const MANIFEST_NAME: &str = "MANIFEST.log";
-/// Temp name used during checkpoint rewrite (renamed over the log).
-const TMP_NAME: &str = "MANIFEST.log.tmp";
+/// The manifest's file name in an engine directory.
+pub const MANIFEST_NAME: &str = "MANIFEST";
+/// The next list while it is written, before its rename over `MANIFEST`.
+const TMP_NAME: &str = "MANIFEST.tmp";
 
-/// Edits accumulated since the last checkpoint before the log is
-/// rewritten as a single snapshot.
-const CHECKPOINT_EVERY: usize = 64;
-
-const TAG_SNAPSHOT: u64 = 1;
-const TAG_FLUSH: u64 = 2;
-const TAG_COMPACT: u64 = 3;
-
-/// One durable transition of the table set.
-#[derive(Debug, Clone)]
-pub enum ManifestEdit {
-    /// A memtable flush produced `table`; it becomes the newest.
-    Flush {
-        /// The newly sealed table's id.
-        table: u64,
-    },
-    /// A compaction replaced the contiguous run `removed` (listed
-    /// newest-first) with `added`, at the newest removed position.
-    Compact {
-        /// The merge output's id.
-        added: u64,
-        /// Input table ids, newest-first; must be live and contiguous.
-        removed: Vec<u64>,
-    },
-}
-
-/// The recovered table set.
-#[derive(Debug, Clone, Default)]
-pub struct ManifestState {
-    /// Live table ids (the `sst-<id>.sst` names), newest-first.
-    pub tables: Vec<u64>,
-    /// Next table id to allocate.
-    pub next_id: u64,
-    /// True when a torn (uncommitted) trailing record was discarded.
-    pub recovered_torn_tail: bool,
-}
-
-/// Open handle to the manifest log; owns appends and checkpoints.
-#[derive(Debug)]
-pub struct Manifest {
-    dir: PathBuf,
-    log: Wal,
-    edits_since_checkpoint: usize,
-}
-
-impl Manifest {
-    /// Opens (or, in a directory without tables, creates) the manifest
-    /// for `dir` and returns the recovered table set.
-    ///
-    /// `have_tables` tells the corruption heuristic whether any
-    /// `sst-*.sst` files exist: a missing manifest log, or one with
-    /// *zero* decodable records, is a fresh directory or a benign
-    /// create-crash only when there is nothing on disk it could have
-    /// been tracking.
-    pub fn open(dir: &Path, have_tables: bool) -> Result<(Manifest, ManifestState)> {
-        let log_path = dir.join(MANIFEST_NAME);
-        let tmp_path = dir.join(TMP_NAME);
-        if tmp_path.exists() {
-            // A checkpoint that never reached its rename; the log is
-            // still authoritative.
-            std::fs::remove_file(&tmp_path)
-                .map_err(|e| StorageError::io("removing stale manifest temp file", e))?;
-        }
-
-        let bytes = wal::read(&log_path)?;
-        let scan = wal::scan(&bytes);
-        match scan.stop {
-            Stop::End | Stop::Torn => {}
-            Stop::Corrupt { offset } => {
-                return Err(StorageError::ChecksumMismatch { path: log_path, offset })
-            }
-        }
-        if scan.records.is_empty() {
-            if have_tables {
-                // Tables with no record to own them: the log was deleted
-                // or destroyed (checkpoints install via rename, so a
-                // legitimate log always starts with one complete
-                // snapshot). Refuse rather than sweep them as debris.
-                return Err(StorageError::corrupt(
-                    &log_path,
-                    "manifest log holds no decodable record next to existing tables",
-                ));
-            }
-            // A fresh directory, or a crash while its first log was
-            // being created.
-            let state = ManifestState {
-                tables: Vec::new(),
-                next_id: 1,
-                recovered_torn_tail: scan.stop == Stop::Torn,
-            };
-            return Ok((Self::create_checkpoint(dir, &state)?, state));
-        }
-        let mut state = ManifestState {
-            next_id: 1,
-            recovered_torn_tail: scan.stop == Stop::Torn,
-            ..ManifestState::default()
-        };
-        for payload in &scan.records {
-            apply_record(&log_path, payload, &mut state)?;
-        }
-        // The allocator can never sit at or below a live id.
-        let max_live = state.tables.iter().copied().max().unwrap_or(0);
-        state.next_id = state.next_id.max(max_live + 1);
-
-        let manifest = Manifest {
-            dir: dir.to_path_buf(),
-            log: Wal::open_for_append(&log_path, SyncPolicy::Always, scan.valid_len)?,
-            edits_since_checkpoint: scan.records.len().saturating_sub(1),
-        };
-        Ok((manifest, state))
+/// Reads the live table list of `dir`, newest-first, creating an empty
+/// manifest in a directory without one.
+///
+/// `have_tables` says whether any `sst-*.sst` file exists in `dir`: a
+/// directory with tables but no manifest is refused, untouched.
+pub fn open(dir: &Path, have_tables: bool) -> Result<Vec<u64>> {
+    let path = dir.join(MANIFEST_NAME);
+    let tmp_path = dir.join(TMP_NAME);
+    if tmp_path.exists() {
+        std::fs::remove_file(&tmp_path)
+            .map_err(|e| StorageError::io("removing stale manifest temp file", e))?;
     }
-
-    /// Appends one edit durably (write + fsync). This is the commit
-    /// point for the table-set transition the edit describes: callers
-    /// must have fsynced any added table files *before* this call, and
-    /// must delete removed files only *after* it returns.
-    ///
-    /// `live` and `next_id` describe the post-edit state; they feed the
-    /// periodic checkpoint rewrite.
-    pub fn append(&mut self, edit: &ManifestEdit, live: &[u64], next_id: u64) -> Result<()> {
-        self.log.append(&encode_edit(edit, next_id))?;
-        self.edits_since_checkpoint += 1;
-        if self.edits_since_checkpoint >= CHECKPOINT_EVERY {
-            self.checkpoint(live, next_id)?;
+    if !path.exists() {
+        if have_tables {
+            return Err(StorageError::corrupt(&path, "no manifest next to existing tables"));
         }
-        Ok(())
+        commit(dir, &[])?;
+        return Ok(Vec::new());
     }
-
-    /// Rewrites the log as a single snapshot record via temp + rename.
-    fn checkpoint(&mut self, live: &[u64], next_id: u64) -> Result<()> {
-        let state = ManifestState { tables: live.to_vec(), next_id, recovered_torn_tail: false };
-        let fresh = Self::create_checkpoint(&self.dir, &state)?;
-        *self = fresh;
-        Ok(())
-    }
-
-    /// Writes a new log containing one snapshot record and atomically
-    /// installs it, returning the open handle.
-    fn create_checkpoint(dir: &Path, state: &ManifestState) -> Result<Manifest> {
-        let tmp_path = dir.join(TMP_NAME);
-        let log_path = dir.join(MANIFEST_NAME);
-        let mut tmp = Wal::create(&tmp_path, SyncPolicy::Always)?;
-        tmp.append(&encode_snapshot(state))?;
-        let len = tmp.len();
-        drop(tmp);
-        std::fs::rename(&tmp_path, &log_path)
-            .map_err(|e| StorageError::io("installing manifest checkpoint", e))?;
-        let log = Wal::open_for_append(&log_path, SyncPolicy::Always, len)?;
-        Ok(Manifest { dir: dir.to_path_buf(), log, edits_since_checkpoint: 0 })
+    let bytes = wal::read(&path)?;
+    let scan = wal::scan(&bytes);
+    match (scan.stop, scan.records.as_slice()) {
+        (Stop::Corrupt { offset }, _) => Err(StorageError::ChecksumMismatch { path, offset }),
+        (Stop::End, [payload]) => decode(payload)
+            .ok_or_else(|| StorageError::corrupt(&path, "manifest record does not decode")),
+        _ => Err(StorageError::corrupt(&path, "manifest is not exactly one record")),
     }
 }
 
-fn encode_snapshot(state: &ManifestState) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, TAG_SNAPSHOT);
-    put_varint(&mut out, state.next_id);
-    put_varint(&mut out, state.tables.len() as u64);
-    for id in &state.tables {
-        put_varint(&mut out, *id);
+/// Commits `live` (newest-first) as the table set of `dir`: the new list
+/// is fsynced under a temp name, renamed over `MANIFEST`, and the
+/// directory fsynced.
+pub fn commit(dir: &Path, live: &[u64]) -> Result<()> {
+    let mut payload = Vec::with_capacity(2 + 2 * live.len());
+    put_varint(&mut payload, live.len() as u64);
+    for id in live {
+        put_varint(&mut payload, *id);
     }
-    out
+    let tmp_path = dir.join(TMP_NAME);
+    Wal::create(&tmp_path, SyncPolicy::Always)?.append(&payload)?;
+    std::fs::rename(&tmp_path, dir.join(MANIFEST_NAME))
+        .map_err(|e| StorageError::io("installing manifest", e))?;
+    sync_dir(dir)
 }
 
-fn encode_edit(edit: &ManifestEdit, next_id: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    match edit {
-        ManifestEdit::Flush { table } => {
-            put_varint(&mut out, TAG_FLUSH);
-            put_varint(&mut out, next_id);
-            put_varint(&mut out, *table);
-        }
-        ManifestEdit::Compact { added, removed } => {
-            put_varint(&mut out, TAG_COMPACT);
-            put_varint(&mut out, next_id);
-            put_varint(&mut out, *added);
-            put_varint(&mut out, removed.len() as u64);
-            for id in removed {
-                put_varint(&mut out, *id);
-            }
-        }
-    }
-    out
+/// Fsyncs `dir` itself, making the entries created, renamed or removed
+/// in it durable.
+pub fn sync_dir(dir: &Path) -> Result<()> {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StorageError::io(format!("fsyncing directory {}", dir.display()), e))
 }
 
-/// Applies one decoded record to `state`. Any malformed payload is
-/// corruption (its CRC already passed).
-fn apply_record(path: &Path, payload: &[u8], state: &mut ManifestState) -> Result<()> {
-    let bad = |detail: &str| StorageError::corrupt(path, detail);
+/// The id list of a manifest payload; `None` unless the payload is
+/// exactly a count and that many ids.
+fn decode(payload: &[u8]) -> Option<Vec<u64>> {
     let mut pos = 0usize;
-    let tag = take_varint(payload, &mut pos).ok_or_else(|| bad("manifest record missing tag"))?;
-    let next_id =
-        take_varint(payload, &mut pos).ok_or_else(|| bad("manifest record missing next_id"))?;
-    match tag {
-        TAG_SNAPSHOT => {
-            let count = take_varint(payload, &mut pos)
-                .ok_or_else(|| bad("manifest snapshot missing table count"))?;
-            let mut tables = Vec::new();
-            for _ in 0..count {
-                tables.push(
-                    take_varint(payload, &mut pos)
-                        .ok_or_else(|| bad("manifest snapshot truncated table id"))?,
-                );
-            }
-            state.tables = tables;
-        }
-        TAG_FLUSH => {
-            let id = take_varint(payload, &mut pos)
-                .ok_or_else(|| bad("manifest flush missing table id"))?;
-            state.tables.insert(0, id);
-        }
-        TAG_COMPACT => {
-            let added_id = take_varint(payload, &mut pos)
-                .ok_or_else(|| bad("manifest compact missing added id"))?;
-            let count = take_varint(payload, &mut pos)
-                .ok_or_else(|| bad("manifest compact missing removed count"))?;
-            let mut removed = Vec::new();
-            for _ in 0..count {
-                removed.push(
-                    take_varint(payload, &mut pos)
-                        .ok_or_else(|| bad("manifest compact truncated removed id"))?,
-                );
-            }
-            if removed.is_empty() {
-                return Err(bad("manifest compact removes nothing"));
-            }
-            let at = state
-                .tables
-                .iter()
-                .position(|t| Some(*t) == removed.first().copied())
-                .ok_or_else(|| bad("manifest compact removes an unknown table"))?;
-            for id in &removed {
-                let idx = state
-                    .tables
-                    .iter()
-                    .position(|t| t == id)
-                    .ok_or_else(|| bad("manifest compact removes an unknown table"))?;
-                state.tables.remove(idx);
-            }
-            state.tables.insert(at.min(state.tables.len()), added_id);
-        }
-        _ => return Err(bad("manifest record with unknown tag")),
+    let count = take_varint(payload, &mut pos)?;
+    let mut ids = Vec::new();
+    for _ in 0..count {
+        ids.push(take_varint(payload, &mut pos)?);
     }
-    if pos != payload.len() {
-        return Err(bad("manifest record carries trailing bytes"));
-    }
-    state.next_id = next_id;
-    Ok(())
+    (pos == payload.len()).then_some(ids)
 }
 
 #[cfg(test)]
@@ -300,124 +110,89 @@ mod tests {
     use crate::tempdir::TempDir;
 
     #[test]
-    fn fresh_open_then_edits_replay() {
+    fn fresh_open_then_commits_reopen() {
         let dir = TempDir::new("manifest-fresh");
-        let (mut m, state) = Manifest::open(dir.path(), false).unwrap();
-        assert!(state.tables.is_empty());
-        assert_eq!(state.next_id, 1);
+        assert!(open(dir.path(), false).unwrap().is_empty());
+        assert!(dir.path().join(MANIFEST_NAME).exists(), "the fresh open commits an empty list");
 
-        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
-        m.append(&ManifestEdit::Flush { table: 2 }, &[2, 1], 3).unwrap();
-        drop(m);
-
-        let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![2, 1]);
-        assert_eq!(state.next_id, 3);
-        assert!(!state.recovered_torn_tail);
+        commit(dir.path(), &[1]).unwrap();
+        commit(dir.path(), &[2, 1]).unwrap();
+        assert_eq!(open(dir.path(), true).unwrap(), vec![2, 1]);
+        assert!(!dir.path().join(TMP_NAME).exists());
     }
 
     #[test]
     fn compact_edit_preserves_recency_position() {
         let dir = TempDir::new("manifest-compact");
-        let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        let full = [4, 3, 2, 1];
-        for (i, t) in full.iter().rev().enumerate() {
-            m.append(&ManifestEdit::Flush { table: *t }, &full[full.len() - 1 - i..], t + 1)
-                .unwrap();
-        }
-        // Merge the middle run [3, 2] into table 5.
-        m.append(&ManifestEdit::Compact { added: 5, removed: vec![3, 2] }, &[4, 5, 1], 6).unwrap();
-        drop(m);
-
-        let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![4, 5, 1]);
-        assert_eq!(state.next_id, 6);
+        commit(dir.path(), &[4, 3, 2, 1]).unwrap();
+        // A merge of the middle run [3, 2] into table 5 commits its list.
+        commit(dir.path(), &[4, 5, 1]).unwrap();
+        assert_eq!(open(dir.path(), true).unwrap(), vec![4, 5, 1]);
     }
 
     #[test]
-    fn torn_tail_is_discarded_and_truncated() {
+    fn a_torn_or_extended_manifest_is_corruption() {
         let dir = TempDir::new("manifest-torn");
-        let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
-        drop(m);
-        // Simulate a crash mid-append: half a header.
+        commit(dir.path(), &[1]).unwrap();
         let path = dir.path().join(MANIFEST_NAME);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let before = bytes.len();
-        bytes.extend_from_slice(&[9, 0, 0]);
-        std::fs::write(&path, &bytes).unwrap();
-
-        let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![1]);
-        assert!(state.recovered_torn_tail);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), before as u64);
+        let whole = std::fs::read(&path).unwrap();
+        // A cut record, a record with half a header after it, and a
+        // record with zeros after it: none is exactly one record.
+        for bytes in [
+            whole[..whole.len() - 1].to_vec(),
+            [&whole[..], &[9, 0, 0]].concat(),
+            [&whole[..], &[0; 16]].concat(),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(open(dir.path(), true).is_err(), "{bytes:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "the open left the file alone");
+        }
     }
 
     #[test]
     fn complete_record_with_bad_crc_is_corruption() {
         let dir = TempDir::new("manifest-badcrc");
-        let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
-        drop(m);
+        commit(dir.path(), &[1]).unwrap();
         let path = dir.path().join(MANIFEST_NAME);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(Manifest::open(dir.path(), true).is_err());
-    }
-
-    #[test]
-    fn checkpoint_compacts_the_log() {
-        let dir = TempDir::new("manifest-checkpoint");
-        let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        let live = [1];
-        for _ in 0..(CHECKPOINT_EVERY + 3) {
-            m.append(&ManifestEdit::Flush { table: 1 }, &live, 2).unwrap();
-        }
-        drop(m);
-        let path = dir.path().join(MANIFEST_NAME);
-        let bytes = std::fs::read(&path).unwrap();
-        // Far smaller than CHECKPOINT_EVERY appended records.
-        assert!(bytes.len() < CHECKPOINT_EVERY * 8, "log was checkpointed: {}", bytes.len());
-        let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.next_id, 2);
+        let err = open(dir.path(), true).unwrap_err();
+        assert!(matches!(err, StorageError::ChecksumMismatch { .. }), "{err}");
     }
 
     #[test]
     fn destroyed_log_with_tables_is_an_error_but_fresh_crash_is_not() {
+        // A crash during the very first commit leaves only the temp file.
         let dir = TempDir::new("manifest-destroyed");
-        std::fs::write(dir.path().join(MANIFEST_NAME), [3u8, 0]).unwrap();
-        // No tables on disk: a crash during the very first create.
-        let (_, state) = Manifest::open(dir.path(), false).unwrap();
-        assert!(state.tables.is_empty());
-        drop(state);
+        std::fs::write(dir.path().join(TMP_NAME), [3u8, 0]).unwrap();
+        assert!(open(dir.path(), false).unwrap().is_empty());
 
         let dir = TempDir::new("manifest-destroyed-tables");
+        assert!(open(dir.path(), true).is_err(), "tables without a manifest");
+        assert!(!dir.path().join(MANIFEST_NAME).exists(), "the refusal creates nothing");
         std::fs::write(dir.path().join(MANIFEST_NAME), [3u8, 0]).unwrap();
-        assert!(Manifest::open(dir.path(), true).is_err());
+        assert!(open(dir.path(), true).is_err(), "a destroyed manifest");
     }
 
     #[test]
     fn a_table_record_with_an_extra_field_is_corruption() {
-        // Snapshot of one table (id 1) followed by one more varint, the
-        // shape of a log written when table records carried a second field.
+        // A list of one table (id 1) followed by one more varint, the
+        // shape of a record whose tables carried a second field.
         let dir = TempDir::new("manifest-extra-field");
-        let mut log = Wal::create(dir.path().join(MANIFEST_NAME), SyncPolicy::Always).unwrap();
-        log.append(&[TAG_SNAPSHOT as u8, 2, 1, 1, 5]).unwrap();
-        drop(log);
-        assert!(Manifest::open(dir.path(), true).is_err());
+        let mut file = Wal::create(dir.path().join(MANIFEST_NAME), SyncPolicy::Always).unwrap();
+        file.append(&[1, 1, 5]).unwrap();
+        drop(file);
+        assert!(open(dir.path(), true).is_err());
     }
 
     #[test]
     fn stale_tmp_file_is_cleaned_up() {
         let dir = TempDir::new("manifest-tmp");
-        let (mut m, _) = Manifest::open(dir.path(), false).unwrap();
-        m.append(&ManifestEdit::Flush { table: 1 }, &[1], 2).unwrap();
-        drop(m);
-        std::fs::write(dir.path().join(TMP_NAME), b"half a checkpoint").unwrap();
-        let (_, state) = Manifest::open(dir.path(), true).unwrap();
-        assert_eq!(state.tables, vec![1]);
+        commit(dir.path(), &[1]).unwrap();
+        std::fs::write(dir.path().join(TMP_NAME), b"half a commit").unwrap();
+        assert_eq!(open(dir.path(), true).unwrap(), vec![1]);
         assert!(!dir.path().join(TMP_NAME).exists());
     }
 }

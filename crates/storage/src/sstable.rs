@@ -43,19 +43,19 @@ const MAGIC: &[u8; 8] = b"PASSSST1";
 const FOOTER_LEN: u64 = 8 + 8 + 4 + 8 + 8 + 4 + 8 + 8;
 /// Bytes a [`TableBuilder`] buffers between `write(2)` calls.
 const WRITE_BUF: usize = 1 << 20;
+/// Bloom filter budget per key: about a 1 % false-positive rate.
+const BLOOM_BITS_PER_KEY: usize = 10;
 
 /// Tuning knobs for table construction.
 #[derive(Debug, Clone)]
 pub struct TableOptions {
     /// Target uncompressed block payload size.
     pub block_bytes: usize,
-    /// Bloom filter budget.
-    pub bloom_bits_per_key: usize,
 }
 
 impl Default for TableOptions {
     fn default() -> Self {
-        TableOptions { block_bytes: 4096, bloom_bits_per_key: 10 }
+        TableOptions { block_bytes: 4096 }
     }
 }
 
@@ -92,7 +92,7 @@ impl TableBuilder {
         let path = path.into();
         let file = File::create(&path)
             .map_err(|e| StorageError::io(format!("creating SSTable {}", path.display()), e))?;
-        let bloom = BloomFilter::with_capacity(expected_entries, opts.bloom_bits_per_key);
+        let bloom = BloomFilter::with_capacity(expected_entries, BLOOM_BITS_PER_KEY);
         Ok(TableBuilder {
             writer: BufWriter::with_capacity(WRITE_BUF, file),
             path,

@@ -17,7 +17,8 @@
 //! The codec has no policy; each caller decides with one `match`. The
 //! WAL and the intent log treat any stop as the end of the log (a single
 //! scan cannot tell corruption before the tail from the tail), the
-//! manifest fails its open on a corrupt frame. Reopening with
+//! manifest fails its open unless its file is exactly one valid record.
+//! Reopening with
 //! [`Wal::open_for_append`] at the scan's `valid_len` truncates whatever
 //! was discarded, so later appends never interleave with garbage. This
 //! is the mechanism behind the paper's reliability criterion: after a

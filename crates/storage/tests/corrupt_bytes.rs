@@ -6,6 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use pass_storage::manifest::MANIFEST_NAME;
 use pass_storage::tempdir::TempDir;
 use pass_storage::wal::{SyncPolicy, Wal};
 use pass_storage::{EngineOptions, KvStore, LsmEngine, ShardRouter, ShardedStore, StorageError};
@@ -61,8 +62,8 @@ fn torn_intent_header_recovers_cleanly() {
     }
 }
 
-/// A manifest log truncated below any decodable record, in a directory
-/// that demonstrably held tables, is destroyed metadata: the open must
+/// A manifest truncated below its record, in a directory that
+/// demonstrably held tables, is destroyed metadata: the open must
 /// error, not silently start a fresh (empty) edition over live data.
 #[test]
 fn truncated_manifest_is_an_error_not_a_panic() {
@@ -72,8 +73,8 @@ fn truncated_manifest_is_an_error_not_a_panic() {
         db.put(b"k", b"v").unwrap();
         db.flush().unwrap(); // seal a table so the directory isn't empty
     }
-    // Truncate the manifest log below its first frame header.
-    std::fs::write(dir.path().join("MANIFEST.log"), [7u8, 0, 0]).unwrap();
+    // Truncate the manifest below its frame header.
+    std::fs::write(dir.path().join(MANIFEST_NAME), [7u8, 0, 0]).unwrap();
     let err = LsmEngine::open(dir.path().to_path_buf(), EngineOptions::default())
         .expect_err("destroyed manifest must fail the open");
     let msg = err.to_string();
@@ -143,8 +144,7 @@ fn corrupt_input_block_fails_compaction_and_spares_the_rest() {
     assert_eq!(table_files(dir.path()), inputs, "no compaction output is left behind");
     drop(db);
 
-    let (_, state) = pass_storage::Manifest::open(dir.path(), true).unwrap();
-    let listed = state.tables;
+    let listed = pass_storage::manifest::open(dir.path(), true).unwrap();
     assert_eq!(listed.len(), 2, "the manifest still lists both inputs: {listed:?}");
 
     let db = LsmEngine::open(dir.path(), EngineOptions::default()).unwrap();

@@ -239,7 +239,7 @@ proptest! {
     ) {
         let dir = TempDir::new("prop-lsm-range");
         let opts = EngineOptions {
-            table: TableOptions { block_bytes: 64, ..TableOptions::default() },
+            table: TableOptions { block_bytes: 64 },
             ..EngineOptions::default()
         };
         let db = LsmEngine::open(dir.path(), opts).unwrap();
