@@ -99,8 +99,7 @@ use pass_model::{
     SiteId, TimeRange, Timestamp, ToolDescriptor, TupleSet, TupleSetId, Value,
 };
 use pass_query::{
-    Cursor, IndexDelta, LineageClause, PreparedQuery, Provider, Query, QueryEngine, QueryResult,
-    RecordIndex,
+    Cursor, LineageClause, PreparedQuery, Provider, Query, QueryEngine, QueryResult, RecordIndex,
 };
 use pass_storage::{
     spawn_engine_worker, spawn_task_worker, KvStore, MaintenanceHandle, MaintenanceOptions,
@@ -111,10 +110,10 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Records per [`IndexDelta`] merge in the open-time rebuild: large
-/// enough to amortize the posting merges, small enough that the delta's
-/// rows and its copies of the chunk's distinct values and tokens stay a
-/// small fraction of the indexes.
+/// Records per [`pass_query::IndexDelta`] merge in the open-time
+/// rebuild: large enough to amortize the posting merges, small enough
+/// that the delta's rows and its copies of the chunk's distinct values
+/// and tokens stay a small fraction of the indexes.
 const REBUILD_CHUNK: usize = 256;
 
 /// In-memory state: immutable once published, shared by snapshots.
@@ -315,7 +314,10 @@ pub struct PassStats {
     /// Approximate bytes held by the in-memory indexes.
     pub index_bytes: usize,
     /// Bytes of the resident record encodings: each stored record is
-    /// kept once, as the canonical bytes written under its key.
+    /// kept once, as the canonical bytes written under its key with each
+    /// vocabulary string (attribute and tool parameter names, tool names
+    /// and versions) written as the varint of its code. The vocabulary
+    /// itself counts in `index_bytes`.
     pub record_bytes: usize,
     /// Ingests since open (tuple sets, not batches).
     pub ingests: u64,
@@ -342,6 +344,9 @@ pub struct ConsistencyReport {
     pub orphan_data: Vec<TupleSetId>,
     /// Presence markers disagreeing with actual data blobs.
     pub marker_mismatches: Vec<TupleSetId>,
+    /// Stored records that decode but differ from the index's resident
+    /// copy, decoded (or that the index does not hold).
+    pub resident_mismatches: Vec<TupleSetId>,
 }
 
 impl ConsistencyReport {
@@ -351,6 +356,7 @@ impl ConsistencyReport {
             && self.digest_mismatches.is_empty()
             && self.orphan_data.is_empty()
             && self.marker_mismatches.is_empty()
+            && self.resident_mismatches.is_empty()
     }
 }
 
@@ -467,20 +473,20 @@ impl Pass {
     /// Rebuilds the in-memory indexes from the stored records in one
     /// streaming pass over 256 slices of the id space ([`scan_slice`]),
     /// so no more than a slice of rows is ever held: each row is decoded
-    /// once for its index entries and its bytes are copied onto the
-    /// delta's buffer as it is read, and every [`REBUILD_CHUNK`] records
-    /// are merged into the indexes as one [`IndexDelta`] (their bytes
-    /// onto the record table in one copy). Peak memory stays close to the
-    /// resident state the open leaves behind. The data markers follow,
-    /// slice by slice too.
+    /// once, the delta writes its resident bytes and extracts its index
+    /// entries from the decoded record, and every [`REBUILD_CHUNK`]
+    /// records are merged into the indexes as one
+    /// [`pass_query::IndexDelta`] (their bytes onto the record table in
+    /// one copy). Peak memory stays close to the resident state the open
+    /// leaves behind. The data markers follow, slice by slice too.
     fn rebuild_indexes(&self) -> Result<()> {
         let mut state = State::default();
-        let mut delta = IndexDelta::with_capacity(REBUILD_CHUNK);
+        let mut delta = state.index.delta(REBUILD_CHUNK);
         for first in 0..=u8::MAX {
             for (id, value) in scan_slice(&*self.store, keyspace::RECORD, first)? {
                 let record = ProvenanceRecord::decode_all(&value)?;
                 debug_assert_eq!(record.id, id, "key/record id agreement");
-                delta.push(&record, &value);
+                delta.push(&record);
                 if delta.len() == REBUILD_CHUNK {
                     state.index.insert_delta(&mut delta);
                 }
@@ -661,23 +667,25 @@ impl Pass {
         if fresh.is_empty() {
             return Ok(fresh);
         }
+        // The delta shares the index's vocabulary, which every later
+        // state shares too.
+        let mut delta = current.index.delta(fresh.len());
         // Release the read guard: `commit` takes the write side of the
         // same lock, and holding the guard across Phase 2 would stall
         // every other shard's publish behind our storage fsync.
         drop(current);
 
         // Phase 2: one storage batch. The Phase 0 bytes move into it,
-        // and each record's are copied onto the index delta's one byte
-        // buffer; the delta extracts the index entries here, ahead of
-        // the serialized section. A bare record has no DATA or MARKER
-        // key: its readings live elsewhere (or were removed; PASS
-        // property 4).
+        // and the index delta writes each record's resident bytes onto
+        // its one byte buffer (interning names it meets first) and
+        // extracts the index entries here, ahead of the serialized
+        // section. A bare record has no DATA or MARKER key: its readings
+        // live elsewhere (or were removed; PASS property 4).
         let mut batch = WriteBatch::new();
-        let mut delta = IndexDelta::with_capacity(fresh.len());
         for &i in &fresh {
             let (record, bytes) = &mut encoded[i];
             let id = record.id;
-            delta.push(record, &bytes.record);
+            delta.push(record);
             batch.put(
                 keyspace::key(keyspace::RECORD, id).to_vec(),
                 std::mem::take(&mut bytes.record),
@@ -790,14 +798,14 @@ impl Pass {
             return Ok(0);
         }
         record.annotations.extend_from_slice(&fresh);
-        let encoded = record.encode_to_vec();
+        let resident = self.state.read().index.resident(&record);
         let mut batch = WriteBatch::new();
-        batch.put(keyspace::key(keyspace::RECORD, id).to_vec(), encoded.clone());
+        batch.put(keyspace::key(keyspace::RECORD, id).to_vec(), record.encode_to_vec());
         // Presence was checked above and the shard lock pins it; a miss
         // inside means the state diverged, and `annotate` skips it rather
         // than panic mid-publish.
         let mutate = |state: &mut State| {
-            state.index.annotate(id, &fresh, &encoded);
+            state.index.annotate(&resident, &fresh);
         };
         self.commit(batch, mutate, std::iter::empty())?;
         Ok(fresh.len())
@@ -1253,7 +1261,10 @@ impl Pass {
     /// An id's record, readings and marker fall in the same slice of the
     /// id space (one of 256, by the id's first byte), so the audit walks
     /// the three prefixes slice by slice and holds one slice's rows and
-    /// ids at a time.
+    /// ids at a time. Each stored record that decodes is also compared
+    /// with the index's resident copy, decoded ([`Pass::get_record`]); a
+    /// commit racing the audit can show up as a resident mismatch, so
+    /// audit a quiet store.
     pub fn verify_consistency(&self) -> Result<ConsistencyReport> {
         let mut report = ConsistencyReport::default();
         // Each record's content digest, `None` when the record fails to
@@ -1271,6 +1282,9 @@ impl Pass {
                     Ok((record, verified)) => {
                         if !verified || record.id != id {
                             report.identity_failures.push(id);
+                        }
+                        if self.get_record(id).as_ref() != Some(&record) {
+                            report.resident_mismatches.push(id);
                         }
                         Some(record.content_digest)
                     }

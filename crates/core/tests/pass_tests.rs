@@ -14,6 +14,7 @@ use pass_storage::tempdir::TempDir;
 use pass_storage::{EngineOptions, KvStore, LsmEngine, StorageError};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn readings(sensor: u64, n: usize, base_ms: u64) -> Vec<Reading> {
     (0..n)
@@ -22,6 +23,21 @@ fn readings(sensor: u64, n: usize, base_ms: u64) -> Vec<Reading> {
                 .with("value", i as i64)
         })
         .collect()
+}
+
+/// The resident length of a record in a store of fewer than 128
+/// vocabulary strings: its canonical length, with each attribute name,
+/// tool name, tool version and tool parameter name written as a one-byte
+/// code instead of its length varint and bytes.
+fn resident_len(record: &ProvenanceRecord) -> usize {
+    let mut names: Vec<&str> = record.attributes.names().collect();
+    for d in &record.ancestry {
+        names.extend([d.tool.name.as_str(), d.tool.version.as_str()]);
+        names.extend(d.tool.params.names());
+    }
+    names.iter().fold(pass_model::codec::Encode::encode_to_vec(record).len(), |len, name| {
+        len - name.len() - pass_model::codec::varint_len(name.len() as u64) + 1
+    })
 }
 
 fn traffic_attrs(region: &str) -> Attributes {
@@ -362,7 +378,6 @@ fn abstracted_toolchain_collapses_in_lineage() {
 #[test]
 fn annotated_and_merged_records_reopen_unchanged() {
     let dir = TempDir::new("core-resident-bytes");
-    let encoded_len = |r: &ProvenanceRecord| pass_model::codec::Encode::encode_to_vec(r).len();
     let (ids, before, record_bytes) = {
         let pass = Pass::open(PassConfig::disk(SiteId(4), dir.path())).unwrap();
         let raw = pass.capture(traffic_attrs("boston"), readings(1, 8, 0), Timestamp(10)).unwrap();
@@ -394,7 +409,7 @@ fn annotated_and_merged_records_reopen_unchanged() {
         let annotations: Vec<usize> = before.iter().map(|r| r.annotations.len()).collect();
         assert_eq!(annotations, [1, 1, 1]);
         let record_bytes = pass.stats().record_bytes;
-        assert_eq!(record_bytes, before.iter().map(encoded_len).sum::<usize>());
+        assert_eq!(record_bytes, before.iter().map(resident_len).sum::<usize>());
         (ids, before, record_bytes)
     };
     let pass = Pass::open(PassConfig::disk(SiteId(4), dir.path())).unwrap();
@@ -404,6 +419,29 @@ fn annotated_and_merged_records_reopen_unchanged() {
     assert_eq!(pass.stats().data_blobs, 2, "the bare record has no readings");
     let hits = pass.query_text(r#"FIND WHERE ANNOTATION CONTAINS "upstream""#).unwrap();
     assert_eq!(hits.ids(), vec![ids[1]]);
+}
+
+#[test]
+fn the_audit_compares_each_stored_record_with_its_resident_copy() {
+    let store = Arc::new(pass_storage::MemEngine::new());
+    let pass = Pass::open_with_store(store.clone(), PassConfig::memory(SiteId(2))).unwrap();
+    let raw = pass.capture(traffic_attrs("boston"), readings(1, 4, 0), Timestamp(10)).unwrap();
+    pass.capture(traffic_attrs("paris"), readings(2, 4, 0), Timestamp(20)).unwrap();
+    assert!(pass.verify_consistency().unwrap().is_consistent());
+    // Annotations are outside identity: the rewritten record still
+    // verifies, but the index still holds the record without the note.
+    let mut changed = pass.get_record(raw).unwrap();
+    changed.annotate(Annotation::new(Timestamp(30), "ops", "written past the index"));
+    let mut batch = pass_storage::WriteBatch::new();
+    batch.put(
+        keyspace::key(keyspace::RECORD, raw).to_vec(),
+        pass_model::codec::Encode::encode_to_vec(&changed),
+    );
+    store.apply(batch).unwrap();
+    let report = pass.verify_consistency().unwrap();
+    assert_eq!(report.resident_mismatches, vec![raw]);
+    assert!(report.identity_failures.is_empty());
+    assert!(!report.is_consistent());
 }
 
 // ---------------------------------------------------------------------------
@@ -422,11 +460,8 @@ fn stats_reflect_activity() {
     assert!(stats.attr_entries > 0);
     assert!(stats.index_bytes > 0);
     let ids = pass.ids();
-    let encoded: usize = ids
-        .iter()
-        .map(|id| pass_model::codec::Encode::encode_to_vec(&pass.get_record(*id).unwrap()).len())
-        .sum();
-    assert_eq!(stats.record_bytes, encoded);
+    let resident: usize = ids.iter().map(|id| resident_len(&pass.get_record(*id).unwrap())).sum();
+    assert_eq!(stats.record_bytes, resident);
     assert_eq!(stats.ingests, 3);
     assert!(stats.queries >= 1);
 }

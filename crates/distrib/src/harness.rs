@@ -2,7 +2,6 @@
 
 use crate::msg::ArchMsg;
 use crate::outcome::Outcome;
-use pass_model::codec::Encode;
 use pass_model::ProvenanceRecord;
 use pass_net::{Ctx, NetMetrics, Node, NodeId, SimTime, Simulator, Topology, TrafficClass};
 use pass_query::RecordIndex;
@@ -218,11 +217,10 @@ impl Chase {
     }
 }
 
-/// Indexes `record` at a site, held as its canonical encoding; a no-op
-/// when the site already stores it.
+/// Indexes `record` at a site; a no-op when the site already stores it.
 pub(crate) fn index_record(index: &mut RecordIndex, record: &ProvenanceRecord) {
     if !index.contains(record.id) {
-        index.insert(record, &record.encode_to_vec());
+        index.insert(record);
     }
 }
 

@@ -13,6 +13,12 @@
 //!
 //! The format is deliberately simple: LEB128 varints, zigzag for signed,
 //! length-prefixed strings/bytes, tag bytes for enums.
+//!
+//! The record codec is generic over how it writes and reads vocabulary
+//! strings (attribute and tool parameter names, tool names and
+//! versions; [`NameWriter`], [`NameReader`]): [`Literal`] spells them
+//! out, which is the canonical encoding, and an in-memory index writes
+//! codes instead. Every other byte is the same in both forms.
 
 use crate::error::ModelError;
 
@@ -199,6 +205,39 @@ pub fn take_string(r: &mut Reader<'_>, what: &'static str) -> Result<String, Mod
     String::from_utf8(b.to_vec()).map_err(|_| ModelError::InvalidUtf8)
 }
 
+/// How the record codec writes a vocabulary string: an attribute name
+/// (a record's or a tool parameter's), a tool name or a tool version.
+/// [`Literal`] spells each one out, which is the canonical encoding;
+/// a resident index writes a code into its own vocabulary instead.
+/// Every other byte of a record is written the same way by both.
+pub trait NameWriter {
+    /// Appends `name` to `buf`.
+    fn put_name(&mut self, buf: &mut Vec<u8>, name: &str);
+}
+
+/// How the record codec reads back a vocabulary string that a
+/// [`NameWriter`] wrote.
+pub trait NameReader {
+    /// Reads one vocabulary string from the front of `r`.
+    fn take_name(&self, r: &mut Reader<'_>, what: &'static str) -> Result<String, ModelError>;
+}
+
+/// Vocabulary strings as length-prefixed UTF-8: the canonical encoding.
+#[derive(Debug, Clone, Copy)]
+pub struct Literal;
+
+impl NameWriter for Literal {
+    fn put_name(&mut self, buf: &mut Vec<u8>, name: &str) {
+        put_str(buf, name);
+    }
+}
+
+impl NameReader for Literal {
+    fn take_name(&self, r: &mut Reader<'_>, what: &'static str) -> Result<String, ModelError> {
+        take_string(r, what)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------------
@@ -272,20 +311,29 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
-        let n = r.take_varint("vec length")?;
-        if n > MAX_LEN {
-            return Err(ModelError::LengthOverflow { decoding: "vec", declared: n });
-        }
-        // Defensive cap: each element takes at least one byte.
-        if n > r.remaining() as u64 {
-            return Err(ModelError::LengthOverflow { decoding: "vec", declared: n });
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(T::decode_from(r)?);
-        }
-        Ok(out)
+        take_list(r, T::decode_from)
     }
+}
+
+/// Reads a count-prefixed list, each element read by `item`: the
+/// [`Vec`] decoding, for element types that need more than [`Decode`].
+pub(crate) fn take_list<T>(
+    r: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, ModelError>,
+) -> Result<Vec<T>, ModelError> {
+    let n = r.take_varint("vec length")?;
+    if n > MAX_LEN {
+        return Err(ModelError::LengthOverflow { decoding: "vec", declared: n });
+    }
+    // Defensive cap: each element takes at least one byte.
+    if n > r.remaining() as u64 {
+        return Err(ModelError::LengthOverflow { decoding: "vec", declared: n });
+    }
+    let mut out = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
 }
 
 impl<T: Encode> Encode for Option<T> {
@@ -449,26 +497,29 @@ impl Decode for Value {
     }
 }
 
-impl Encode for Attributes {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+impl Attributes {
+    /// Appends the encoding of the collection, names written by `names`.
+    pub(crate) fn encode_with(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) {
         put_varint(buf, self.len() as u64);
         // BTreeMap iteration is sorted: the encoding is canonical.
         for (k, v) in self.iter() {
-            put_str(buf, k);
+            names.put_name(buf, k);
             v.encode_into(buf);
         }
     }
-}
 
-impl Decode for Attributes {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+    /// Decodes a collection from the front of `r`, names read by `names`.
+    pub(crate) fn decode_with(
+        names: &impl NameReader,
+        r: &mut Reader<'_>,
+    ) -> Result<Self, ModelError> {
         let n = r.take_varint("attribute count")?;
         if n > r.remaining() as u64 {
             return Err(ModelError::LengthOverflow { decoding: "attributes", declared: n });
         }
         let mut attrs = Attributes::new();
         for _ in 0..n {
-            let k = take_string(r, "attribute name")?;
+            let k = names.take_name(r, "attribute name")?;
             // One record, one byte string: names must arrive in the
             // sorted order the encoder writes, each once.
             if attrs.last_name().is_some_and(|last| last >= k.as_str()) {
@@ -480,6 +531,18 @@ impl Decode for Attributes {
             attrs.set(k, v);
         }
         Ok(attrs)
+    }
+}
+
+impl Encode for Attributes {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        self.encode_with(&mut Literal, buf);
+    }
+}
+
+impl Decode for Attributes {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        Self::decode_with(&Literal, r)
     }
 }
 

@@ -16,7 +16,7 @@
 //!    `pass-core` keeps records alive after data deletion.
 
 use crate::attr::Attributes;
-use crate::codec::{self, Decode, Encode, Reader};
+use crate::codec::{self, Decode, Encode, Literal, NameReader, NameWriter, Reader};
 use crate::digest::Digest128;
 use crate::error::ModelError;
 use crate::ids::{SiteId, TupleSetId};
@@ -171,7 +171,7 @@ impl ProvenanceRecord {
     /// once and serializes the record once.
     pub fn encode_verified_into(&self, buf: &mut Vec<u8>) -> bool {
         let start = buf.len();
-        let spans = self.encode_spans(buf);
+        let spans = self.encode_spans(&mut Literal, buf);
         identity_of(&buf[start..], spans) == self.id
     }
 
@@ -179,25 +179,31 @@ impl ProvenanceRecord {
     /// identity of the decoded record, hashing the identity spans of
     /// `bytes` themselves rather than a re-encoding of the record.
     pub fn decode_verified(bytes: &[u8]) -> Result<(ProvenanceRecord, bool), ModelError> {
-        let mut r = Reader::new(bytes);
-        let (record, spans) = Self::decode_spans(&mut r)?;
-        if !r.is_empty() {
-            return Err(ModelError::Invalid(format!(
-                "{} trailing bytes after decode",
-                r.remaining()
-            )));
-        }
+        let (record, spans) = Self::decode_whole(&Literal, bytes)?;
         let verified = identity_of(bytes, spans) == record.id;
         Ok((record, verified))
     }
 
-    /// Appends the canonical encoding — the id, then the identity head,
-    /// the annotations, and the identity tail — and returns where the
+    /// Appends the record's encoding with its vocabulary strings
+    /// (attribute names, tool names and versions, tool parameter names)
+    /// written by `names`; with [`Literal`] these are the canonical bytes.
+    pub fn encode_with(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) {
+        self.encode_spans(names, buf);
+    }
+
+    /// Decodes a whole encoding written by [`ProvenanceRecord::encode_with`],
+    /// its vocabulary strings read by `names`.
+    pub fn decode_with(names: &impl NameReader, bytes: &[u8]) -> Result<Self, ModelError> {
+        Ok(Self::decode_whole(names, bytes)?.0)
+    }
+
+    /// Appends the encoding — the id, then the identity head, the
+    /// annotations, and the identity tail — and returns where the
     /// annotations and the tail start, relative to the encoding's start.
-    fn encode_spans(&self, buf: &mut Vec<u8>) -> [usize; 2] {
+    fn encode_spans(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) -> [usize; 2] {
         let start = buf.len();
         self.id.encode_into(buf);
-        encode_identity_head(&self.attributes, &self.ancestry, buf);
+        encode_identity_head(&self.attributes, &self.ancestry, names, buf);
         let annotations_at = buf.len() - start;
         self.annotations.encode_into(buf);
         let tail_at = buf.len() - start;
@@ -218,11 +224,16 @@ impl ProvenanceRecord {
 // these fields through the two functions below, so the layouts cannot
 // drift apart.
 
-fn encode_identity_head(attributes: &Attributes, ancestry: &[Derivation], buf: &mut Vec<u8>) {
-    attributes.encode_into(buf);
+fn encode_identity_head(
+    attributes: &Attributes,
+    ancestry: &[Derivation],
+    names: &mut impl NameWriter,
+    buf: &mut Vec<u8>,
+) {
+    attributes.encode_with(names, buf);
     codec::put_varint(buf, ancestry.len() as u64);
     for d in ancestry {
-        d.encode_into(buf);
+        d.encode_with(names, buf);
     }
 }
 
@@ -253,7 +264,7 @@ fn identity_digest(
     content_digest: Digest128,
 ) -> TupleSetId {
     let mut buf = Vec::with_capacity(attributes.len() * 16 + ancestry.len() * 24 + 48);
-    encode_identity_head(attributes, ancestry, &mut buf);
+    encode_identity_head(attributes, ancestry, &mut Literal, &mut buf);
     encode_identity_tail(origin, created_at, content_digest, &mut buf);
     TupleSetId(Digest128::of(&buf).0)
 }
@@ -338,39 +349,59 @@ impl ProvenanceBuilder {
 // Codec impls
 // ---------------------------------------------------------------------------
 
+impl ToolDescriptor {
+    fn encode_with(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) {
+        names.put_name(buf, &self.name);
+        names.put_name(buf, &self.version);
+        self.params.encode_with(names, buf);
+        self.abstracted.encode_into(buf);
+    }
+
+    fn decode_with(names: &impl NameReader, r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        Ok(ToolDescriptor {
+            name: names.take_name(r, "tool name")?,
+            version: names.take_name(r, "tool version")?,
+            params: Attributes::decode_with(names, r)?,
+            abstracted: bool::decode_from(r)?,
+        })
+    }
+}
+
 impl Encode for ToolDescriptor {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        codec::put_str(buf, &self.name);
-        codec::put_str(buf, &self.version);
-        self.params.encode_into(buf);
-        self.abstracted.encode_into(buf);
+        self.encode_with(&mut Literal, buf);
     }
 }
 
 impl Decode for ToolDescriptor {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
-        Ok(ToolDescriptor {
-            name: codec::take_string(r, "tool name")?,
-            version: codec::take_string(r, "tool version")?,
-            params: Attributes::decode_from(r)?,
-            abstracted: bool::decode_from(r)?,
+        Self::decode_with(&Literal, r)
+    }
+}
+
+impl Derivation {
+    fn encode_with(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) {
+        self.parent.encode_into(buf);
+        self.tool.encode_with(names, buf);
+    }
+
+    fn decode_with(names: &impl NameReader, r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        Ok(Derivation {
+            parent: TupleSetId::decode_from(r)?,
+            tool: ToolDescriptor::decode_with(names, r)?,
         })
     }
 }
 
 impl Encode for Derivation {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.parent.encode_into(buf);
-        self.tool.encode_into(buf);
+        self.encode_with(&mut Literal, buf);
     }
 }
 
 impl Decode for Derivation {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
-        Ok(Derivation {
-            parent: TupleSetId::decode_from(r)?,
-            tool: ToolDescriptor::decode_from(r)?,
-        })
+        Self::decode_with(&Literal, r)
     }
 }
 
@@ -394,19 +425,23 @@ impl Decode for Annotation {
 
 impl Encode for ProvenanceRecord {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.encode_spans(buf);
+        self.encode_spans(&mut Literal, buf);
     }
 }
 
 impl ProvenanceRecord {
-    /// Decodes a record from the front of `r` and returns where its
-    /// annotations and its identity tail start, relative to where it
-    /// starts (the spans [`ProvenanceRecord::encode_spans`] reports).
-    fn decode_spans(r: &mut Reader<'_>) -> Result<(Self, [usize; 2]), ModelError> {
+    /// Decodes a record from the front of `r`, vocabulary strings read
+    /// by `names`, and returns where its annotations and its identity
+    /// tail start, relative to where it starts (the spans
+    /// [`ProvenanceRecord::encode_spans`] reports).
+    fn decode_spans(
+        names: &impl NameReader,
+        r: &mut Reader<'_>,
+    ) -> Result<(Self, [usize; 2]), ModelError> {
         let start = r.position();
         let id = TupleSetId::decode_from(r)?;
-        let attributes = Attributes::decode_from(r)?;
-        let ancestry = Vec::<Derivation>::decode_from(r)?;
+        let attributes = Attributes::decode_with(names, r)?;
+        let ancestry = codec::take_list(r, |r| Derivation::decode_with(names, r))?;
         let annotations_at = r.position() - start;
         let annotations = Vec::<Annotation>::decode_from(r)?;
         let tail_at = r.position() - start;
@@ -421,11 +456,27 @@ impl ProvenanceRecord {
         };
         Ok((record, [annotations_at, tail_at]))
     }
+
+    /// [`ProvenanceRecord::decode_spans`] over the whole of `bytes`.
+    fn decode_whole(
+        names: &impl NameReader,
+        bytes: &[u8],
+    ) -> Result<(Self, [usize; 2]), ModelError> {
+        let mut r = Reader::new(bytes);
+        let decoded = Self::decode_spans(names, &mut r)?;
+        if !r.is_empty() {
+            return Err(ModelError::Invalid(format!(
+                "{} trailing bytes after decode",
+                r.remaining()
+            )));
+        }
+        Ok(decoded)
+    }
 }
 
 impl Decode for ProvenanceRecord {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
-        Ok(Self::decode_spans(r)?.0)
+        Ok(Self::decode_spans(&Literal, r)?.0)
     }
 }
 

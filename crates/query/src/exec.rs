@@ -665,7 +665,6 @@ mod tests {
     use crate::ast::Predicate;
     use crate::parser::parse;
     use crate::RecordIndex;
-    use pass_model::codec::Encode;
     use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, ToolDescriptor, TupleSetId};
 
     /// A fetch-counting [`RecordIndex`] over a small corpus.
@@ -674,7 +673,7 @@ mod tests {
     fn index_of(records: Vec<ProvenanceRecord>) -> FixtureProvider {
         let mut index = RecordIndex::new();
         for record in &records {
-            index.insert(record, &record.encode_to_vec());
+            index.insert(record);
         }
         Counted::new(index)
     }

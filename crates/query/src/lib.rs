@@ -154,6 +154,7 @@ pub mod parser;
 pub mod plan;
 pub mod record_index;
 mod record_table;
+mod vocabulary;
 
 pub use ast::{CmpOp, LineageClause, OrderBy, Predicate, Query, Subscribe};
 pub use error::{QueryError, Result};
@@ -163,5 +164,5 @@ pub use exec::{
 };
 pub use parser::{parse, parse_predicate, parse_subscribe};
 pub use plan::{plan, IndexExpr, Plan, PlanSource};
-pub use record_index::{IndexDelta, RecordIndex};
+pub use record_index::{IndexDelta, RecordIndex, ResidentRecord};
 pub use record_table::RecordBytes;

@@ -7,53 +7,62 @@
 //! (§IV-A: index sites keep "provenance, not readings"). What a record
 //! contributes to the indexes is decided in one place, [`IndexDelta::push`].
 //!
-//! Each stored record is resident once, as its canonical encoding (the
-//! same bytes a store writes under the record's key), in a
-//! record table indexed by the graph's [`NodeIdx`]: append-only byte
-//! chunks shared by `Arc`, so cloning an index (the copy-on-write path
-//! under a live snapshot) copies chunk pointers and one span per node,
-//! not records. A batch's encodings travel in one buffer of its
-//! [`IndexDelta`] and reach the table with one copy. Counting,
+//! Each stored record is resident once, in a record table indexed by the
+//! graph's [`NodeIdx`]: append-only byte chunks shared by `Arc`, so
+//! cloning an index (the copy-on-write path under a live snapshot)
+//! copies chunk pointers and one span per node, not records. A record's
+//! resident bytes are its canonical encoding (the bytes a store writes
+//! under its key) with every vocabulary string — attribute and tool
+//! parameter names, tool names and versions — replaced by the varint of
+//! its code in an append-only vocabulary the index owns and its clones
+//! share. [`IndexDelta::push`] writes them from the record itself,
+//! interning names it meets for the first time; a batch's records
+//! travel in one buffer of its [`IndexDelta`] and reach the table with
+//! one copy. Counting,
 //! membership, ids, parents and the created-order scan never touch those
 //! bytes: they read the graph and a `created_at` column.
 //! [`RecordIndex::get`], [`RecordIndex::records`] and [`Provider::fetch`]
 //! decode a record on every call; [`RecordIndex::encoding`] hands out the
-//! bytes, holding their chunk, to decode elsewhere.
+//! bytes, holding their chunk and the vocabulary, to decode elsewhere.
 
 use crate::ast::{LineageClause, Query};
 use crate::error::Result;
 use crate::exec::{execute, order_key, Cursor, PreparedQuery, Provider, QueryEngine, QueryResult};
 use crate::record_table::{RecordBytes, RecordTable};
+use crate::vocabulary::{Interner, Vocabulary};
 use pass_index::keyword::tokenize;
 use pass_index::{
     AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
     TimeIndex,
 };
-use pass_model::codec::Decode;
 use pass_model::{keys, Annotation, ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 /// Everything a batch of records contributes to the index, keyed by
 /// each record's position in the batch: its id, creation time and
-/// canonical encoding, its parent edges, and its index rows, grouped
+/// resident encoding, its parent edges, and its index rows, grouped
 /// as they are extracted (one copy of each distinct attribute value and
-/// keyword token per batch). It is built without touching the index, so
-/// a store can extract it ahead of its serialized publish step;
+/// keyword token per batch). It is built without touching the index
+/// (only its vocabulary, which hands out codes on its own lock), so a
+/// store can extract it ahead of its serialized publish step;
 /// positions become `NodeIdx`es in [`RecordIndex::insert_delta`], where
-/// graph interning assigns them.
-#[derive(Default)]
+/// graph interning assigns them. Made by [`RecordIndex::delta`], for
+/// that index and its clones.
 pub struct IndexDelta {
+    /// The vocabulary of the index the delta is for.
+    vocabulary: Arc<Vocabulary>,
     records: Vec<Pending>,
-    /// Every record's canonical encoding, back to back in batch order.
+    /// Every record's resident encoding, back to back in batch order.
     bytes: Vec<u8>,
+    /// The vocabulary codes the last pushed record's encoding wrote.
+    codes: Vec<u32>,
     /// Every record's parent edges, back to back in batch order.
     parents: Vec<(TupleSetId, bool)>,
     /// The batch's distinct `(attribute, value)` pairs, each with its
     /// group in `attr_rows`.
-    attrs: BTreeMap<Cow<'static, str>, BTreeMap<Value, u32>>,
+    attrs: BTreeMap<AttrKey, BTreeMap<Value, u32>>,
     attr_rows: Rows,
     /// The batch's distinct keyword tokens, each with its group in
     /// `token_rows`.
@@ -69,6 +78,14 @@ pub struct IndexDelta {
     /// Merge-time buffers: each position's node, and the grouped runs.
     idxs: Vec<NodeIdx>,
     runs: Runs,
+}
+
+/// The attribute a delta row is for: a record attribute, by its
+/// vocabulary code, or a pseudo-attribute every record is indexed under.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum AttrKey {
+    Name(u32),
+    Pseudo(&'static str),
 }
 
 /// One record of an [`IndexDelta`].
@@ -155,32 +172,31 @@ impl Runs {
 }
 
 impl IndexDelta {
-    /// An empty delta with room for `records` records.
-    pub fn with_capacity(records: usize) -> IndexDelta {
-        IndexDelta { records: Vec::with_capacity(records), ..IndexDelta::default() }
-    }
-
-    /// Adds `record`, to be held as a copy of `encoding`, which must be
-    /// its canonical encoding (callers already have it: the bytes they
-    /// write to storage, or read back from it). Extracts the record's index
-    /// entries: its attributes, the multi-valued `tool.name` /
-    /// `tool.version` attributes, the `origin.site` / `created_at` /
-    /// `ancestry.parents` pseudo-attributes, annotation and description
-    /// text, and its declared time window.
-    pub fn push(&mut self, record: &ProvenanceRecord, encoding: &[u8]) {
+    /// Adds `record`, held in its resident encoding, which this writes
+    /// from the record: the canonical encoding with each vocabulary
+    /// string written as its code, a name met for the first time getting
+    /// the next one here. Extracts the record's index entries: its
+    /// attributes (keyed by the codes just written, the one name lookup
+    /// a row costs), the multi-valued `tool.name` / `tool.version`
+    /// attributes, the `origin.site` / `created_at` / `ancestry.parents`
+    /// pseudo-attributes, annotation and description text, and its
+    /// declared time window.
+    pub fn push(&mut self, record: &ProvenanceRecord) {
         // Positions stand in for `NodeIdx`es until `insert_delta`.
         let slot = NodeIdx::try_from(self.records.len())
             .expect("a batch holds fewer records than a NodeIdx can count");
         self.parents.extend(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)));
-        self.bytes.extend_from_slice(encoding);
+        self.codes.clear();
+        record.encode_with(&mut Interner::new(&self.vocabulary, &mut self.codes), &mut self.bytes);
         self.records.push(Pending {
             id: record.id,
             created_at: record.created_at,
             bytes_end: self.bytes.len(),
             parents_end: self.parents.len(),
         });
-        for (name, value) in record.attributes.iter() {
-            self.attr_row(name, value, slot, || Cow::Owned(name.to_owned()));
+        // The encoding writes the record's attribute names first.
+        for (at, (_, value)) in record.attributes.iter().enumerate() {
+            self.attr_row(AttrKey::Name(self.codes[at]), value, slot);
         }
         // The same rows `multi_valued_attrs` lists for the executor.
         for d in &record.ancestry {
@@ -194,7 +210,7 @@ impl IndexDelta {
             ("ancestry.parents", Value::Int(record.ancestry.len() as i64)),
         ];
         for (name, value) in &pseudo {
-            self.attr_row(name, value, slot, || Cow::Borrowed(name));
+            self.attr_row(AttrKey::Pseudo(name), value, slot);
         }
         for ann in &record.annotations {
             self.doc(&ann.text, slot);
@@ -207,28 +223,15 @@ impl IndexDelta {
         }
     }
 
-    /// Adds the row `(name, value)` of the record at `slot`. The name
-    /// (made by `key`) and the value are copied only the first time the
-    /// batch meets them.
-    fn attr_row(
-        &mut self,
-        name: &str,
-        value: &Value,
-        slot: NodeIdx,
-        key: impl FnOnce() -> Cow<'static, str>,
-    ) {
-        let group = match self.attrs.get_mut(name) {
-            Some(values) => match values.get(value) {
-                Some(&group) => group,
-                None => {
-                    let group = self.attr_rows.group();
-                    values.insert(value.clone(), group);
-                    group
-                }
-            },
+    /// Adds the row `(key, value)` of the record at `slot`. The value is
+    /// copied only the first time the batch meets it.
+    fn attr_row(&mut self, key: AttrKey, value: &Value, slot: NodeIdx) {
+        let values = self.attrs.entry(key).or_default();
+        let group = match values.get(value) {
+            Some(&group) => group,
             None => {
                 let group = self.attr_rows.group();
-                self.attrs.insert(key(), BTreeMap::from([(value.clone(), group)]));
+                values.insert(value.clone(), group);
                 group
             }
         };
@@ -245,7 +248,7 @@ impl IndexDelta {
             }
             other => *other = Value::Str(text.to_owned()),
         }
-        self.attr_row(name, &probe, slot, || Cow::Borrowed(name));
+        self.attr_row(AttrKey::Pseudo(name), &probe, slot);
         self.probe = probe;
     }
 
@@ -276,13 +279,13 @@ impl IndexDelta {
     }
 }
 
-/// Decodes a resident encoding. Resident bytes came from the encoder or
-/// from a checksummed scan that already decoded them once, so a failure
-/// here is a bug, not bad input.
-pub(crate) fn decode(bytes: &[u8]) -> Option<ProvenanceRecord> {
-    let record = ProvenanceRecord::decode_all(bytes);
-    debug_assert!(record.is_ok(), "resident record fails to decode: {record:?}");
-    record.ok()
+/// A record in its resident encoding, written against one index's
+/// vocabulary ([`RecordIndex::resident`]), ready to replace the stored
+/// bytes of its id ([`RecordIndex::annotate`]).
+pub struct ResidentRecord {
+    id: TupleSetId,
+    bytes: Vec<u8>,
+    vocabulary: Arc<Vocabulary>,
 }
 
 /// Lazily-built created-order scans, shared by every cursor opened on one
@@ -307,9 +310,9 @@ pub struct RecordIndex {
     attrs: AttrIndex,
     keywords: KeywordIndex,
     time: TimeIndex,
-    /// Each stored record's canonical encoding, by `NodeIdx`; none for
+    /// Each stored record's resident encoding, by `NodeIdx`; none for
     /// placeholders (parents referenced but not stored here). As long as
-    /// the graph.
+    /// the graph. Owns the vocabulary the encodings are coded against.
     records: RecordTable,
     /// Each stored record's `created_at`, by `NodeIdx`: the created-order
     /// scan's sort key, read without decoding.
@@ -323,17 +326,37 @@ impl RecordIndex {
         RecordIndex::default()
     }
 
-    /// Indexes one record, held as a copy of `encoding` (its canonical
-    /// encoding, built by the caller), and sorts the time index; a no-op
-    /// when the id is already stored.
-    pub fn insert(&mut self, record: &ProvenanceRecord, encoding: &[u8]) {
+    /// Indexes one record and sorts the time index; a no-op when the id
+    /// is already stored.
+    pub fn insert(&mut self, record: &ProvenanceRecord) {
         if self.contains(record.id) {
             return;
         }
-        let mut delta = IndexDelta::with_capacity(1);
-        delta.push(record, encoding);
+        let mut delta = self.delta(1);
+        delta.push(record);
         self.insert_delta(&mut delta);
         self.sort_time();
+    }
+
+    /// An empty delta with room for `records` records, for this index or
+    /// any clone of it: they share the vocabulary its codes come from.
+    pub fn delta(&self, records: usize) -> IndexDelta {
+        IndexDelta {
+            vocabulary: Arc::clone(self.records.vocabulary()),
+            records: Vec::with_capacity(records),
+            bytes: Vec::new(),
+            codes: Vec::new(),
+            parents: Vec::new(),
+            attrs: BTreeMap::new(),
+            attr_rows: Rows::default(),
+            tokens: BTreeMap::new(),
+            token_rows: Rows::default(),
+            docs: 0,
+            ranges: Vec::new(),
+            probe: Value::Null,
+            idxs: Vec::new(),
+            runs: Runs::default(),
+        }
     }
 
     /// Merges a pre-extracted batch and empties `delta` (a caller that
@@ -343,13 +366,17 @@ impl RecordIndex {
     /// value's and token's run of nodes into its posting list, so
     /// maintenance cost is amortized over the batch and nothing is
     /// sorted but the runs interning left out of order. The caller must
-    /// not pass ids already stored. The time index is left unsorted (overlap queries still
+    /// not pass ids already stored, nor a delta made for an unrelated
+    /// index (it panics: the codes would name another vocabulary's
+    /// strings). The time index is left unsorted (overlap queries still
     /// answer, by a linear scan) until [`RecordIndex::sort_time`], so a
     /// bulk load of many deltas sorts it once.
     pub fn insert_delta(&mut self, delta: &mut IndexDelta) {
         let IndexDelta {
+            vocabulary,
             records,
             bytes,
+            codes: _,
             parents,
             attrs,
             attr_rows,
@@ -361,6 +388,10 @@ impl RecordIndex {
             idxs,
             runs,
         } = delta;
+        assert!(
+            Arc::ptr_eq(vocabulary, self.records.vocabulary()),
+            "a delta is merged into the index it was made for, or a clone of it"
+        );
         idxs.clear();
         let mut start = 0;
         for pending in records.iter() {
@@ -382,12 +413,18 @@ impl RecordIndex {
         bytes.clear();
         parents.clear();
         runs.build(attr_rows, idxs);
-        for (name, values) in std::mem::take(attrs) {
+        let names = vocabulary.read();
+        for (key, values) in std::mem::take(attrs) {
+            let name = match key {
+                AttrKey::Name(code) => names.name(code).expect("a delta's codes are interned"),
+                AttrKey::Pseudo(name) => name,
+            };
             self.attrs.insert_bulk(
-                &name,
+                name,
                 values.into_iter().map(|(value, group)| (value, runs.run(group))),
             );
         }
+        drop(names);
         attr_rows.clear();
         runs.build(token_rows, idxs);
         self.keywords.insert_bulk(
@@ -407,22 +444,32 @@ impl RecordIndex {
         self.time.build();
     }
 
-    /// Replaces a stored record's bytes with `encoding`, which must be
-    /// the canonical encoding of the record with `annotations` appended
-    /// (the caller builds it for its storage write), and indexes the
+    /// `record` in its resident encoding, written against this index's
+    /// vocabulary (a name it has not met gets its code here), for
+    /// [`RecordIndex::annotate`] on this index or a clone of it.
+    pub fn resident(&self, record: &ProvenanceRecord) -> ResidentRecord {
+        let vocabulary = Arc::clone(self.records.vocabulary());
+        let mut bytes = Vec::new();
+        record.encode_with(&mut Interner::new(&vocabulary, &mut Vec::new()), &mut bytes);
+        ResidentRecord { id: record.id, bytes, vocabulary }
+    }
+
+    /// Replaces a stored record's bytes with `record`, which must be the
+    /// record with `annotations` appended ([`RecordIndex::resident`],
+    /// built by the caller before it publishes), and indexes the
     /// annotations' text. The new bytes are appended to the record
     /// table; the old ones stay in their chunk, unreferenced. Returns
-    /// false (and changes nothing) when `id` is not stored.
-    pub fn annotate(
-        &mut self,
-        id: TupleSetId,
-        annotations: &[Annotation],
-        encoding: &[u8],
-    ) -> bool {
-        let Some(idx) = self.stored_node(id) else {
+    /// false (and changes nothing) when its id is not stored. Panics on
+    /// a record written against an unrelated index.
+    pub fn annotate(&mut self, record: &ResidentRecord, annotations: &[Annotation]) -> bool {
+        assert!(
+            Arc::ptr_eq(&record.vocabulary, self.records.vocabulary()),
+            "a resident record is stored in the index it was written for, or a clone of it"
+        );
+        let Some(idx) = self.stored_node(record.id) else {
             return false;
         };
-        self.records.set(idx, encoding);
+        self.records.set(idx, &record.bytes);
         for ann in annotations {
             self.keywords.insert(idx, &ann.text);
         }
@@ -467,12 +514,12 @@ impl RecordIndex {
 
     /// The record stored under `id`, decoded.
     pub fn get(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        decode(self.records.get(self.stored_node(id)?)?)
+        self.records.decode(self.stored_node(id)?)
     }
 
-    /// The canonical encoding of the record stored under `id`, holding
-    /// its chunk: a caller under a lock takes it there and decodes it
-    /// ([`RecordBytes::decode`]) after leaving the lock.
+    /// The resident encoding of the record stored under `id`, holding
+    /// its chunk and the vocabulary: a caller under a lock takes it there
+    /// and decodes it ([`RecordBytes::decode`]) after leaving the lock.
     pub fn encoding(&self, id: TupleSetId) -> Option<RecordBytes> {
         self.records.share(self.stored_node(id)?)
     }
@@ -484,7 +531,7 @@ impl RecordIndex {
 
     /// Every stored record, decoded one at a time (in node order).
     pub fn records(&self) -> impl Iterator<Item = ProvenanceRecord> + '_ {
-        self.records.iter().filter_map(decode)
+        self.records.records()
     }
 
     /// Every stored record's id (in node order).
@@ -509,17 +556,20 @@ impl RecordIndex {
         self.attrs.len()
     }
 
-    /// Approximate bytes held by the indexes and the `created_at` column
-    /// (the record table excluded; see [`RecordIndex::record_bytes`]).
+    /// Approximate bytes held by the indexes, the `created_at` column and
+    /// the vocabulary (the record table excluded; see
+    /// [`RecordIndex::record_bytes`]).
     pub fn size_bytes(&self) -> usize {
-        self.attrs.size_bytes()
+        self.records.vocabulary().size_bytes()
+            + self.attrs.size_bytes()
             + self.keywords.size_bytes()
             + self.graph.size_bytes()
             + self.time.size_bytes()
             + self.created.capacity() * std::mem::size_of::<Timestamp>()
     }
 
-    /// Total bytes of the resident record encodings.
+    /// Total bytes of the resident record encodings (vocabulary strings
+    /// as codes).
     pub fn record_bytes(&self) -> usize {
         self.records.record_bytes()
     }
@@ -589,7 +639,7 @@ impl Provider for RecordIndex {
     }
     /// Decodes the record's resident bytes.
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        decode(self.records.get(idx)?)
+        self.records.decode(idx)
     }
     /// Built once per index state from the `created_at` column and
     /// shared by every cursor (O(n log n) on the first ordered query
@@ -622,10 +672,10 @@ impl QueryEngine for RecordIndex {
 mod tests {
     use super::*;
     use crate::record_table::CHUNK_BYTES;
-    use pass_model::codec::Encode;
+    use pass_model::codec::{varint_len, Decode, Encode};
     use pass_model::{Digest128, ProvenanceBuilder, SiteId, ToolDescriptor};
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn record(domain: &str, n: u8) -> ProvenanceRecord {
         ProvenanceBuilder::new(SiteId(1), Timestamp(u64::from(n)))
@@ -633,8 +683,38 @@ mod tests {
             .build(Digest128::of(&[n]))
     }
 
-    fn bytes(record: &ProvenanceRecord) -> Vec<u8> {
-        record.encode_to_vec()
+    /// A reference for the codes an index hands out: names are numbered
+    /// in the order records are pushed, each record's in encoding order.
+    #[derive(Default)]
+    struct Codes(HashMap<String, u64>);
+
+    impl Codes {
+        /// The vocabulary strings of `record`, in encoding order.
+        fn names(record: &ProvenanceRecord) -> Vec<&str> {
+            let mut out: Vec<&str> = record.attributes.names().collect();
+            for d in &record.ancestry {
+                out.extend([d.tool.name.as_str(), d.tool.version.as_str()]);
+                out.extend(d.tool.params.names());
+            }
+            out
+        }
+
+        /// Numbers the names of a record pushed into a delta.
+        fn note(&mut self, record: &ProvenanceRecord) {
+            for name in Self::names(record) {
+                let next = self.0.len() as u64;
+                self.0.entry(name.to_owned()).or_insert(next);
+            }
+        }
+
+        /// The resident length of a noted record: its canonical length,
+        /// less each vocabulary string's bytes and length varint, plus
+        /// the varint of its code.
+        fn resident_len(&self, record: &ProvenanceRecord) -> usize {
+            Self::names(record).iter().fold(record.encode_to_vec().len(), |len, name| {
+                len - name.len() - varint_len(name.len() as u64) + varint_len(self.0[*name])
+            })
+        }
     }
 
     #[test]
@@ -642,11 +722,14 @@ mod tests {
         let mut index = RecordIndex::new();
         let a = record("traffic", 1);
         let b = record("weather", 2);
-        index.insert(&a, &bytes(&a));
-        index.insert(&b, &bytes(&b));
-        index.insert(&a, &bytes(&a)); // idempotent
+        index.insert(&a);
+        index.insert(&b);
+        index.insert(&a); // idempotent
         assert_eq!(index.len(), 2);
-        assert_eq!(index.record_bytes(), bytes(&a).len() + bytes(&b).len());
+        // One name, "domain", written as a one-byte code instead of a
+        // length byte and six bytes.
+        let canonical = a.encode_to_vec().len() + b.encode_to_vec().len();
+        assert_eq!(index.record_bytes(), canonical - 2 * 6);
         let res = index.query(&crate::parse(r#"FIND WHERE domain = "traffic""#).unwrap()).unwrap();
         assert_eq!(res.ids(), vec![a.id]);
     }
@@ -659,8 +742,8 @@ mod tests {
             .attr("domain", "x")
             .derived_from(root.id, ToolDescriptor::new("t", "1"))
             .build(Digest128::of(b"c"));
-        index.insert(&root, &bytes(&root));
-        index.insert(&child, &bytes(&child));
+        index.insert(&root);
+        index.insert(&child);
         let q = crate::parse(&format!("FIND ANCESTORS OF ts:{}", child.id.full_hex())).unwrap();
         let res = index.query(&q).unwrap();
         assert_eq!(res.ids(), vec![root.id]);
@@ -711,12 +794,17 @@ mod tests {
         out
     }
 
-    /// Everything the index answers, checked against the decoded oracle.
-    fn assert_agrees(index: &RecordIndex, oracle: &BTreeMap<TupleSetId, ProvenanceRecord>) {
+    /// Everything the index answers, checked against the decoded oracle
+    /// and the reference codes.
+    fn assert_agrees(
+        index: &RecordIndex,
+        oracle: &BTreeMap<TupleSetId, ProvenanceRecord>,
+        codes: &Codes,
+    ) {
         assert_eq!(index.len(), oracle.len());
         assert_eq!(index.is_empty(), oracle.is_empty());
-        let encoded: usize = oracle.values().map(|r| r.encode_to_vec().len()).sum();
-        assert_eq!(index.record_bytes(), encoded);
+        let resident: usize = oracle.values().map(|r| codes.resident_len(r)).sum();
+        assert_eq!(index.record_bytes(), resident);
         let mut ids: Vec<TupleSetId> = index.record_ids().collect();
         ids.sort_unstable();
         assert_eq!(ids, oracle.keys().copied().collect::<Vec<_>>());
@@ -801,19 +889,24 @@ mod tests {
             let n = pool.len();
             let mut index = RecordIndex::new();
             let mut oracle: BTreeMap<TupleSetId, ProvenanceRecord> = BTreeMap::new();
+            let mut codes = Codes::default();
             for (op, a, b) in ops {
                 let pick = &pool[a % n];
                 match op {
                     0 => {
                         // Stored records keep their (annotated) bytes.
-                        index.insert(pick, &bytes(pick));
-                        oracle.entry(pick.id).or_insert_with(|| pick.clone());
+                        index.insert(pick);
+                        oracle.entry(pick.id).or_insert_with(|| {
+                            codes.note(pick);
+                            pick.clone()
+                        });
                     }
                     1 => {
-                        let mut delta = IndexDelta::default();
+                        let mut delta = index.delta(4);
                         for record in (0..=b % 4).map(|k| &pool[(a + k) % n]) {
                             oracle.entry(record.id).or_insert_with(|| {
-                                delta.push(record, &bytes(record));
+                                delta.push(record);
+                                codes.note(record);
                                 record.clone()
                             });
                         }
@@ -825,11 +918,13 @@ mod tests {
                         match oracle.get_mut(&pick.id) {
                             Some(record) => {
                                 record.annotate(note.clone());
-                                let encoding = bytes(record);
-                                prop_assert!(index.annotate(pick.id, &[note], &encoding));
+                                let resident = index.resident(record);
+                                prop_assert!(index.annotate(&resident, &[note]));
                             }
                             None => {
-                                prop_assert!(!index.annotate(pick.id, &[note], &bytes(pick)));
+                                codes.note(pick);
+                                let resident = index.resident(pick);
+                                prop_assert!(!index.annotate(&resident, &[note]));
                             }
                         }
                     }
@@ -837,9 +932,12 @@ mod tests {
                         // Warm the original's scans, then insert into a clone.
                         let before = (index.created_scan(false), index.created_scan(true));
                         let mut copy = index.clone();
-                        copy.insert(pick, &bytes(pick));
+                        copy.insert(pick);
+                        if !oracle.contains_key(&pick.id) {
+                            codes.note(pick);
+                        }
                         prop_assert_eq!((index.created_scan(false), index.created_scan(true)), before);
-                        assert_agrees(&index, &oracle);
+                        assert_agrees(&index, &oracle, &codes);
                         oracle.entry(pick.id).or_insert_with(|| pick.clone());
                         index = copy;
                     }
@@ -849,12 +947,134 @@ mod tests {
                         index.created_scan(true);
                     }
                 }
-                assert_agrees(&index, &oracle);
+                assert_agrees(&index, &oracle, &codes);
             }
             for record in pool.iter().filter(|r| !oracle.contains_key(&r.id)) {
                 assert_absent(&index, record.id);
             }
             assert_absent(&index, FOREIGN);
         }
+
+        /// Resident decode equals canonical decode for random records:
+        /// vocabulary strings of 0–300 bytes, ASCII or not, in attribute
+        /// names, tool names, versions and parameters, with annotations,
+        /// after `filler` names took the first codes (so codes reach two
+        /// bytes). Two deltas, each bringing names of its own, are merged
+        /// into one index in either order while a clone taken before both
+        /// gets a third; an annotation after a clone leaves the clone's
+        /// bytes alone. Every index decodes exactly its own records, in
+        /// exactly the bytes the reference codes predict.
+        #[test]
+        fn resident_decode_equals_canonical_decode(
+            filler in 0usize..200,
+            specs in proptest::collection::vec(arb_spec(), 2..12),
+            split in 0usize..12,
+            a_first in any::<bool>(),
+        ) {
+            let records: Vec<ProvenanceRecord> =
+                specs.iter().enumerate().map(|(i, spec)| build(i, spec)).collect();
+            let filler = ProvenanceBuilder::new(SiteId(9), Timestamp(0))
+                .attrs(&(0..filler).map(|k| (format!("filler {k}"), Value::Int(0))).collect())
+                .build(Digest128::of(b"filler"));
+            let mut codes = Codes::default();
+            let mut index = RecordIndex::new();
+            index.insert(&filler);
+            codes.note(&filler);
+            let before = index.clone();
+            let (first, second) = records.split_at(split.min(records.len()));
+            let mut deltas = [first, second].map(|part| {
+                let mut delta = index.delta(part.len());
+                for record in part {
+                    delta.push(record);
+                    codes.note(record);
+                }
+                delta
+            });
+            if !a_first {
+                deltas.reverse();
+            }
+            for delta in &mut deltas {
+                index.insert_delta(delta);
+            }
+            let mut clone = before.clone();
+            let mut delta = clone.delta(second.len());
+            for record in second {
+                delta.push(record);
+            }
+            clone.insert_delta(&mut delta);
+
+            let mut annotated = records[0].clone();
+            annotated.annotate(Annotation::new(Timestamp(3), "ops", "é annotated after a clone"));
+            let snapshot = index.clone();
+            prop_assert!(index.annotate(&index.resident(&annotated), &annotated.annotations));
+
+            let expect = |index: &RecordIndex, stored: &[&ProvenanceRecord]| {
+                assert_eq!(index.len(), stored.len());
+                for record in stored {
+                    let canonical = ProvenanceRecord::decode_all(&record.encode_to_vec()).unwrap();
+                    assert_eq!(index.get(record.id).as_ref(), Some(&canonical));
+                    assert_eq!(index.encoding(record.id).unwrap().decode(), Some(canonical));
+                }
+                let resident: usize = stored.iter().map(|r| codes.resident_len(r)).sum();
+                assert_eq!(index.record_bytes(), resident);
+            };
+            let mut stored: Vec<&ProvenanceRecord> = vec![&filler, &annotated];
+            stored.extend(&records[1..]);
+            expect(&index, &stored);
+            let mut stored: Vec<&ProvenanceRecord> = vec![&filler];
+            stored.extend(&records);
+            expect(&snapshot, &stored);
+            let mut stored: Vec<&ProvenanceRecord> = vec![&filler];
+            stored.extend(second);
+            expect(&clone, &stored);
+            expect(&before, &[&filler]);
+        }
+    }
+
+    /// A vocabulary string: short ASCII that recurs across records, long
+    /// ASCII with a two-byte length varint, or non-ASCII of up to 240
+    /// bytes.
+    fn arb_name() -> impl Strategy<Value = String> {
+        prop_oneof![
+            4 => "[a-d]{0,3}",
+            1 => "[a-z_.]{120,300}",
+            2 => "[aé中😀ß]{0,60}",
+        ]
+    }
+
+    /// A record's attributes, its tools (name, version, parameters) and
+    /// its annotations.
+    type Spec = (Vec<(String, i64)>, Vec<(String, String, Vec<(String, i64)>)>, Vec<String>);
+
+    fn arb_spec() -> impl Strategy<Value = Spec> {
+        (
+            proptest::collection::vec((arb_name(), 0i64..4), 0..5),
+            proptest::collection::vec(
+                (arb_name(), arb_name(), proptest::collection::vec((arb_name(), 0i64..3), 0..3)),
+                0..3,
+            ),
+            proptest::collection::vec("[a-z ]{0,12}", 0..3),
+        )
+    }
+
+    /// Record `i` of a [`Spec`], each tool deriving it from a parent no
+    /// record is.
+    fn build(i: usize, (attrs, tools, notes): &Spec) -> ProvenanceRecord {
+        let mut builder = ProvenanceBuilder::new(SiteId(1), Timestamp(i as u64));
+        for (name, value) in attrs {
+            builder = builder.attr(name.as_str(), *value);
+        }
+        for (k, (name, version, params)) in tools.iter().enumerate() {
+            let mut tool = ToolDescriptor::new(name.as_str(), version.as_str());
+            for (param, value) in params {
+                tool = tool.with_param(param.as_str(), *value);
+            }
+            builder = builder.derived_from(TupleSetId(0xa000 + (i * 8 + k) as u128), tool);
+        }
+        let mut record = builder.build(Digest128::of(&(i as u64).to_be_bytes()));
+        for note in notes {
+            record.annotate(Annotation::new(Timestamp(1), "ops", note.as_str()));
+        }
+        record
     }
 }

@@ -1,5 +1,13 @@
-//! The record table: every stored record's canonical encoding, by
+//! The record table: every stored record's resident encoding, by
 //! [`NodeIdx`], in append-only byte chunks shared by `Arc`.
+//!
+//! A resident encoding is the record's canonical encoding with each
+//! vocabulary string (attribute and tool parameter names, tool names and
+//! versions) replaced by the varint of its code in the table's
+//! [`Vocabulary`], which the table owns and its clones share by `Arc`
+//! (codes are append-only, so a clone's records keep decoding). The
+//! table stores and hands out bytes; [`crate::record_index::IndexDelta`]
+//! writes them.
 //!
 //! A node's record is a span (chunk, offset, length) into one chunk.
 //! Chunks are only ever appended to, and only the last one, the tail,
@@ -12,9 +20,10 @@
 //! appends its new encoding and re-points the span; the old bytes stay
 //! in their chunk, unreferenced.
 
+use crate::vocabulary::Vocabulary;
 use pass_index::NodeIdx;
 use pass_model::ProvenanceRecord;
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Bytes a tail chunk grows to before the table seals it. A constant,
@@ -48,9 +57,12 @@ impl Span {
     }
 }
 
-/// Every stored record's canonical encoding, by [`NodeIdx`].
+/// Every stored record's resident encoding, by [`NodeIdx`].
 #[derive(Clone, Default)]
 pub struct RecordTable {
+    /// The codes of the records' vocabulary strings, shared with every
+    /// clone.
+    vocabulary: Arc<Vocabulary>,
     /// Sealed chunks, then the tail, the only one that grows.
     chunks: Vec<Arc<Vec<u8>>>,
     /// Each node's record, [`Span::NONE`] for a node without one.
@@ -62,31 +74,38 @@ pub struct RecordTable {
     bytes: usize,
 }
 
-/// One record's bytes, borrowed from its chunk by holding the chunk's
-/// `Arc`: a reader can take it under a lock and decode it after
-/// releasing the lock, while appends to the table go on.
+/// One record's resident bytes, borrowed from its chunk by holding the
+/// chunk's `Arc`, with the vocabulary they decode with: a reader can
+/// take it under a lock and decode it after releasing the lock, while
+/// appends to the table go on.
 #[derive(Clone, Debug)]
 pub struct RecordBytes {
     chunk: Arc<Vec<u8>>,
     range: Range<usize>,
-}
-
-impl Deref for RecordBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.chunk[self.range.clone()]
-    }
+    vocabulary: Arc<Vocabulary>,
 }
 
 impl RecordBytes {
     /// Decodes the record.
     pub fn decode(&self) -> Option<ProvenanceRecord> {
-        crate::record_index::decode(self)
+        decode(&self.vocabulary, &self.chunk[self.range.clone()])
     }
 }
 
+/// Decodes resident bytes. They came from the encoder, so a failure here
+/// is a bug, not bad input.
+fn decode(vocabulary: &Vocabulary, bytes: &[u8]) -> Option<ProvenanceRecord> {
+    let record = ProvenanceRecord::decode_with(&*vocabulary.read(), bytes);
+    debug_assert!(record.is_ok(), "resident record fails to decode: {record:?}");
+    record.ok()
+}
+
 impl RecordTable {
+    /// The vocabulary the table's records are coded against.
+    pub fn vocabulary(&self) -> &Arc<Vocabulary> {
+        &self.vocabulary
+    }
+
     /// Extends the span array to `nodes` nodes (new ones without a
     /// record).
     pub fn resize(&mut self, nodes: usize) {
@@ -189,18 +208,25 @@ impl RecordTable {
         tail.extend_from_slice(bytes);
     }
 
-    /// The record of `idx` (`None` for a node without one).
+    /// The resident bytes of the record of `idx` (`None` for a node
+    /// without one).
     pub fn get(&self, idx: NodeIdx) -> Option<&[u8]> {
         let span = self.span(idx)?;
         Some(&self.chunks[span.chunk as usize][span.range()])
     }
 
-    /// The record of `idx`, holding its chunk.
+    /// The record of `idx`, decoded.
+    pub fn decode(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
+        decode(&self.vocabulary, self.get(idx)?)
+    }
+
+    /// The record of `idx`, holding its chunk and the vocabulary.
     pub fn share(&self, idx: NodeIdx) -> Option<RecordBytes> {
         let span = self.span(idx)?;
         Some(RecordBytes {
             chunk: Arc::clone(&self.chunks[span.chunk as usize]),
             range: span.range(),
+            vocabulary: Arc::clone(&self.vocabulary),
         })
     }
 
@@ -222,9 +248,9 @@ impl RecordTable {
             .map(|(idx, _)| idx as NodeIdx)
     }
 
-    /// Every stored record's bytes, in node order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.nodes().filter_map(|idx| self.get(idx))
+    /// Every stored record, decoded one at a time, in node order.
+    pub fn records(&self) -> impl Iterator<Item = ProvenanceRecord> + '_ {
+        self.nodes().filter_map(|idx| self.decode(idx))
     }
 
     /// Number of nodes with a record.
@@ -237,7 +263,7 @@ impl RecordTable {
         self.stored == 0
     }
 
-    /// Total length of the stored records.
+    /// Total length of the stored records' resident bytes.
     pub fn record_bytes(&self) -> usize {
         self.bytes
     }
@@ -301,7 +327,7 @@ mod tests {
         table.set(400, &record(400, 300));
         assert_eq!(copy.get(0), Some(record(0, 300).as_slice()));
         assert_eq!(copy.get(400), None);
-        assert_eq!(&*held, record(399, 300).as_slice());
+        assert_eq!(&held.chunk[held.range.clone()], record(399, 300).as_slice());
         assert_eq!(table.get(0), Some(record(9, 50).as_slice()));
         let sealed = copy.chunks.len() - 1;
         assert!(sealed > 0);

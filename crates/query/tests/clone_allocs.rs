@@ -16,9 +16,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code asserts by panicking
 
-use pass_model::codec::Encode;
 use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, ToolDescriptor};
-use pass_query::{IndexDelta, RecordIndex};
+use pass_query::RecordIndex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -69,7 +68,7 @@ fn build(records: usize) -> RecordIndex {
     let mut index = RecordIndex::new();
     let tool = ToolDescriptor::new("aggregate", "1.0");
     let mut previous = None;
-    let mut delta = IndexDelta::with_capacity(1_000);
+    let mut delta = index.delta(1_000);
     for i in 0..records {
         let mut builder = ProvenanceBuilder::new(SiteId(1), Timestamp((i % 16) as u64))
             .attr("domain", "traffic")
@@ -78,7 +77,7 @@ fn build(records: usize) -> RecordIndex {
             builder = builder.derived_from(parent, tool.clone());
         }
         let record = builder.build(Digest128::of(&(i as u64).to_be_bytes()));
-        delta.push(&record, &record.encode_to_vec());
+        delta.push(&record);
         previous = Some(record.id);
         if delta.len() == 1_000 {
             index.insert_delta(&mut delta);

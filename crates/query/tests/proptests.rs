@@ -3,7 +3,6 @@
 //! and corpora — the superset-plus-residual contract, fuzzed.
 
 use pass_index::{BfsClosure, Direction, PostingList, ReachStrategy};
-use pass_model::codec::Encode;
 use pass_model::{
     Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp, ToolDescriptor,
     TupleSetId, Value,
@@ -17,7 +16,7 @@ use proptest::prelude::*;
 fn index_of(records: &[ProvenanceRecord]) -> RecordIndex {
     let mut index = RecordIndex::new();
     for record in records {
-        index.insert(record, &record.encode_to_vec());
+        index.insert(record);
     }
     index
 }

@@ -2,23 +2,22 @@
 //! must keep per-query work proportional to what the caller consumes,
 //! measured with a counting provider over a 100k-record store.
 
-use pass_model::codec::Encode;
 use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, TupleSetId};
-use pass_query::{parse, Counted, IndexDelta, QueryEngine, RecordIndex};
+use pass_query::{parse, Counted, QueryEngine, RecordIndex};
 
 const STORE_SIZE: usize = 100_000;
 
 /// A fetch-counting record index over `n` records.
 fn big_store(n: usize) -> Counted<RecordIndex> {
-    let mut delta = IndexDelta::with_capacity(n);
+    let mut index = RecordIndex::new();
+    let mut delta = index.delta(n);
     for i in 0..n {
         let record = ProvenanceBuilder::new(SiteId(1), Timestamp(i as u64))
             .attr("domain", if i % 2 == 0 { "traffic" } else { "weather" })
             .attr("zone", (i % 64) as i64)
             .build(Digest128::of(&(i as u64).to_be_bytes()));
-        delta.push(&record, &record.encode_to_vec());
+        delta.push(&record);
     }
-    let mut index = RecordIndex::new();
     index.insert_delta(&mut delta);
     Counted::new(index)
 }

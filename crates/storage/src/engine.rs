@@ -202,7 +202,13 @@ impl LsmEngine {
             })?;
             apply_to_memtable(&mut mem, batch);
         }
+        let created = !wal_path.exists();
         let wal = Wal::open_for_append(&wal_path, opts.sync, recovery.valid_len)?;
+        if created {
+            // The manifest's open synced the directory before the log
+            // existed: sync the new entry too.
+            manifest::sync_dir(&dir)?;
+        }
 
         Ok(LsmEngine {
             inner: RwLock::new(Inner {

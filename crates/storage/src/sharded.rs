@@ -51,7 +51,7 @@ use crate::error::{Result, StorageError};
 use crate::kv::KvStore;
 use crate::wal::{self, SyncPolicy, Wal};
 use parking_lot::Mutex;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Maps a key to the index of the shard that owns it.
@@ -170,9 +170,10 @@ impl ShardedStore {
 
     /// Replays (roll-forward) a pending cross-shard commit from the
     /// intent log at `path`, empties the log, and returns it open for the
-    /// commits to come. A decodable intent record past its commit point
-    /// re-applies idempotently; undecodable intent bytes with a valid
-    /// CRC are real corruption and surface as an error, never a panic.
+    /// commits to come (a log created here has its directory synced). A
+    /// decodable intent record past its commit point re-applies
+    /// idempotently; undecodable intent bytes with a valid CRC are real
+    /// corruption and surface as an error, never a panic.
     ///
     /// Lock order: runs inside `open`, before the store is shared; takes
     /// no lock.
@@ -190,7 +191,14 @@ impl ShardedStore {
         // The intent must reach the OS before any shard applies, so a
         // `Lazy` store still writes it through per record.
         let policy = if sync == SyncPolicy::Lazy { SyncPolicy::OnWrite } else { sync };
+        let created = !path.exists();
         let mut log = Wal::open_for_append(&path, policy, bytes.len() as u64)?;
+        if created {
+            // A new log's directory entry must be durable before an
+            // intent written to it can be the commit point.
+            let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+            crate::manifest::sync_dir(dir.unwrap_or(Path::new(".")))?;
+        }
         if !log.is_empty() {
             log.reset()?;
         }
