@@ -311,7 +311,12 @@ pub struct PassStats {
     pub graph_edges: usize,
     /// Total `(attr, value, node)` index entries.
     pub attr_entries: u64,
-    /// Approximate bytes held by the in-memory indexes.
+    /// Approximate bytes held by the in-memory indexes: the ancestry
+    /// graph's tables by capacity; the attribute and keyword indexes'
+    /// names, values and packed posting bytes (delta varints), plus a
+    /// fixed estimate per map entry; the time index (20 B per interval
+    /// and 8 B per block of 64); the `created_at` column; and the
+    /// vocabulary.
     pub index_bytes: usize,
     /// Bytes of the resident record encodings: each stored record is
     /// kept once, as the canonical bytes written under its key with each

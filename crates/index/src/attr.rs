@@ -3,9 +3,15 @@
 //! §II-B: any attribute can be queried by equality or range, with no
 //! significance ordering among attributes (the failure §IV-B pins on
 //! hierarchical namespaces).
+//!
+//! Each `(attribute, value)` keeps its nodes as one [`PackedPostings`]
+//! (delta varints, about one byte per posting); a lookup decodes the
+//! lists it touches into the [`PostingList`] the planner combines. A
+//! range or `has_attr` lookup decodes every list it covers into one
+//! buffer and sorts it once.
 
 use crate::arena::NodeIdx;
-use crate::posting::PostingList;
+use crate::posting::{PackedPostings, PostingList};
 use pass_model::{Attributes, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -14,7 +20,7 @@ use std::ops::Bound;
 /// ordered values per attribute so range predicates are index-served.
 #[derive(Debug, Default, Clone)]
 pub struct AttrIndex {
-    by_attr: HashMap<String, BTreeMap<Value, PostingList>>,
+    by_attr: HashMap<String, BTreeMap<Value, PackedPostings>>,
     entries: u64,
 }
 
@@ -29,7 +35,7 @@ impl AttrIndex {
         self.by_attr
             .values_mut()
             .flat_map(|values| values.values_mut())
-            .for_each(PostingList::shrink_to_fit);
+            .for_each(PackedPostings::shrink_to_fit);
     }
 
     /// Indexes every attribute of a record.
@@ -48,7 +54,7 @@ impl AttrIndex {
     /// Bulk-indexes one attribute's rows from a whole ingest batch,
     /// grouped by value: each distinct value comes once, with its nodes
     /// ascending, and is merged into its posting list
-    /// (`PostingList::extend_sorted`). The batch pays one `by_attr`
+    /// (`PackedPostings::extend_sorted`). The batch pays one `by_attr`
     /// lookup per attribute (the name is copied only the first time the
     /// index meets it) and one merge per distinct value, and sorts
     /// nothing.
@@ -69,7 +75,11 @@ impl AttrIndex {
 
     /// Posting list for `attr = value` (empty when absent).
     pub fn eq(&self, name: &str, value: &Value) -> PostingList {
-        self.by_attr.get(name).and_then(|m| m.get(value)).cloned().unwrap_or_default()
+        self.by_attr
+            .get(name)
+            .and_then(|m| m.get(value))
+            .map(PackedPostings::to_list)
+            .unwrap_or_default()
     }
 
     /// Posting list for `low <op> attr <op> high` with inclusive/exclusive
@@ -78,16 +88,17 @@ impl AttrIndex {
         let Some(m) = self.by_attr.get(name) else {
             return PostingList::new();
         };
-        // Guard inverted bounds: BTreeMap::range panics on start > end.
+        // Guard empty bounds: BTreeMap::range panics on start > end, and
+        // on start == end when both are excluded.
         if let (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) =
             (&low, &high)
         {
-            if l > h {
+            let both_excluded = matches!((low, high), (Bound::Excluded(_), Bound::Excluded(_)));
+            if l > h || (l == h && both_excluded) {
                 return PostingList::new();
             }
         }
-        let lists: Vec<&PostingList> = m.range((low, high)).map(|(_, pl)| pl).collect();
-        PostingList::union_all(lists)
+        union(m.range((low, high)).map(|(_, list)| list))
     }
 
     /// Posting list of every node that *has* the attribute, any value.
@@ -95,7 +106,7 @@ impl AttrIndex {
         let Some(m) = self.by_attr.get(name) else {
             return PostingList::new();
         };
-        PostingList::union_all(m.values().collect())
+        union(m.values())
     }
 
     /// Number of distinct values recorded for an attribute (selectivity
@@ -106,7 +117,7 @@ impl AttrIndex {
 
     /// Total postings under an attribute (≈ how many records carry it).
     pub fn attr_cardinality(&self, name: &str) -> usize {
-        self.by_attr.get(name).map_or(0, |m| m.values().map(PostingList::len).sum())
+        self.by_attr.get(name).map_or(0, |m| m.values().map(PackedPostings::len).sum())
     }
 
     /// Attribute names present in the index.
@@ -124,7 +135,13 @@ impl AttrIndex {
         self.entries == 0
     }
 
-    /// Rough heap footprint, for the E1 index-size series.
+    /// Heap bytes of the packed posting lists' gaps.
+    pub fn posting_bytes(&self) -> usize {
+        self.by_attr.values().flat_map(BTreeMap::values).map(PackedPostings::size_bytes).sum()
+    }
+
+    /// Rough heap footprint, for the E1 index-size series: names, values,
+    /// the packed gap bytes and a fixed 32 B per map entry.
     pub fn size_bytes(&self) -> usize {
         self.by_attr
             .iter()
@@ -134,6 +151,13 @@ impl AttrIndex {
             })
             .sum()
     }
+}
+
+/// The union of packed lists: all decoded into one buffer, sorted once.
+fn union<'a>(lists: impl Iterator<Item = &'a PackedPostings> + Clone) -> PostingList {
+    let mut items = Vec::with_capacity(lists.clone().map(PackedPostings::len).sum());
+    lists.for_each(|list| list.decode_into(&mut items));
+    PostingList::from_unsorted(items)
 }
 
 fn value_size(v: &Value) -> usize {
@@ -188,6 +212,17 @@ mod tests {
         let ix = sample();
         let got =
             ix.range("count", Bound::Included(&Value::Int(30)), Bound::Included(&Value::Int(10)));
+        assert!(got.is_empty());
+    }
+
+    #[test]
+    fn equal_exclusive_bounds_are_empty_not_panic() {
+        let ix = sample();
+        let twenty = Value::Int(20);
+        assert!(ix.range("count", Bound::Excluded(&twenty), Bound::Excluded(&twenty)).is_empty());
+        let got = ix.range("count", Bound::Included(&twenty), Bound::Included(&twenty));
+        assert_eq!(got.as_slice(), &[1, 3]);
+        let got = ix.range("count", Bound::Excluded(&twenty), Bound::Included(&twenty));
         assert!(got.is_empty());
     }
 

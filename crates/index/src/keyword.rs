@@ -2,10 +2,11 @@
 //!
 //! "Such descriptions and annotations must also be searchable" (§I). A
 //! plain inverted text index: lowercase alphanumeric tokenization, token →
-//! posting list.
+//! posting list, each stored packed ([`PackedPostings`]) and decoded by a
+//! lookup.
 
 use crate::arena::NodeIdx;
-use crate::posting::PostingList;
+use crate::posting::{PackedPostings, PostingList};
 use std::collections::HashMap;
 
 /// Splits text into lowercase alphanumeric tokens, dropping one-character
@@ -17,7 +18,7 @@ pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
 /// An inverted text index.
 #[derive(Debug, Default, Clone)]
 pub struct KeywordIndex {
-    postings: HashMap<String, PostingList>,
+    postings: HashMap<String, PackedPostings>,
     documents: u64,
 }
 
@@ -29,7 +30,7 @@ impl KeywordIndex {
 
     /// Drops every posting list's spare capacity (after a bulk load).
     pub fn shrink_to_fit(&mut self) {
-        self.postings.values_mut().for_each(PostingList::shrink_to_fit);
+        self.postings.values_mut().for_each(PackedPostings::shrink_to_fit);
     }
 
     /// Indexes one document's text under a node.
@@ -56,7 +57,7 @@ impl KeywordIndex {
 
     /// Nodes whose indexed text contains the token.
     pub fn lookup(&self, token: &str) -> PostingList {
-        self.postings.get(&token.to_lowercase()).cloned().unwrap_or_default()
+        self.postings.get(&token.to_lowercase()).map(PackedPostings::to_list).unwrap_or_default()
     }
 
     /// Nodes containing *all* tokens of the phrase (bag-of-words AND; no
@@ -79,7 +80,13 @@ impl KeywordIndex {
         self.documents
     }
 
-    /// Rough heap footprint.
+    /// Heap bytes of the packed posting lists' gaps.
+    pub fn posting_bytes(&self) -> usize {
+        self.postings.values().map(PackedPostings::size_bytes).sum()
+    }
+
+    /// Rough heap footprint: tokens, the packed gap bytes and a fixed
+    /// 48 B per map entry.
     pub fn size_bytes(&self) -> usize {
         self.postings.iter().map(|(tok, pl)| tok.len() + pl.size_bytes() + 48).sum()
     }

@@ -37,5 +37,5 @@ pub use error::{IndexError, Result};
 pub use graph::{AncestryGraph, Direction, Edge};
 pub use interval::IntervalClosure;
 pub use keyword::KeywordIndex;
-pub use posting::PostingList;
+pub use posting::{PackedPostings, PostingList};
 pub use time::TimeIndex;

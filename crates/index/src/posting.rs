@@ -1,11 +1,21 @@
-//! Sorted posting lists and their set algebra.
+//! Posting lists: the packed form the indexes store, and the sorted form
+//! queries compute with.
 //!
 //! Multi-attribute queries (§II-B: "efficient lookups in many dimensions")
 //! reduce to intersections and unions of per-attribute posting lists.
-//! Intersection uses galloping search, so `rare ∩ common` costs
-//! `O(|rare| · log |common|)`.
+//! The attribute and keyword indexes keep every list as a
+//! [`PackedPostings`]: the gaps between consecutive node indexes as
+//! LEB128 varints, appended in node order, behind a header holding the
+//! count and the last node. Nodes are numbered in insertion order, so a
+//! gap is usually one byte where a plain list spends four, and a list of
+//! one node keeps no heap at all. A lookup decodes the list it needs
+//! into a [`PostingList`], a plain sorted vector; intersection on those
+//! uses galloping search, so `rare ∩ common` costs
+//! `O(|rare| · log |common|)`, and a union of many lists is one sort of
+//! their concatenation.
 
 use crate::arena::NodeIdx;
+use pass_model::codec::varint_len;
 
 /// A sorted, deduplicated list of dense node indexes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -146,67 +156,23 @@ impl PostingList {
         acc
     }
 
-    /// Unions many lists.
+    /// Unions many lists in one pass: their concatenation, sorted and
+    /// deduplicated. (A pairwise fold copies the growing result once per
+    /// list, which is quadratic in the number of lists.)
     pub fn union_all(lists: Vec<&PostingList>) -> PostingList {
-        let mut acc = PostingList::new();
+        let mut items = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
         for l in lists {
-            acc = acc.union(l);
+            items.extend_from_slice(&l.items);
         }
-        acc
+        PostingList::from_unsorted(items)
     }
 
-    /// Merges a sorted (ascending, possibly duplicated) run of indexes in
-    /// one pass — the bulk-build primitive behind `AttrIndex::insert_bulk`.
-    /// Runs that extend past the current tail (the batched-ingest common
-    /// case: node indexes grow monotonically) append in O(run).
-    pub fn extend_sorted(&mut self, run: &[NodeIdx]) {
-        debug_assert!(run.windows(2).all(|w| w[0] <= w[1]), "run must be sorted");
-        if run.is_empty() {
-            return;
-        }
-        // Fast path: the whole run lands after the current tail. Dedup
-        // only while appending — a whole-list `dedup()` here would make
-        // the "O(run)" append O(list) per batch.
-        if self.items.last().is_none_or(|&last| last < run[0]) {
-            self.items.reserve(run.len());
-            for &idx in run {
-                if self.items.last() != Some(&idx) {
-                    self.items.push(idx);
-                }
-            }
-            return;
-        }
-        // General path: merge from the back into room grown at the end of
-        // the list itself (amortized, as the append grows it), so a merge
-        // neither allocates a second list nor frees the first: a list
-        // rebuilt at each batch would leave a hole of its old size behind
-        // every time it grows.
-        let old_len = self.items.len();
-        self.items.resize(old_len + run.len(), 0);
-        let (mut i, mut j) = (old_len, run.len());
-        for k in (0..self.items.len()).rev() {
-            if j == 0 {
-                break;
-            }
-            if i > 0 && self.items[i - 1] > run[j - 1] {
-                i -= 1;
-                self.items[k] = self.items[i];
-            } else {
-                j -= 1;
-                self.items[k] = run[j];
-            }
-        }
-        self.items.dedup();
-    }
-
-    /// Drops spare capacity.
-    pub fn shrink_to_fit(&mut self) {
-        self.items.shrink_to_fit();
-    }
-
-    /// Heap bytes used.
-    pub fn size_bytes(&self) -> usize {
-        self.items.capacity() * std::mem::size_of::<NodeIdx>()
+    /// Builds from a vector in any order, with duplicates (sorts and
+    /// dedups in place).
+    pub fn from_unsorted(mut items: Vec<NodeIdx>) -> Self {
+        items.sort_unstable();
+        items.dedup();
+        PostingList { items }
     }
 }
 
@@ -232,11 +198,216 @@ fn gallop_to(sorted: &[NodeIdx], from: usize, x: NodeIdx) -> usize {
 impl FromIterator<NodeIdx> for PostingList {
     /// Builds from any iterator (sorts and dedups).
     fn from_iter<I: IntoIterator<Item = NodeIdx>>(iter: I) -> Self {
-        let mut items: Vec<NodeIdx> = iter.into_iter().collect();
-        items.sort_unstable();
-        items.dedup();
+        PostingList::from_unsorted(iter.into_iter().collect())
+    }
+}
+
+/// A sorted, deduplicated list of node indexes as stored by the indexes:
+/// the gaps between consecutive postings as LEB128 varints, in node
+/// order, with the count and the last posting beside them. The first
+/// posting is the last less the sum of the gaps, so a list of one
+/// posting has no gap bytes and no heap. The struct is as small as a
+/// plain `Vec<u32>` (24 B): the gap buffer is a boxed slice whose unused
+/// tail is zero, and since a gap is never 0, no varint of one holds a
+/// zero byte, so the first zero marks the end of the gaps.
+#[derive(Debug, Clone, Default)]
+pub struct PackedPostings {
+    /// `posting[i] - posting[i - 1]` for `i` in `1..len`, as varints,
+    /// then zeros up to the capacity.
+    gaps: Box<[u8]>,
+    /// Number of postings.
+    len: u32,
+    /// The greatest posting (0 while empty).
+    last: NodeIdx,
+}
+
+impl PackedPostings {
+    /// An empty list.
+    pub fn new() -> Self {
+        PackedPostings::default()
+    }
+
+    /// Number of postings.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Inserts one index.
+    pub fn insert(&mut self, idx: NodeIdx) {
+        self.extend_sorted(&[idx]);
+    }
+
+    /// Adds a sorted (ascending, possibly duplicated) run of indexes. A
+    /// run that lands after the last posting, the batched-ingest case
+    /// (node indexes grow with every insert), appends its gaps in
+    /// O(run + log list), growing the buffer at most once. A run that
+    /// does not (a parent first met as a placeholder and stored later)
+    /// takes off the postings at or after its head, walking the gaps
+    /// back from the end, merges them with the run and appends the
+    /// result in place: O(run + postings taken off), the list's prefix
+    /// untouched.
+    pub fn extend_sorted(&mut self, run: &[NodeIdx]) {
+        debug_assert!(run.windows(2).all(|w| w[0] <= w[1]), "run must be sorted");
+        let Some(&head) = run.first() else {
+            return;
+        };
+        if self.len > 0 && head <= self.last {
+            let tail = self.split_off_from(head);
+            let mut merged = Vec::with_capacity(tail.len() + run.len());
+            let (mut i, mut j) = (0, 0);
+            while i < tail.len() && j < run.len() {
+                if tail[i] <= run[j] {
+                    merged.push(tail[i]);
+                    i += 1;
+                } else {
+                    merged.push(run[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&tail[i..]);
+            merged.extend_from_slice(&run[j..]);
+            return self.append(&merged);
+        }
+        self.append(run);
+    }
+
+    /// Removes the postings `>= head` and returns them, ascending. The
+    /// gaps are read back from the end: a varint's last byte is the one
+    /// below 0x80, so each gap starts after the previous such byte.
+    fn split_off_from(&mut self, head: NodeIdx) -> Vec<NodeIdx> {
+        let old_end = self.gaps_end();
+        let mut end = old_end;
+        let mut tail = Vec::new();
+        while self.len > 0 && self.last >= head {
+            tail.push(self.last);
+            self.len -= 1;
+            if self.len == 0 {
+                // That was the first posting, which has no gap.
+                self.last = 0;
+                break;
+            }
+            let start =
+                self.gaps[..end - 1].iter().rposition(|&byte| byte < 0x80).map_or(0, |i| i + 1);
+            self.last -= next_gap(&mut self.gaps[start..end].iter()).unwrap_or(0);
+            end = start;
+        }
+        self.gaps[end..old_end].fill(0);
+        tail.reverse();
+        tail
+    }
+
+    /// Appends a sorted run whose head lies after the last posting (or
+    /// any sorted run to an empty list).
+    fn append(&mut self, run: &[NodeIdx]) {
+        let Some(&head) = run.first() else {
+            return;
+        };
+        debug_assert!(self.len == 0 || head > self.last, "append lands after the tail");
+        if self.len == 0 {
+            (self.last, self.len) = (head, 1);
+        }
+        let (mut need, mut prev) = (0, self.last);
+        for &idx in run {
+            if idx != prev {
+                need += varint_len(u64::from(idx - prev));
+                prev = idx;
+            }
+        }
+        let mut end = self.gaps_end();
+        if end + need > self.gaps.len() {
+            let mut gaps = std::mem::take(&mut self.gaps).into_vec();
+            gaps.resize((end + need).max(2 * gaps.len()).max(8), 0);
+            self.gaps = gaps.into_boxed_slice();
+        }
+        for &idx in run {
+            if idx != self.last {
+                end += put_gap(&mut self.gaps[end..], idx - self.last);
+                self.last = idx;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Length of the gap bytes: the first zero byte, found by binary
+    /// search.
+    fn gaps_end(&self) -> usize {
+        self.gaps.partition_point(|&byte| byte != 0)
+    }
+
+    /// Appends the postings, ascending, to `out`.
+    pub fn decode_into(&self, out: &mut Vec<NodeIdx>) {
+        if self.len == 0 {
+            return;
+        }
+        let base = out.len();
+        out.reserve(self.len());
+        // Offsets from the first posting, which is known only once the
+        // gaps are summed.
+        out.push(0);
+        let mut offset = 0u32;
+        let mut bytes = self.gaps[..self.gaps_end()].iter();
+        while let Some(gap) = next_gap(&mut bytes) {
+            offset += gap;
+            out.push(offset);
+        }
+        debug_assert_eq!(out.len() - base, self.len(), "one varint per gap");
+        let first = self.last - offset;
+        out[base..].iter_mut().for_each(|posting| *posting += first);
+    }
+
+    /// The postings as a [`PostingList`].
+    pub fn to_list(&self) -> PostingList {
+        let mut items = Vec::new();
+        self.decode_into(&mut items);
         PostingList { items }
     }
+
+    /// Drops the zero tail.
+    pub fn shrink_to_fit(&mut self) {
+        let end = self.gaps_end();
+        if end < self.gaps.len() {
+            let mut gaps = std::mem::take(&mut self.gaps).into_vec();
+            gaps.truncate(end);
+            self.gaps = gaps.into_boxed_slice();
+        }
+    }
+
+    /// Heap bytes held: the gap buffer, zero tail included.
+    pub fn size_bytes(&self) -> usize {
+        self.gaps.len()
+    }
+}
+
+/// Reads the next LEB128 varint gap off `bytes` (`None` at the end).
+#[inline]
+fn next_gap(bytes: &mut std::slice::Iter<'_, u8>) -> Option<u32> {
+    let (mut gap, mut shift) = (0u32, 0u32);
+    for &byte in bytes {
+        gap |= u32::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(gap);
+        }
+        shift += 7;
+    }
+    None
+}
+
+/// Writes `gap` as a LEB128 varint at the front of `buf`; returns its
+/// length.
+fn put_gap(buf: &mut [u8], mut gap: u32) -> usize {
+    let mut n = 0;
+    while gap >= 0x80 {
+        buf[n] = gap as u8 | 0x80;
+        gap >>= 7;
+        n += 1;
+    }
+    buf[n] = gap as u8;
+    n + 1
 }
 
 #[cfg(test)]
@@ -300,5 +471,45 @@ mod tests {
     fn union_all_accumulates() {
         let got = PostingList::union_all(vec![&pl(&[1]), &pl(&[3]), &pl(&[2, 3])]);
         assert_eq!(got.as_slice(), &[1, 2, 3]);
+        assert!(PostingList::union_all(vec![]).is_empty());
+    }
+
+    fn packed(runs: &[&[u32]]) -> PackedPostings {
+        let mut list = PackedPostings::new();
+        runs.iter().for_each(|run| list.extend_sorted(run));
+        list
+    }
+
+    #[test]
+    fn packed_appends_gaps_and_keeps_one_posting_off_the_heap() {
+        let one = packed(&[&[7, 7]]);
+        assert_eq!((one.len(), one.size_bytes()), (1, 0));
+        assert_eq!(one.to_list().as_slice(), &[7]);
+        // Gaps of 1, 127, 128 and 2^21: 1 + 1 + 2 + 4 varint bytes.
+        let mut list = packed(&[&[3, 4, 4], &[131, 259], &[259 + (1 << 21)]]);
+        list.shrink_to_fit();
+        assert_eq!(list.size_bytes(), 8);
+        assert_eq!(list.to_list().as_slice(), &[3, 4, 131, 259, 259 + (1 << 21)]);
+    }
+
+    #[test]
+    fn packed_merges_a_run_that_lands_before_the_tail() {
+        let list = packed(&[&[10, 20, 30], &[5, 20, 25, 40]]);
+        assert_eq!(list.len(), 6);
+        assert_eq!(list.to_list().as_slice(), &[5, 10, 20, 25, 30, 40]);
+        // A run landing mid-list re-appends only the tail after its head,
+        // leaving the same bytes as the list built in order.
+        let mut mid = packed(&[&[1, 200, 40_000, 40_001], &[300, 40_000]]);
+        let mut fresh = packed(&[&[1, 200, 300, 40_000, 40_001]]);
+        mid.shrink_to_fit();
+        fresh.shrink_to_fit();
+        assert_eq!(mid.to_list(), fresh.to_list());
+        assert_eq!(mid.gaps, fresh.gaps);
+        let edges = packed(&[&[u32::MAX], &[0, 0, u32::MAX]]);
+        assert_eq!(edges.to_list().as_slice(), &[0, u32::MAX]);
+        // Decoding appends after what `out` already holds.
+        let mut out = vec![99];
+        edges.decode_into(&mut out);
+        assert_eq!(out, [99, 0, u32::MAX]);
     }
 }

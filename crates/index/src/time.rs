@@ -2,23 +2,56 @@
 //!
 //! Tuple sets carry `[time.start, time.end]` windows; the dominant sensor
 //! query shape is "overlaps `[a, b]`" (§III: commuters query by location,
-//! planners by time). Intervals are kept sorted by start with a parallel
-//! prefix-maximum of ends, so an overlap query binary-searches the start
-//! bound and then scans only a bounded tail.
+//! planners by time). Intervals are kept sorted by start, each in 20
+//! unpadded bytes, with a prefix maximum of ends kept once per block of
+//! [`BLOCK`] intervals, so an overlap query binary-searches the start
+//! bound and then scans back only until a block's prefix maximum falls
+//! below the query's start.
 
 use crate::arena::NodeIdx;
 use crate::posting::PostingList;
 use pass_model::TimeRange;
 
+/// Intervals per prefix-maximum entry.
+pub const BLOCK: usize = 64;
+
+/// One indexed interval, `(start, end, node)`, as five `u32` words: no
+/// padding, and the derived order (field by field, high words first) is
+/// the order of `(start, end, node)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    start_hi: u32,
+    start_lo: u32,
+    end_hi: u32,
+    end_lo: u32,
+    node: NodeIdx,
+}
+
+impl Entry {
+    fn new(start: u64, end: u64, node: NodeIdx) -> Self {
+        let (start_hi, start_lo) = ((start >> 32) as u32, start as u32);
+        let (end_hi, end_lo) = ((end >> 32) as u32, end as u32);
+        Entry { start_hi, start_lo, end_hi, end_lo, node }
+    }
+
+    fn start(&self) -> u64 {
+        u64::from(self.start_hi) << 32 | u64::from(self.start_lo)
+    }
+
+    fn end(&self) -> u64 {
+        u64::from(self.end_hi) << 32 | u64::from(self.end_lo)
+    }
+}
+
 /// An index over closed time intervals.
 #[derive(Debug, Default, Clone)]
 pub struct TimeIndex {
-    /// (start, end, node). The first `sorted` entries are sorted by
-    /// (start, end, node); inserts since the last build follow, unsorted.
-    intervals: Vec<(u64, u64, NodeIdx)>,
-    /// `prefix_max_end[i]` = max end among `intervals[..=i]`, for the
-    /// sorted prefix.
-    prefix_max_end: Vec<u64>,
+    /// The first `sorted` entries are sorted by (start, end, node);
+    /// inserts since the last build follow, unsorted.
+    intervals: Vec<Entry>,
+    /// `block_max_end[b]` = max end among `intervals[..(b + 1) * BLOCK]`
+    /// (the whole sorted prefix for its last, partial block).
+    block_max_end: Vec<u64>,
     sorted: usize,
 }
 
@@ -30,7 +63,7 @@ impl TimeIndex {
 
     /// Adds an interval.
     pub fn insert(&mut self, idx: NodeIdx, range: TimeRange) {
-        self.intervals.push((range.start.0, range.end.0, idx));
+        self.intervals.push(Entry::new(range.start.0, range.end.0, idx));
     }
 
     /// True while inserts since the last [`TimeIndex::build`] are pending.
@@ -39,15 +72,15 @@ impl TimeIndex {
     }
 
     /// Files the intervals inserted since the last build into the sorted
-    /// table and extends the prefix-maximum, making queries
-    /// `O(log n + answer)`. Only the `k` new intervals are sorted; they
-    /// are merged in from the first position they displace, and the
-    /// prefix maximum is recomputed from there. New intervals that all
-    /// sort after the table, the usual case for sensor time, cost
-    /// `O(k log k)` and move nothing. The batched ingest path calls this
-    /// once per committed batch, so shared (snapshot) readers never need
-    /// a write lock; an unbuilt index still answers queries via a linear
-    /// scan.
+    /// table and extends the block prefix maxima, making queries
+    /// `O(log n + answer + BLOCK)`. Only the `k` new intervals are
+    /// sorted; they are merged in from the first position they displace,
+    /// and the prefix maxima are recomputed from that position's block.
+    /// New intervals that all sort after the table, the usual case for
+    /// sensor time, cost `O(k log k + BLOCK)` and move nothing. The
+    /// batched ingest path calls this once per committed batch, so shared
+    /// (snapshot) readers never need a write lock; an unbuilt index still
+    /// answers queries via a linear scan.
     pub fn build(&mut self) {
         if !self.dirty() {
             return;
@@ -72,14 +105,15 @@ impl TimeIndex {
                 write += 1;
             }
         }
-        self.prefix_max_end.truncate(from);
-        self.prefix_max_end.reserve(n - from);
-        let mut max_end = self.prefix_max_end.last().copied().unwrap_or(0);
-        for &(_, end, _) in &self.intervals[from..] {
-            max_end = max_end.max(end);
-            self.prefix_max_end.push(max_end);
+        let first_block = from / BLOCK;
+        self.block_max_end.truncate(first_block);
+        self.block_max_end.reserve(n.div_ceil(BLOCK) - first_block);
+        let mut max_end = self.block_max_end.last().copied().unwrap_or(0);
+        for block in self.intervals[first_block * BLOCK..].chunks(BLOCK) {
+            max_end = block.iter().map(Entry::end).fold(max_end, u64::max);
+            self.block_max_end.push(max_end);
         }
-        self.sorted = self.intervals.len();
+        self.sorted = n;
     }
 
     /// Nodes whose interval overlaps `query` (closed-interval semantics).
@@ -88,49 +122,49 @@ impl TimeIndex {
     /// [`TimeIndex::build`] since), this falls back to a full scan rather
     /// than mutating shared state.
     pub fn overlapping(&self, query: TimeRange) -> PostingList {
+        let (start, end) = (query.start.0, query.end.0);
         if self.dirty() {
             return PostingList::from_iter(
                 self.intervals
                     .iter()
-                    .filter(|&&(start, end, _)| start <= query.end.0 && end >= query.start.0)
-                    .map(|&(_, _, node)| node),
+                    .filter(|iv| iv.start() <= end && iv.end() >= start)
+                    .map(|iv| iv.node),
             );
         }
         // Candidates must have start <= query.end.
-        let upper = self.intervals.partition_point(|&(start, _, _)| start <= query.end.0);
-        // Walk backwards; once the prefix max end drops below query.start,
-        // nothing earlier can overlap.
+        let upper = self.intervals.partition_point(|iv| iv.start() <= end);
+        // Walk back a block at a time; once a block's prefix maximum end
+        // drops below query.start, nothing in it or before it can overlap.
         let mut out = Vec::new();
-        for i in (0..upper).rev() {
-            if self.prefix_max_end[i] < query.start.0 {
+        for block in (0..upper.div_ceil(BLOCK)).rev() {
+            if self.block_max_end[block] < start {
                 break;
             }
-            let (_, end, node) = self.intervals[i];
-            if end >= query.start.0 {
-                out.push(node);
-            }
+            let from = block * BLOCK;
+            let to = upper.min(from + BLOCK);
+            out.extend(
+                self.intervals[from..to].iter().filter(|iv| iv.end() >= start).map(|iv| iv.node),
+            );
         }
-        PostingList::from_iter(out)
+        PostingList::from_unsorted(out)
     }
 
     /// Nodes whose interval lies entirely within `query` (same laziness
     /// contract as [`TimeIndex::overlapping`]).
     pub fn covered_by(&self, query: TimeRange) -> PostingList {
+        let (start, end) = (query.start.0, query.end.0);
         if self.dirty() {
             return PostingList::from_iter(
                 self.intervals
                     .iter()
-                    .filter(|&&(start, end, _)| start >= query.start.0 && end <= query.end.0)
-                    .map(|&(_, _, node)| node),
+                    .filter(|iv| iv.start() >= start && iv.end() <= end)
+                    .map(|iv| iv.node),
             );
         }
-        let lower = self.intervals.partition_point(|&(start, _, _)| start < query.start.0);
-        let upper = self.intervals.partition_point(|&(start, _, _)| start <= query.end.0);
+        let lower = self.intervals.partition_point(|iv| iv.start() < start);
+        let upper = self.intervals.partition_point(|iv| iv.start() <= end);
         PostingList::from_iter(
-            self.intervals[lower..upper]
-                .iter()
-                .filter(|&&(_, end, _)| end <= query.end.0)
-                .map(|&(_, _, node)| node),
+            self.intervals[lower..upper].iter().filter(|iv| iv.end() <= end).map(|iv| iv.node),
         )
     }
 
@@ -144,10 +178,17 @@ impl TimeIndex {
         self.intervals.is_empty()
     }
 
-    /// Rough heap footprint.
+    /// Drops spare capacity (after a bulk load).
+    pub fn shrink_to_fit(&mut self) {
+        self.intervals.shrink_to_fit();
+        self.block_max_end.shrink_to_fit();
+    }
+
+    /// Heap bytes held: 20 per interval and 8 per block, plus growth
+    /// slack until [`TimeIndex::shrink_to_fit`].
     pub fn size_bytes(&self) -> usize {
-        self.intervals.capacity() * std::mem::size_of::<(u64, u64, NodeIdx)>()
-            + self.prefix_max_end.capacity() * 8
+        self.intervals.capacity() * std::mem::size_of::<Entry>()
+            + self.block_max_end.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -206,6 +247,26 @@ mod tests {
         assert_eq!(ix.overlapping(range(50, 60)).as_slice(), &[3]);
         ix.insert(9, range(55, 56));
         assert_eq!(ix.overlapping(range(50, 60)).as_slice(), &[3, 9]);
+    }
+
+    #[test]
+    fn entries_are_twenty_bytes_and_blocks_bound_the_walk() {
+        assert_eq!(std::mem::size_of::<Entry>(), 20);
+        let mut ix = TimeIndex::new();
+        let big = 1u64 << 40;
+        // A long early interval, then three blocks' worth of short ones.
+        ix.insert(0, range(big, big + 10_000));
+        for i in 1..(3 * BLOCK as u32) {
+            let start = big + 20 * u64::from(i);
+            ix.insert(i, range(start, start + 5));
+        }
+        ix.build();
+        ix.shrink_to_fit();
+        assert_eq!(ix.size_bytes(), 20 * 3 * BLOCK + 8 * 3);
+        let got = ix.overlapping(range(big + 2_000, big + 2_003));
+        assert_eq!(got.as_slice(), &[0, 100]);
+        assert!(ix.overlapping(range(big - 10, big - 1)).is_empty());
+        assert_eq!(ix.covered_by(range(big + 20, big + 45)).as_slice(), &[1, 2]);
     }
 
     #[test]

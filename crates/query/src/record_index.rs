@@ -477,11 +477,12 @@ impl RecordIndex {
     }
 
     /// Drops spare capacity after a bulk load: the growth slack of the
-    /// posting lists, the graph's tables, the record table's span array
-    /// and tail, and the `created_at` column.
+    /// posting lists, the time index, the graph's tables, the record
+    /// table's span array and tail, and the `created_at` column.
     pub fn shrink_to_fit(&mut self) {
         self.attrs.shrink_to_fit();
         self.keywords.shrink_to_fit();
+        self.time.shrink_to_fit();
         self.graph.shrink_to_fit();
         self.records.shrink_to_fit();
         self.created.shrink_to_fit();
