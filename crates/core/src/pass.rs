@@ -315,14 +315,18 @@ pub struct PassStats {
     /// graph's tables by capacity; the attribute and keyword indexes'
     /// names, values and packed posting bytes (delta varints), plus a
     /// fixed estimate per map entry; the time index (20 B per interval
-    /// and 8 B per block of 64); the `created_at` column; and the
+    /// and 8 B per block of 64); the `created_at` column; the record
+    /// table's span array (12 B per node, by capacity); and the
     /// vocabulary.
     pub index_bytes: usize,
     /// Bytes of the resident record encodings: each stored record is
-    /// kept once, as the canonical bytes written under its key with each
-    /// vocabulary string (attribute and tool parameter names, tool names
-    /// and versions) written as the varint of its code. The vocabulary
-    /// itself counts in `index_bytes`.
+    /// kept once, holding only what no index holds: the canonical bytes
+    /// written under its key without the record's id and its parents'
+    /// ids (the ancestry graph holds them), with each vocabulary string
+    /// (attribute and tool parameter names, tool names and versions) and
+    /// each string value the vocabulary holds (one met for two records
+    /// under one attribute name) written as the varint of its code. The
+    /// vocabulary and the span array count in `index_bytes`.
     pub record_bytes: usize,
     /// Ingests since open (tuple sets, not batches).
     pub ingests: u64,
@@ -483,9 +487,27 @@ impl Pass {
     /// records are merged into the indexes as one
     /// [`pass_query::IndexDelta`] (their bytes onto the record table in
     /// one copy). Peak memory stays close to the resident state the open
-    /// leaves behind. The data markers follow, slice by slice too.
+    /// leaves behind.
+    ///
+    /// The data markers are scanned first, and their ids numbered in key
+    /// order before any record is read. Records arrive in key order too,
+    /// so a parent that sorts after its child already has its node when
+    /// the child names it, and every record of a store whose records all
+    /// have readings takes the next node: each posting run appends at its
+    /// list's tail instead of re-encoding it. The marked nodes are then
+    /// the data bits, less any whose record is missing (it stays a
+    /// placeholder; the audit, `verify_consistency`, reports it from
+    /// storage).
     fn rebuild_indexes(&self) -> Result<()> {
         let mut state = State::default();
+        let mut marked: NodeIdx = 0;
+        for first in 0..=u8::MAX {
+            for (id, _) in scan_slice(&*self.store, keyspace::MARKER, first)? {
+                let idx = state.index.number(id);
+                debug_assert_eq!(idx, marked, "marker keys are distinct ids");
+                marked += 1;
+            }
+        }
         let mut delta = state.index.delta(REBUILD_CHUNK);
         for first in 0..=u8::MAX {
             for (id, value) in scan_slice(&*self.store, keyspace::RECORD, first)? {
@@ -500,14 +522,9 @@ impl Pass {
         state.index.insert_delta(&mut delta);
         state.index.sort_time();
         state.index.shrink_to_fit();
-        for first in 0..=u8::MAX {
-            for (id, _) in scan_slice(&*self.store, keyspace::MARKER, first)? {
-                // A marker whose record is missing sets no bit; the audit
-                // (`verify_consistency`) reports it from storage.
-                if state.index.contains(id) {
-                    state.set_data(id, true);
-                }
-            }
+        state.data_present = BitSet::new(marked as usize);
+        for idx in (0..marked).filter(|&idx| state.index.stores(idx)) {
+            state.data_present.insert(idx);
         }
         let mut guard = self.state.write();
         state.version = guard.version + 1;

@@ -26,16 +26,22 @@ fn readings(sensor: u64, n: usize, base_ms: u64) -> Vec<Reading> {
 }
 
 /// The resident length of a record in a store of fewer than 128
-/// vocabulary strings: its canonical length, with each attribute name,
-/// tool name, tool version and tool parameter name written as a one-byte
-/// code instead of its length varint and bytes.
-fn resident_len(record: &ProvenanceRecord) -> usize {
+/// vocabulary strings: its canonical length without its id and its
+/// parents' ids, with each attribute name, tool name, tool version and
+/// tool parameter name, and each string attribute value listed in
+/// `coded`, written as a one-byte code instead of its length varint and
+/// bytes.
+fn resident_len(record: &ProvenanceRecord, coded: &[&str]) -> usize {
     let mut names: Vec<&str> = record.attributes.names().collect();
     for d in &record.ancestry {
         names.extend([d.tool.name.as_str(), d.tool.version.as_str()]);
         names.extend(d.tool.params.names());
     }
-    names.iter().fold(pass_model::codec::Encode::encode_to_vec(record).len(), |len, name| {
+    let values = record.attributes.iter().filter_map(|(_, value)| value.as_str());
+    names.extend(values.filter(|value| coded.contains(value)));
+    let ids = TupleSetId::WIDTH * (1 + record.ancestry.len());
+    let len = pass_model::codec::Encode::encode_to_vec(record).len() - ids;
+    names.iter().fold(len, |len, name| {
         len - name.len() - pass_model::codec::varint_len(name.len() as u64) + 1
     })
 }
@@ -257,6 +263,119 @@ fn disk_store_reopens_with_full_state() {
     assert!(pass.verify_consistency().unwrap().is_consistent());
 }
 
+/// Everything a store answers about `ids`: each record, whether its
+/// readings are present, its lineage both ways, and a few queries.
+fn answers(pass: &Pass, ids: &[TupleSetId]) -> Vec<String> {
+    let mut out: Vec<String> = ids
+        .iter()
+        .map(|&id| {
+            let lineage = |direction| {
+                let mut got: Vec<TupleSetId> = pass
+                    .lineage(id, direction, TraverseOpts::unbounded())
+                    .map(|records| records.iter().map(|r| r.id).collect())
+                    .unwrap_or_default();
+                got.sort_unstable();
+                got
+            };
+            format!(
+                "{id}: {:?} data {} ancestors {:?} descendants {:?}",
+                pass.get_record(id),
+                pass.has_data(id),
+                lineage(Direction::Ancestors),
+                lineage(Direction::Descendants),
+            )
+        })
+        .collect();
+    for text in [
+        r#"FIND WHERE domain = "traffic""#,
+        r#"FIND WHERE tool.name = "merge""#,
+        r#"FIND WHERE region = "parcel""#,
+        "FIND WHERE level >= 2 ORDER BY created DESC",
+        r#"FIND WHERE ANNOTATION CONTAINS "audited""#,
+    ] {
+        let mut hits = pass.query_text(text).unwrap().ids();
+        if !text.contains("ORDER BY") {
+            hits.sort_unstable();
+        }
+        out.push(format!("{text}: {hits:?}"));
+    }
+    let stats = pass.stats();
+    out.push(format!(
+        "records {} data {} nodes {} edges {}",
+        stats.records, stats.data_blobs, stats.graph_nodes, stats.graph_edges
+    ));
+    out
+}
+
+/// The reopen scans records in key order and numbers the ids with
+/// readings first: a parent that sorts after its child must still
+/// come back with the same lineage, the same postings and the same data
+/// bits, also when it is a bare record, a cross-site parent or a record
+/// whose readings were removed.
+#[test]
+fn reopen_with_children_sorting_before_parents_answers_as_before() {
+    let dir = TempDir::new("core-reopen-order");
+    let (ids, before) = {
+        let pass = Pass::open(PassConfig::disk(SiteId(5), dir.path())).unwrap();
+        let mut ids: Vec<TupleSetId> = (0..24)
+            .map(|i| {
+                let attrs = traffic_attrs(["london", "parcel"][i % 2]).with("level", 0i64);
+                pass.capture(attrs, readings(i as u64, 3, 0), Timestamp(i as u64)).unwrap()
+            })
+            .collect();
+        // Three levels of merges over earlier sets; most pick a parent
+        // whose key sorts after their own.
+        let mut children_first = 0;
+        for level in 1..=3i64 {
+            for i in 0..8usize {
+                let at = Timestamp(100 * level as u64 + i as u64);
+                let parents = [ids[ids.len() - 1 - i], ids[(i * 5) % ids.len()]];
+                let attrs = traffic_attrs("london").with("level", level);
+                let id = pass
+                    .derive(
+                        &parents,
+                        &ToolDescriptor::new("merge", "1"),
+                        attrs,
+                        readings(9, 2, 0),
+                        at,
+                    )
+                    .unwrap();
+                children_first += parents.iter().filter(|&&parent| parent > id).count();
+                ids.push(id);
+            }
+        }
+        assert!(children_first > 8, "{children_first} parents sort after their child");
+        // A bare record between a foreign parent and a stored one, and a
+        // child of it: a stored parent with no marker.
+        let bare = ProvenanceBuilder::new(SiteId(9), Timestamp(900))
+            .attr(keys::DOMAIN, "traffic")
+            .attr("level", 4i64)
+            .derived_from(TupleSetId(u128::MAX), ToolDescriptor::new("merge", "1"))
+            .derived_from(ids[30], ToolDescriptor::new("merge", "1"))
+            .build(pass_model::Digest128::of(b"bare"));
+        pass.ingest_record(&bare).unwrap();
+        let above = pass
+            .derive(
+                &[bare.id, ids[3]],
+                &ToolDescriptor::new("merge", "1"),
+                traffic_attrs("parcel").with("level", 5i64),
+                readings(10, 2, 0),
+                Timestamp(901),
+            )
+            .unwrap();
+        ids.extend([bare.id, above, TupleSetId(u128::MAX)]);
+        pass.remove_data(ids[5]).unwrap();
+        pass.remove_data(ids[40]).unwrap();
+        pass.annotate(ids[33], Annotation::new(Timestamp(950), "ops", "audited twice")).unwrap();
+        pass.flush().unwrap();
+        let before = answers(&pass, &ids);
+        (ids, before)
+    };
+    let pass = Pass::open(PassConfig::disk(SiteId(5), dir.path())).unwrap();
+    assert_eq!(answers(&pass, &ids), before);
+    assert!(pass.verify_consistency().unwrap().is_consistent());
+}
+
 #[test]
 fn torn_wal_never_splits_record_from_data() {
     let dir = TempDir::new("core-torn");
@@ -408,14 +527,36 @@ fn annotated_and_merged_records_reopen_unchanged() {
             ids.iter().map(|id| pass.get_record(*id).unwrap()).collect();
         let annotations: Vec<usize> = before.iter().map(|r| r.annotations.len()).collect();
         assert_eq!(annotations, [1, 1, 1]);
+        // The second record's merge put its repeated values in the
+        // vocabulary, and every record was written again after it (an
+        // annotation rewrites a record): each value is a code.
+        let coded = ["traffic", "boston", "car_sighting"];
         let record_bytes = pass.stats().record_bytes;
-        assert_eq!(record_bytes, before.iter().map(resident_len).sum::<usize>());
+        assert_eq!(record_bytes, before.iter().map(|r| resident_len(r, &coded)).sum::<usize>());
         (ids, before, record_bytes)
     };
     let pass = Pass::open(PassConfig::disk(SiteId(4), dir.path())).unwrap();
     let after: Vec<ProvenanceRecord> = ids.iter().map(|id| pass.get_record(*id).unwrap()).collect();
     assert_eq!(after, before);
-    assert_eq!(pass.stats().record_bytes, record_bytes);
+    // The reopen pushes the records in key order into one delta: a value
+    // is a code in each record after the first that holds its attribute.
+    let mut in_key_order: Vec<&ProvenanceRecord> = after.iter().collect();
+    in_key_order.sort_by_key(|r| r.id);
+    let mut held = HashSet::new();
+    let reopened: usize = in_key_order
+        .iter()
+        .map(|r| {
+            let coded: Vec<&str> = r
+                .attributes
+                .iter()
+                .filter(|pair| !held.insert(*pair))
+                .filter_map(|(_, value)| value.as_str())
+                .collect();
+            resident_len(r, &coded)
+        })
+        .sum();
+    assert_eq!(pass.stats().record_bytes, reopened);
+    assert!(reopened > record_bytes, "the first holder of each value spells it out");
     assert_eq!(pass.stats().data_blobs, 2, "the bare record has no readings");
     let hits = pass.query_text(r#"FIND WHERE ANNOTATION CONTAINS "upstream""#).unwrap();
     assert_eq!(hits.ids(), vec![ids[1]]);
@@ -450,7 +591,7 @@ fn the_audit_compares_each_stored_record_with_its_resident_copy() {
 
 #[test]
 fn stats_reflect_activity() {
-    let (pass, ..) = populated();
+    let (pass, raw, filtered, aggregated) = populated();
     pass.query_text("FIND").unwrap();
     let stats = pass.stats();
     assert_eq!(stats.records, 3);
@@ -459,8 +600,15 @@ fn stats_reflect_activity() {
     assert_eq!(stats.graph_edges, 2);
     assert!(stats.attr_entries > 0);
     assert!(stats.index_bytes > 0);
-    let ids = pass.ids();
-    let resident: usize = ids.iter().map(|id| resident_len(&pass.get_record(*id).unwrap())).sum();
+    // Each record is its own delta: the second's merge puts the three
+    // string values it repeats in the vocabulary, and the third codes
+    // them.
+    let coded = [&[][..], &[][..], &["traffic", "london", "car_sighting"][..]];
+    let resident: usize = [raw, filtered, aggregated]
+        .iter()
+        .zip(coded)
+        .map(|(id, coded)| resident_len(&pass.get_record(*id).unwrap(), coded))
+        .sum();
     assert_eq!(stats.record_bytes, resident);
     assert_eq!(stats.ingests, 3);
     assert!(stats.queries >= 1);

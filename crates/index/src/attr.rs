@@ -73,6 +73,11 @@ impl AttrIndex {
         }
     }
 
+    /// True when some node has `attr = value`.
+    pub fn contains(&self, name: &str, value: &Value) -> bool {
+        self.by_attr.get(name).is_some_and(|m| m.contains_key(value))
+    }
+
     /// Posting list for `attr = value` (empty when absent).
     pub fn eq(&self, name: &str, value: &Value) -> PostingList {
         self.by_attr

@@ -147,7 +147,8 @@ impl AncestryGraph {
         self.links.shrink_to_fit();
     }
 
-    fn ensure_node(&mut self, id: TupleSetId) -> NodeIdx {
+    /// The node of `id`, a new placeholder when the graph has none.
+    pub fn intern(&mut self, id: TupleSetId) -> NodeIdx {
         let idx = self.arena.intern(id);
         if idx as usize == self.nodes.len() {
             self.nodes.push(Node::PLACEHOLDER);
@@ -163,7 +164,7 @@ impl AncestryGraph {
     /// binds its parents, so re-inserting a stored node adds no edge (and
     /// must name the same parents).
     pub fn insert(&mut self, id: TupleSetId, parents: &[(TupleSetId, bool)]) -> NodeIdx {
-        let idx = self.ensure_node(id);
+        let idx = self.intern(id);
         if !self.is_placeholder(idx) {
             debug_assert!(self.has_parents(idx, parents), "{id} re-inserted with other parents");
             return idx;
@@ -171,7 +172,7 @@ impl AncestryGraph {
         self.nodes[idx as usize].parents_start = edge_pos(self.edges.len());
         self.nodes[idx as usize].parents_len = edge_pos(parents.len());
         for &(parent_id, abstracted) in parents {
-            let parent = self.ensure_node(parent_id);
+            let parent = self.intern(parent_id);
             let pos = edge_pos(self.edges.len());
             self.edges.push(Edge { node: parent, abstracted });
             self.links.push(Link { child: idx, next: NONE });

@@ -14,11 +14,13 @@
 //! The format is deliberately simple: LEB128 varints, zigzag for signed,
 //! length-prefixed strings/bytes, tag bytes for enums.
 //!
-//! The record codec is generic over how it writes and reads vocabulary
-//! strings (attribute and tool parameter names, tool names and
-//! versions; [`NameWriter`], [`NameReader`]): [`Literal`] spells them
-//! out, which is the canonical encoding, and an in-memory index writes
-//! codes instead. Every other byte is the same in both forms.
+//! The record codec is generic over how it writes and reads the fields
+//! an in-memory index may hold elsewhere ([`NameWriter`],
+//! [`NameReader`]): vocabulary strings (attribute and tool parameter
+//! names, tool names and versions), the record's id and its parents'
+//! ids, and attribute values. [`Literal`] spells them all out, which is
+//! the canonical encoding; a resident index writes codes for strings and
+//! nothing for ids. Every other byte is the same in both forms.
 
 use crate::error::ModelError;
 
@@ -86,6 +88,11 @@ impl<'a> Reader<'a> {
     /// True when fully consumed.
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// The next byte, not consumed (`None` at the end).
+    pub fn peek_u8(&self) -> Option<u8> {
+        self.buf.get(self.pos).copied()
     }
 
     /// Current offset from the start of the underlying slice.
@@ -205,24 +212,42 @@ pub fn take_string(r: &mut Reader<'_>, what: &'static str) -> Result<String, Mod
     String::from_utf8(b.to_vec()).map_err(|_| ModelError::InvalidUtf8)
 }
 
-/// How the record codec writes a vocabulary string: an attribute name
-/// (a record's or a tool parameter's), a tool name or a tool version.
-/// [`Literal`] spells each one out, which is the canonical encoding;
-/// a resident index writes a code into its own vocabulary instead.
-/// Every other byte of a record is written the same way by both.
+/// How the record codec writes the fields an index may hold elsewhere:
+/// each vocabulary string (an attribute name, a record's or a tool
+/// parameter's, a tool name or a tool version), each tuple-set id (the
+/// record's own and its derivations' parents) and each attribute value.
+/// [`Literal`] spells every one out, which is the canonical encoding; a
+/// resident index writes codes for strings its vocabulary holds and no
+/// bytes at all for ids its ancestry graph holds. Every other byte of a
+/// record is written the same way by both.
 pub trait NameWriter {
-    /// Appends `name` to `buf`.
+    /// Appends the vocabulary string `name` to `buf`.
     fn put_name(&mut self, buf: &mut Vec<u8>, name: &str);
+
+    /// Appends a tuple-set id to `buf`.
+    fn put_id(&mut self, buf: &mut Vec<u8>, id: TupleSetId);
+
+    /// Appends an attribute's value to `buf`.
+    fn put_value(&mut self, buf: &mut Vec<u8>, value: &Value);
 }
 
-/// How the record codec reads back a vocabulary string that a
-/// [`NameWriter`] wrote.
+/// How the record codec reads back what a [`NameWriter`] wrote.
 pub trait NameReader {
     /// Reads one vocabulary string from the front of `r`.
     fn take_name(&self, r: &mut Reader<'_>, what: &'static str) -> Result<String, ModelError>;
+
+    /// Reads the record's own id.
+    fn take_id(&self, r: &mut Reader<'_>) -> Result<TupleSetId, ModelError>;
+
+    /// Reads the parent id of the record's derivation `k` (0-based, in
+    /// ancestry order).
+    fn take_parent(&self, r: &mut Reader<'_>, k: usize) -> Result<TupleSetId, ModelError>;
+
+    /// Reads one attribute value.
+    fn take_value(&self, r: &mut Reader<'_>) -> Result<Value, ModelError>;
 }
 
-/// Vocabulary strings as length-prefixed UTF-8: the canonical encoding.
+/// Every field spelled out: the canonical encoding.
 #[derive(Debug, Clone, Copy)]
 pub struct Literal;
 
@@ -230,13 +255,38 @@ impl NameWriter for Literal {
     fn put_name(&mut self, buf: &mut Vec<u8>, name: &str) {
         put_str(buf, name);
     }
+
+    fn put_id(&mut self, buf: &mut Vec<u8>, id: TupleSetId) {
+        id.encode_into(buf);
+    }
+
+    fn put_value(&mut self, buf: &mut Vec<u8>, value: &Value) {
+        value.encode_into(buf);
+    }
 }
 
 impl NameReader for Literal {
     fn take_name(&self, r: &mut Reader<'_>, what: &'static str) -> Result<String, ModelError> {
         take_string(r, what)
     }
+
+    fn take_id(&self, r: &mut Reader<'_>) -> Result<TupleSetId, ModelError> {
+        TupleSetId::decode_from(r)
+    }
+
+    fn take_parent(&self, r: &mut Reader<'_>, _k: usize) -> Result<TupleSetId, ModelError> {
+        TupleSetId::decode_from(r)
+    }
+
+    fn take_value(&self, r: &mut Reader<'_>) -> Result<Value, ModelError> {
+        Value::decode_from(r)
+    }
 }
+
+/// The value tag of a string written as the varint of a vocabulary
+/// code: one past [`Value`]'s own tags, so canonical decoding rejects it.
+/// Only resident encodings use it.
+pub const CODED_STR_TAG: u8 = 9;
 
 // ---------------------------------------------------------------------------
 // Primitive impls
@@ -504,7 +554,7 @@ impl Attributes {
         // BTreeMap iteration is sorted: the encoding is canonical.
         for (k, v) in self.iter() {
             names.put_name(buf, k);
-            v.encode_into(buf);
+            names.put_value(buf, v);
         }
     }
 
@@ -527,7 +577,7 @@ impl Attributes {
                     "attribute {k:?} is out of order or repeated"
                 )));
             }
-            let v = Value::decode_from(r)?;
+            let v = names.take_value(r)?;
             attrs.set(k, v);
         }
         Ok(attrs)

@@ -185,14 +185,15 @@ impl ProvenanceRecord {
     }
 
     /// Appends the record's encoding with its vocabulary strings
-    /// (attribute names, tool names and versions, tool parameter names)
-    /// written by `names`; with [`Literal`] these are the canonical bytes.
+    /// (attribute names, tool names and versions, tool parameter names),
+    /// its id, its parents' ids and its attribute values written by
+    /// `names`; with [`Literal`] these are the canonical bytes.
     pub fn encode_with(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) {
         self.encode_spans(names, buf);
     }
 
     /// Decodes a whole encoding written by [`ProvenanceRecord::encode_with`],
-    /// its vocabulary strings read by `names`.
+    /// what its writer wrote read back by `names`.
     pub fn decode_with(names: &impl NameReader, bytes: &[u8]) -> Result<Self, ModelError> {
         Ok(Self::decode_whole(names, bytes)?.0)
     }
@@ -202,7 +203,7 @@ impl ProvenanceRecord {
     /// annotations and the tail start, relative to the encoding's start.
     fn encode_spans(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) -> [usize; 2] {
         let start = buf.len();
-        self.id.encode_into(buf);
+        names.put_id(buf, self.id);
         encode_identity_head(&self.attributes, &self.ancestry, names, buf);
         let annotations_at = buf.len() - start;
         self.annotations.encode_into(buf);
@@ -381,13 +382,18 @@ impl Decode for ToolDescriptor {
 
 impl Derivation {
     fn encode_with(&self, names: &mut impl NameWriter, buf: &mut Vec<u8>) {
-        self.parent.encode_into(buf);
+        names.put_id(buf, self.parent);
         self.tool.encode_with(names, buf);
     }
 
-    fn decode_with(names: &impl NameReader, r: &mut Reader<'_>) -> Result<Self, ModelError> {
+    /// Decodes the record's derivation `k`.
+    fn decode_with(
+        names: &impl NameReader,
+        k: usize,
+        r: &mut Reader<'_>,
+    ) -> Result<Self, ModelError> {
         Ok(Derivation {
-            parent: TupleSetId::decode_from(r)?,
+            parent: names.take_parent(r, k)?,
             tool: ToolDescriptor::decode_with(names, r)?,
         })
     }
@@ -401,7 +407,7 @@ impl Encode for Derivation {
 
 impl Decode for Derivation {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, ModelError> {
-        Self::decode_with(&Literal, r)
+        Self::decode_with(&Literal, 0, r)
     }
 }
 
@@ -430,8 +436,8 @@ impl Encode for ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
-    /// Decodes a record from the front of `r`, vocabulary strings read
-    /// by `names`, and returns where its annotations and its identity
+    /// Decodes a record from the front of `r`, what its writer wrote
+    /// read back by `names`, and returns where its annotations and its identity
     /// tail start, relative to where it starts (the spans
     /// [`ProvenanceRecord::encode_spans`] reports).
     fn decode_spans(
@@ -439,9 +445,13 @@ impl ProvenanceRecord {
         r: &mut Reader<'_>,
     ) -> Result<(Self, [usize; 2]), ModelError> {
         let start = r.position();
-        let id = TupleSetId::decode_from(r)?;
+        let id = names.take_id(r)?;
         let attributes = Attributes::decode_with(names, r)?;
-        let ancestry = codec::take_list(r, |r| Derivation::decode_with(names, r))?;
+        let mut k = 0;
+        let ancestry = codec::take_list(r, |r| {
+            k += 1;
+            Derivation::decode_with(names, k - 1, r)
+        })?;
         let annotations_at = r.position() - start;
         let annotations = Vec::<Annotation>::decode_from(r)?;
         let tail_at = r.position() - start;

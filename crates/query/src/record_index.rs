@@ -11,19 +11,22 @@
 //! graph's [`NodeIdx`]: append-only byte chunks shared by `Arc`, so
 //! cloning an index (the copy-on-write path under a live snapshot)
 //! copies chunk pointers and one span per node, not records. A record's
-//! resident bytes are its canonical encoding (the bytes a store writes
-//! under its key) with every vocabulary string — attribute and tool
-//! parameter names, tool names and versions — replaced by the varint of
-//! its code in an append-only vocabulary the index owns and its clones
-//! share. [`IndexDelta::push`] writes them from the record itself,
-//! interning names it meets for the first time; a batch's records
-//! travel in one buffer of its [`IndexDelta`] and reach the table with
-//! one copy. Counting,
+//! resident bytes hold each fact once: they are its canonical encoding
+//! (the bytes a store writes under its key) without the record's id and
+//! its parents' ids, which the graph holds, and with every vocabulary
+//! string — attribute and tool parameter names, tool names and versions,
+//! and `Str` values met repeated — replaced by the varint of its code in
+//! an append-only vocabulary the index owns and its clones share
+//! ([`crate::vocabulary`] has the rule for values).
+//! [`IndexDelta::push`] writes them from the record itself, interning
+//! strings as it meets them; a batch's records travel in one buffer of
+//! its [`IndexDelta`] and reach the table with one copy. Counting,
 //! membership, ids, parents and the created-order scan never touch those
 //! bytes: they read the graph and a `created_at` column.
 //! [`RecordIndex::get`], [`RecordIndex::records`] and [`Provider::fetch`]
-//! decode a record on every call; [`RecordIndex::encoding`] hands out the
-//! bytes, holding their chunk and the vocabulary, to decode elsewhere.
+//! decode a record on every call, its id and parents read from the
+//! graph; [`RecordIndex::encoding`] hands out the bytes, holding their
+//! chunk, the vocabulary, the id and the parents, to decode elsewhere.
 
 use crate::ast::{LineageClause, Query};
 use crate::error::Result;
@@ -56,7 +59,7 @@ pub struct IndexDelta {
     records: Vec<Pending>,
     /// Every record's resident encoding, back to back in batch order.
     bytes: Vec<u8>,
-    /// The vocabulary codes the last pushed record's encoding wrote.
+    /// The name codes the last pushed record's encoding wrote.
     codes: Vec<u32>,
     /// Every record's parent edges, back to back in batch order.
     parents: Vec<(TupleSetId, bool)>,
@@ -173,9 +176,12 @@ impl Runs {
 
 impl IndexDelta {
     /// Adds `record`, held in its resident encoding, which this writes
-    /// from the record: the canonical encoding with each vocabulary
-    /// string written as its code, a name met for the first time getting
-    /// the next one here. Extracts the record's index entries: its
+    /// from the record: the canonical encoding without ids, each
+    /// vocabulary string written as its code (a name met for the first
+    /// time getting the next one here) and each `Str` value too when the
+    /// vocabulary holds its string or an earlier record of the delta holds
+    /// the same attribute value (its string then joins the vocabulary).
+    /// Extracts the record's index entries: its
     /// attributes (keyed by the codes just written, the one name lookup
     /// a row costs), the multi-valued `tool.name` / `tool.version`
     /// attributes, the `origin.site` / `created_at` / `ancestry.parents`
@@ -187,7 +193,18 @@ impl IndexDelta {
             .expect("a batch holds fewer records than a NodeIdx can count");
         self.parents.extend(record.ancestry.iter().map(|d| (d.parent, d.tool.abstracted)));
         self.codes.clear();
-        record.encode_with(&mut Interner::new(&self.vocabulary, &mut self.codes), &mut self.bytes);
+        let attrs = &self.attrs;
+        let repeated = |name: u32, value: &Value| {
+            attrs.get(&AttrKey::Name(name)).is_some_and(|values| values.contains_key(value))
+        };
+        let mut interner = Interner::for_record(
+            &self.vocabulary,
+            &mut self.codes,
+            record.attributes.len(),
+            &repeated,
+        );
+        record.encode_with(&mut interner, &mut self.bytes);
+        drop(interner);
         self.records.push(Pending {
             id: record.id,
             created_at: record.created_at,
@@ -365,7 +382,10 @@ impl RecordIndex {
     /// onto the record table, then each distinct attribute
     /// value's and token's run of nodes into its posting list, so
     /// maintenance cost is amortized over the batch and nothing is
-    /// sorted but the runs interning left out of order. The caller must
+    /// sorted but the runs interning left out of order. A `Str` value
+    /// the delta holds once, uncoded, whose attribute pair the index
+    /// already held, joins the vocabulary here: the index now holds it
+    /// for two records. The caller must
     /// not pass ids already stored, nor a delta made for an unrelated
     /// index (it panics: the codes would name another vocabulary's
     /// strings). The time index is left unsorted (overlap queries still
@@ -414,9 +434,22 @@ impl RecordIndex {
         parents.clear();
         runs.build(attr_rows, idxs);
         let names = vocabulary.read();
+        let mut joining = Vec::new();
         for (key, values) in std::mem::take(attrs) {
             let name = match key {
-                AttrKey::Name(code) => names.name(code).expect("a delta's codes are interned"),
+                AttrKey::Name(code) => {
+                    let name = names.name(code).expect("a delta's codes are interned");
+                    // A value two of the delta's records hold joined at
+                    // the second's push; one it holds once joins here.
+                    joining.extend(values.iter().filter_map(|(value, &group)| {
+                        let text = value.as_str()?;
+                        let joins = runs.run(group).len() == 1
+                            && names.code(text).is_none()
+                            && self.attrs.contains(name, value);
+                        joins.then(|| text.to_owned())
+                    }));
+                    name
+                }
                 AttrKey::Pseudo(name) => name,
             };
             self.attrs.insert_bulk(
@@ -425,6 +458,9 @@ impl RecordIndex {
             );
         }
         drop(names);
+        for text in joining {
+            vocabulary.intern(&text);
+        }
         attr_rows.clear();
         runs.build(token_rows, idxs);
         self.keywords.insert_bulk(
@@ -439,13 +475,22 @@ impl RecordIndex {
         self.created_scans = CreatedScanCache::default();
     }
 
+    /// The node of `id`, a placeholder until its record is inserted.
+    /// Numbering ids ahead of their records, in the order the records
+    /// will arrive, keeps a bulk load's nodes ascending across deltas, so
+    /// each posting run appends at its list's tail.
+    pub fn number(&mut self, id: TupleSetId) -> NodeIdx {
+        self.graph.intern(id)
+    }
+
     /// Sorts the time index after inserts (a no-op when nothing changed).
     pub fn sort_time(&mut self) {
         self.time.build();
     }
 
     /// `record` in its resident encoding, written against this index's
-    /// vocabulary (a name it has not met gets its code here), for
+    /// vocabulary (a name it has not met gets its code here; a value is a
+    /// code only when the vocabulary holds its string already), for
     /// [`RecordIndex::annotate`] on this index or a clone of it.
     pub fn resident(&self, record: &ProvenanceRecord) -> ResidentRecord {
         let vocabulary = Arc::clone(self.records.vocabulary());
@@ -515,14 +560,28 @@ impl RecordIndex {
 
     /// The record stored under `id`, decoded.
     pub fn get(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.records.decode(self.stored_node(id)?)
+        self.decode(self.stored_node(id)?)
+    }
+
+    /// The record stored at `idx`, decoded with its id and its parents'
+    /// ids from the graph (`None` for placeholders and unknown nodes).
+    fn decode(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
+        let id = self.graph.resolve(idx)?;
+        self.records.decode(idx, id, &self.parent_ids(idx))
+    }
+
+    /// The ids of `idx`'s parents, in ancestry order.
+    fn parent_ids(&self, idx: NodeIdx) -> Vec<TupleSetId> {
+        self.graph.parents_of(idx).iter().filter_map(|e| self.graph.resolve(e.node)).collect()
     }
 
     /// The resident encoding of the record stored under `id`, holding
-    /// its chunk and the vocabulary: a caller under a lock takes it there
-    /// and decodes it ([`RecordBytes::decode`]) after leaving the lock.
+    /// its chunk, the vocabulary, the id and its parents' ids: a caller
+    /// under a lock takes it there and decodes it
+    /// ([`RecordBytes::decode`]) after leaving the lock.
     pub fn encoding(&self, id: TupleSetId) -> Option<RecordBytes> {
-        self.records.share(self.stored_node(id)?)
+        let idx = self.stored_node(id)?;
+        self.records.share(idx, id, self.parent_ids(idx))
     }
 
     /// True when the record is stored here.
@@ -530,9 +589,14 @@ impl RecordIndex {
         self.stored_node(id).is_some()
     }
 
+    /// True when a record is stored at `idx` (false for placeholders).
+    pub fn stores(&self, idx: NodeIdx) -> bool {
+        self.records.contains(idx)
+    }
+
     /// Every stored record, decoded one at a time (in node order).
     pub fn records(&self) -> impl Iterator<Item = ProvenanceRecord> + '_ {
-        self.records.records()
+        self.records.nodes().filter_map(|idx| self.decode(idx))
     }
 
     /// Every stored record's id (in node order).
@@ -543,8 +607,7 @@ impl RecordIndex {
     /// Direct parents of a stored record, in ancestry order (a parent
     /// named twice is listed twice).
     pub fn parents_of(&self, id: TupleSetId) -> Option<Vec<TupleSetId>> {
-        let idx = self.stored_node(id)?;
-        Some(self.graph.parents_of(idx).iter().filter_map(|e| self.graph.resolve(e.node)).collect())
+        Some(self.parent_ids(self.stored_node(id)?))
     }
 
     /// The ancestry graph (placeholders included).
@@ -557,11 +620,12 @@ impl RecordIndex {
         self.attrs.len()
     }
 
-    /// Approximate bytes held by the indexes, the `created_at` column and
-    /// the vocabulary (the record table excluded; see
-    /// [`RecordIndex::record_bytes`]).
+    /// Approximate bytes held by the indexes, the `created_at` column,
+    /// the record table's span array and the vocabulary (the records'
+    /// bytes excluded; see [`RecordIndex::record_bytes`]).
     pub fn size_bytes(&self) -> usize {
         self.records.vocabulary().size_bytes()
+            + self.records.span_bytes()
             + self.attrs.size_bytes()
             + self.keywords.size_bytes()
             + self.graph.size_bytes()
@@ -569,10 +633,16 @@ impl RecordIndex {
             + self.created.capacity() * std::mem::size_of::<Timestamp>()
     }
 
-    /// Total bytes of the resident record encodings (vocabulary strings
-    /// as codes).
+    /// Total bytes of the resident record encodings (no ids, vocabulary
+    /// strings as codes).
     pub fn record_bytes(&self) -> usize {
         self.records.record_bytes()
+    }
+
+    /// Number of strings in the vocabulary: names, and values met
+    /// repeated.
+    pub fn vocabulary_len(&self) -> usize {
+        self.records.vocabulary().len()
     }
 
     /// [`Provider::lineage`]: breadth-first over the graph; placeholder
@@ -640,7 +710,7 @@ impl Provider for RecordIndex {
     }
     /// Decodes the record's resident bytes.
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        self.records.decode(idx)
+        self.decode(idx)
     }
     /// Built once per index state from the `created_at` column and
     /// shared by every cursor (O(n log n) on the first ordered query
@@ -676,7 +746,7 @@ mod tests {
     use pass_model::codec::{varint_len, Decode, Encode};
     use pass_model::{Digest128, ProvenanceBuilder, SiteId, ToolDescriptor};
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     fn record(domain: &str, n: u8) -> ProvenanceRecord {
         ProvenanceBuilder::new(SiteId(1), Timestamp(u64::from(n)))
@@ -684,37 +754,112 @@ mod tests {
             .build(Digest128::of(&[n]))
     }
 
-    /// A reference for the codes an index hands out: names are numbered
-    /// in the order records are pushed, each record's in encoding order.
+    /// A record attribute's `(name, value)` pair.
+    type Pair = (String, Value);
+
+    /// A reference for the resident encoding: the vocabulary an index
+    /// builds, numbered as it numbers strings, and the attribute pairs it
+    /// holds.
     #[derive(Default)]
-    struct Codes(HashMap<String, u64>);
+    struct Codes {
+        vocab: HashMap<String, u64>,
+        held: BTreeSet<Pair>,
+    }
+
+    /// The record attribute pairs of a delta, each with how many of its
+    /// records hold it.
+    type DeltaPairs = BTreeMap<Pair, usize>;
 
     impl Codes {
-        /// The vocabulary strings of `record`, in encoding order.
-        fn names(record: &ProvenanceRecord) -> Vec<&str> {
-            let mut out: Vec<&str> = record.attributes.names().collect();
+        fn intern(&mut self, text: &str) -> u64 {
+            let next = self.vocab.len() as u64;
+            *self.vocab.entry(text.to_owned()).or_insert(next)
+        }
+
+        /// `len` with the spelled-out `text` replaced by `code`.
+        fn coded(len: usize, text: &str, code: u64) -> usize {
+            len - text.len() - varint_len(text.len() as u64) + varint_len(code)
+        }
+
+        /// `len` with the name `text` written as its code.
+        fn name(&mut self, len: usize, text: &str) -> usize {
+            let code = self.intern(text);
+            Self::coded(len, text, code)
+        }
+
+        /// `len` with `value` written as the index writes it: a string
+        /// the vocabulary holds as its code, one that `joins` too.
+        fn value(&mut self, len: usize, value: &Value, joins: bool) -> usize {
+            let Value::Str(text) = value else { return len };
+            match self.vocab.get(text.as_str()) {
+                Some(&code) => Self::coded(len, text, code),
+                None if joins => {
+                    let code = self.intern(text);
+                    Self::coded(len, text, code)
+                }
+                None => len,
+            }
+        }
+
+        /// The resident length of `record`, encoded now, interning as the
+        /// index does: the canonical length less the ids, names as codes,
+        /// `Str` values as codes when the vocabulary holds them or (given
+        /// `delta`, the pairs of the delta's earlier records) when the
+        /// pair repeats in the delta.
+        fn encode(&mut self, record: &ProvenanceRecord, delta: Option<&DeltaPairs>) -> usize {
+            let ids = TupleSetId::WIDTH * (1 + record.ancestry.len());
+            let mut len = record.encode_to_vec().len() - ids;
+            for (name, value) in record.attributes.iter() {
+                len = self.name(len, name);
+                let joins =
+                    delta.is_some_and(|d| d.contains_key(&(name.to_owned(), value.clone())));
+                len = self.value(len, value, joins);
+            }
             for d in &record.ancestry {
-                out.extend([d.tool.name.as_str(), d.tool.version.as_str()]);
-                out.extend(d.tool.params.names());
+                len = self.name(len, &d.tool.name);
+                len = self.name(len, &d.tool.version);
+                for (name, value) in d.tool.params.iter() {
+                    len = self.name(len, name);
+                    len = self.value(len, value, false);
+                }
             }
-            out
+            len
         }
 
-        /// Numbers the names of a record pushed into a delta.
-        fn note(&mut self, record: &ProvenanceRecord) {
-            for name in Self::names(record) {
-                let next = self.0.len() as u64;
-                self.0.entry(name.to_owned()).or_insert(next);
+        /// Pushes `record` into a delta: its resident length.
+        fn push(&mut self, record: &ProvenanceRecord, delta: &mut DeltaPairs) -> usize {
+            let len = self.encode(record, Some(delta));
+            for (name, value) in record.attributes.iter() {
+                *delta.entry((name.to_owned(), value.clone())).or_default() += 1;
             }
+            len
         }
 
-        /// The resident length of a noted record: its canonical length,
-        /// less each vocabulary string's bytes and length varint, plus
-        /// the varint of its code.
-        fn resident_len(&self, record: &ProvenanceRecord) -> usize {
-            Self::names(record).iter().fold(record.encode_to_vec().len(), |len, name| {
-                len - name.len() - varint_len(name.len() as u64) + varint_len(self.0[*name])
-            })
+        /// Merges a delta: a string value it holds once, uncoded, joins
+        /// the vocabulary when the index held its pair already (in the
+        /// index's order: by the name's code, then by value).
+        fn merge(&mut self, delta: DeltaPairs) {
+            let mut joining: Vec<(u64, &Value)> = delta
+                .iter()
+                .filter(|((_, value), &count)| {
+                    count == 1 && value.as_str().is_some_and(|text| !self.vocab.contains_key(text))
+                })
+                .filter(|(pair, _)| self.held.contains(*pair))
+                .map(|((name, value), _)| (self.vocab[name.as_str()], value))
+                .collect();
+            joining.sort();
+            for (_, value) in joining {
+                self.intern(value.as_str().unwrap_or_default());
+            }
+            self.held.extend(delta.into_keys());
+        }
+
+        /// One record's insert in a delta of its own: its resident length.
+        fn insert(&mut self, record: &ProvenanceRecord) -> usize {
+            let mut delta = DeltaPairs::new();
+            let len = self.push(record, &mut delta);
+            self.merge(delta);
+            len
         }
     }
 
@@ -727,12 +872,24 @@ mod tests {
         index.insert(&b);
         index.insert(&a); // idempotent
         assert_eq!(index.len(), 2);
-        // One name, "domain", written as a one-byte code instead of a
-        // length byte and six bytes.
+        // No ids, and one name, "domain", written as a one-byte code
+        // instead of a length byte and six bytes; each value is met once.
         let canonical = a.encode_to_vec().len() + b.encode_to_vec().len();
-        assert_eq!(index.record_bytes(), canonical - 2 * 6);
+        assert_eq!(index.record_bytes(), canonical - 2 * 16 - 2 * 6);
         let res = index.query(&crate::parse(r#"FIND WHERE domain = "traffic""#).unwrap()).unwrap();
         assert_eq!(res.ids(), vec![a.id]);
+        // A third "traffic" finds the pair held once: the string joins
+        // the vocabulary at that merge, and a fourth is written as its
+        // code (a tag and a one-byte code for a length byte and seven).
+        let c = record("traffic", 3);
+        let d = record("traffic", 4);
+        let vocabulary = index.vocabulary_len();
+        index.insert(&c);
+        assert_eq!(index.vocabulary_len(), vocabulary + 1);
+        index.insert(&d);
+        let spelled = c.encode_to_vec().len() - 16 - 6 + d.encode_to_vec().len() - 16 - 6;
+        assert_eq!(index.record_bytes(), canonical - 2 * 16 - 2 * 6 + spelled - 7);
+        assert_eq!(index.get(d.id), Some(d));
     }
 
     #[test]
@@ -796,15 +953,15 @@ mod tests {
     }
 
     /// Everything the index answers, checked against the decoded oracle
-    /// and the reference codes.
+    /// and the reference's resident lengths.
     fn assert_agrees(
         index: &RecordIndex,
         oracle: &BTreeMap<TupleSetId, ProvenanceRecord>,
-        codes: &Codes,
+        lens: &HashMap<TupleSetId, usize>,
     ) {
         assert_eq!(index.len(), oracle.len());
         assert_eq!(index.is_empty(), oracle.is_empty());
-        let resident: usize = oracle.values().map(|r| codes.resident_len(r)).sum();
+        let resident: usize = oracle.keys().map(|id| lens[id]).sum();
         assert_eq!(index.record_bytes(), resident);
         let mut ids: Vec<TupleSetId> = index.record_ids().collect();
         ids.sort_unstable();
@@ -891,6 +1048,7 @@ mod tests {
             let mut index = RecordIndex::new();
             let mut oracle: BTreeMap<TupleSetId, ProvenanceRecord> = BTreeMap::new();
             let mut codes = Codes::default();
+            let mut lens: HashMap<TupleSetId, usize> = HashMap::new();
             for (op, a, b) in ops {
                 let pick = &pool[a % n];
                 match op {
@@ -898,20 +1056,22 @@ mod tests {
                         // Stored records keep their (annotated) bytes.
                         index.insert(pick);
                         oracle.entry(pick.id).or_insert_with(|| {
-                            codes.note(pick);
+                            lens.insert(pick.id, codes.insert(pick));
                             pick.clone()
                         });
                     }
                     1 => {
                         let mut delta = index.delta(4);
+                        let mut pairs = DeltaPairs::new();
                         for record in (0..=b % 4).map(|k| &pool[(a + k) % n]) {
                             oracle.entry(record.id).or_insert_with(|| {
                                 delta.push(record);
-                                codes.note(record);
+                                lens.insert(record.id, codes.push(record, &mut pairs));
                                 record.clone()
                             });
                         }
                         index.insert_delta(&mut delta);
+                        codes.merge(pairs);
                         index.sort_time();
                     }
                     2 => {
@@ -920,10 +1080,11 @@ mod tests {
                             Some(record) => {
                                 record.annotate(note.clone());
                                 let resident = index.resident(record);
+                                lens.insert(record.id, codes.encode(record, None));
                                 prop_assert!(index.annotate(&resident, &[note]));
                             }
                             None => {
-                                codes.note(pick);
+                                codes.encode(pick, None);
                                 let resident = index.resident(pick);
                                 prop_assert!(!index.annotate(&resident, &[note]));
                             }
@@ -935,10 +1096,10 @@ mod tests {
                         let mut copy = index.clone();
                         copy.insert(pick);
                         if !oracle.contains_key(&pick.id) {
-                            codes.note(pick);
+                            lens.insert(pick.id, codes.insert(pick));
                         }
                         prop_assert_eq!((index.created_scan(false), index.created_scan(true)), before);
-                        assert_agrees(&index, &oracle, &codes);
+                        assert_agrees(&index, &oracle, &lens);
                         oracle.entry(pick.id).or_insert_with(|| pick.clone());
                         index = copy;
                     }
@@ -948,7 +1109,7 @@ mod tests {
                         index.created_scan(true);
                     }
                 }
-                assert_agrees(&index, &oracle, &codes);
+                assert_agrees(&index, &oracle, &lens);
             }
             for record in pool.iter().filter(|r| !oracle.contains_key(&r.id)) {
                 assert_absent(&index, record.id);
@@ -980,15 +1141,17 @@ mod tests {
             let mut codes = Codes::default();
             let mut index = RecordIndex::new();
             index.insert(&filler);
-            codes.note(&filler);
+            codes.insert(&filler);
             let before = index.clone();
             let (first, second) = records.split_at(split.min(records.len()));
             let mut deltas = [first, second].map(|part| {
                 let mut delta = index.delta(part.len());
+                let mut pairs = DeltaPairs::new();
                 for record in part {
                     delta.push(record);
-                    codes.note(record);
+                    codes.push(record, &mut pairs);
                 }
+                codes.merge(pairs);
                 delta
             });
             if !a_first {
@@ -1009,14 +1172,16 @@ mod tests {
             let snapshot = index.clone();
             prop_assert!(index.annotate(&index.resident(&annotated), &annotated.annotations));
 
-            let expect = |index: &RecordIndex, stored: &[&ProvenanceRecord]| {
+            // Every value is an integer, so a record's resident length is
+            // fixed once its names have codes.
+            let mut expect = |index: &RecordIndex, stored: &[&ProvenanceRecord]| {
                 assert_eq!(index.len(), stored.len());
                 for record in stored {
                     let canonical = ProvenanceRecord::decode_all(&record.encode_to_vec()).unwrap();
                     assert_eq!(index.get(record.id).as_ref(), Some(&canonical));
                     assert_eq!(index.encoding(record.id).unwrap().decode(), Some(canonical));
                 }
-                let resident: usize = stored.iter().map(|r| codes.resident_len(r)).sum();
+                let resident: usize = stored.iter().map(|r| codes.encode(r, None)).sum();
                 assert_eq!(index.record_bytes(), resident);
             };
             let mut stored: Vec<&ProvenanceRecord> = vec![&filler, &annotated];

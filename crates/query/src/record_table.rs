@@ -1,13 +1,17 @@
 //! The record table: every stored record's resident encoding, by
 //! [`NodeIdx`], in append-only byte chunks shared by `Arc`.
 //!
-//! A resident encoding is the record's canonical encoding with each
-//! vocabulary string (attribute and tool parameter names, tool names and
-//! versions) replaced by the varint of its code in the table's
-//! [`Vocabulary`], which the table owns and its clones share by `Arc`
-//! (codes are append-only, so a clone's records keep decoding). The
-//! table stores and hands out bytes; [`crate::record_index::IndexDelta`]
-//! writes them.
+//! A resident encoding holds only what no index holds: the record's
+//! canonical encoding without its id and its parents' ids (the ancestry
+//! graph holds both, parents in ancestry order), with each vocabulary
+//! string (attribute and tool parameter names, tool names and versions)
+//! and each `Str` value whose string the vocabulary holds written as the
+//! varint of its code in the table's [`Vocabulary`], which the table owns
+//! and its clones share by `Arc` (codes are append-only, so a clone's
+//! records keep decoding). The table stores and hands out bytes;
+//! [`crate::record_index::IndexDelta`] writes them, and decoding takes
+//! the id and the parents from the caller, which reads them from the
+//! graph.
 //!
 //! A node's record is a span (chunk, offset, length) into one chunk.
 //! Chunks are only ever appended to, and only the last one, the tail,
@@ -20,9 +24,9 @@
 //! appends its new encoding and re-points the span; the old bytes stay
 //! in their chunk, unreferenced.
 
-use crate::vocabulary::Vocabulary;
+use crate::vocabulary::{Resident, Vocabulary};
 use pass_index::NodeIdx;
-use pass_model::ProvenanceRecord;
+use pass_model::{ModelError, ProvenanceRecord, TupleSetId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -75,27 +79,43 @@ pub struct RecordTable {
 }
 
 /// One record's resident bytes, borrowed from its chunk by holding the
-/// chunk's `Arc`, with the vocabulary they decode with: a reader can
-/// take it under a lock and decode it after releasing the lock, while
-/// appends to the table go on.
+/// chunk's `Arc`, with the vocabulary they decode with and the record's
+/// id and parents' ids: a reader can take it under a lock and decode it
+/// after releasing the lock, while appends to the table go on.
 #[derive(Clone, Debug)]
 pub struct RecordBytes {
     chunk: Arc<Vec<u8>>,
     range: Range<usize>,
     vocabulary: Arc<Vocabulary>,
+    id: TupleSetId,
+    parents: Vec<TupleSetId>,
 }
 
 impl RecordBytes {
     /// Decodes the record.
     pub fn decode(&self) -> Option<ProvenanceRecord> {
-        decode(&self.vocabulary, &self.chunk[self.range.clone()])
+        decode(&self.vocabulary, &self.chunk[self.range.clone()], self.id, &self.parents)
     }
 }
 
-/// Decodes resident bytes. They came from the encoder, so a failure here
-/// is a bug, not bad input.
-fn decode(vocabulary: &Vocabulary, bytes: &[u8]) -> Option<ProvenanceRecord> {
-    let record = ProvenanceRecord::decode_with(&*vocabulary.read(), bytes);
+/// Decodes resident bytes, given the record's id and its parents' ids in
+/// ancestry order. The bytes came from the encoder and the ids from the
+/// graph, so a failure here is a bug, not bad input.
+fn decode(
+    vocabulary: &Vocabulary,
+    bytes: &[u8],
+    id: TupleSetId,
+    parents: &[TupleSetId],
+) -> Option<ProvenanceRecord> {
+    let names = vocabulary.read();
+    let record = ProvenanceRecord::decode_with(&Resident { names: &names, id, parents }, bytes)
+        .and_then(|record| {
+            if record.ancestry.len() == parents.len() {
+                Ok(record)
+            } else {
+                Err(ModelError::Invalid(format!("{id}: the graph names more parents")))
+            }
+        });
     debug_assert!(record.is_ok(), "resident record fails to decode: {record:?}");
     record.ok()
 }
@@ -215,18 +235,31 @@ impl RecordTable {
         Some(&self.chunks[span.chunk as usize][span.range()])
     }
 
-    /// The record of `idx`, decoded.
-    pub fn decode(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        decode(&self.vocabulary, self.get(idx)?)
+    /// The record of `idx`, decoded with its id and its parents' ids.
+    pub fn decode(
+        &self,
+        idx: NodeIdx,
+        id: TupleSetId,
+        parents: &[TupleSetId],
+    ) -> Option<ProvenanceRecord> {
+        decode(&self.vocabulary, self.get(idx)?, id, parents)
     }
 
-    /// The record of `idx`, holding its chunk and the vocabulary.
-    pub fn share(&self, idx: NodeIdx) -> Option<RecordBytes> {
+    /// The record of `idx`, holding its chunk, the vocabulary, its id and
+    /// its parents' ids.
+    pub fn share(
+        &self,
+        idx: NodeIdx,
+        id: TupleSetId,
+        parents: Vec<TupleSetId>,
+    ) -> Option<RecordBytes> {
         let span = self.span(idx)?;
         Some(RecordBytes {
             chunk: Arc::clone(&self.chunks[span.chunk as usize]),
             range: span.range(),
             vocabulary: Arc::clone(&self.vocabulary),
+            id,
+            parents,
         })
     }
 
@@ -248,11 +281,6 @@ impl RecordTable {
             .map(|(idx, _)| idx as NodeIdx)
     }
 
-    /// Every stored record, decoded one at a time, in node order.
-    pub fn records(&self) -> impl Iterator<Item = ProvenanceRecord> + '_ {
-        self.nodes().filter_map(|idx| self.decode(idx))
-    }
-
     /// Number of nodes with a record.
     pub fn len(&self) -> usize {
         self.stored
@@ -266,6 +294,11 @@ impl RecordTable {
     /// Total length of the stored records' resident bytes.
     pub fn record_bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// Heap bytes of the span array: 12 per node, by capacity.
+    pub fn span_bytes(&self) -> usize {
+        self.spans.capacity() * std::mem::size_of::<Span>()
     }
 }
 
@@ -322,7 +355,7 @@ mod tests {
             table.set(n, &record(n as usize, 300));
         }
         let copy = table.clone();
-        let held = table.share(399).unwrap();
+        let held = table.share(399, TupleSetId(399), Vec::new()).unwrap();
         table.set(0, &record(9, 50));
         table.set(400, &record(400, 300));
         assert_eq!(copy.get(0), Some(record(0, 300).as_slice()));

@@ -4,8 +4,8 @@
 
 use pass_index::{BfsClosure, Direction, PostingList, ReachStrategy};
 use pass_model::{
-    Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp, ToolDescriptor,
-    TupleSetId, Value,
+    Annotation, Digest128, ProvenanceBuilder, ProvenanceRecord, SiteId, TimeRange, Timestamp,
+    ToolDescriptor, TupleSetId, Value,
 };
 use pass_query::{
     execute, CmpOp, LineageClause, OrderBy, Predicate, Provider, Query, QueryEngine, RecordIndex,
@@ -324,5 +324,136 @@ proptest! {
             paged.extend(batch);
         }
         prop_assert_eq!(full, paged);
+    }
+}
+
+/// A record of the round-trip corpus: a pick of repeated string values,
+/// whether it also holds a string no other record holds, picks of
+/// earlier records as parents, whether it names its first parent twice,
+/// whether it names a foreign parent, and how many annotations it has.
+type RoundTripSpec = (usize, bool, Vec<usize>, bool, bool, u8);
+
+fn arb_round_trip_spec() -> impl Strategy<Value = RoundTripSpec> {
+    (
+        0usize..16,
+        any::<bool>(),
+        proptest::collection::vec(0usize..64, 0..3),
+        any::<bool>(),
+        any::<bool>(),
+        0u8..3,
+    )
+}
+
+/// Record `i` of the round-trip corpus, derived from `earlier` records.
+/// Its string values (of attributes and of a tool parameter) repeat
+/// across the corpus or are its own.
+fn round_trip_record(
+    i: usize,
+    (pick, unique, parents, twice, foreign, notes): &RoundTripSpec,
+    earlier: &[ProvenanceRecord],
+) -> ProvenanceRecord {
+    let mut builder = ProvenanceBuilder::new(SiteId(1), Timestamp(i as u64 % 3))
+        .attr("domain", STR_VALUES[pick % STR_VALUES.len()])
+        .attr("region", STR_VALUES[pick / 4 % STR_VALUES.len()])
+        .attr("level", (pick % 3) as i64);
+    if *unique {
+        builder = builder.attr("serial", format!("serial-{i}"));
+    }
+    let tool = ToolDescriptor::new("aggregate", "1")
+        .with_param("source", STR_VALUES[pick / 2 % STR_VALUES.len()])
+        .with_param("run", format!("run-{i}"));
+    let named: Vec<TupleSetId> = match earlier.len() {
+        0 => Vec::new(),
+        len => parents.iter().map(|p| earlier[p % len].id).collect(),
+    };
+    for &parent in &named {
+        builder = builder.derived_from(parent, tool.clone());
+    }
+    if let (true, Some(&first)) = (twice, named.first()) {
+        builder = builder.derived_from(first, tool.clone());
+    }
+    if *foreign {
+        builder =
+            builder.derived_from(TupleSetId(FOREIGN + i as u128), ToolDescriptor::new("x", "9"));
+    }
+    let mut record = builder.build(Digest128::of(&(i as u64).to_be_bytes()));
+    for k in 0..*notes {
+        record.annotate(Annotation::new(
+            Timestamp(u64::from(k)),
+            "ops",
+            format!("note {k} of {i}"),
+        ));
+    }
+    record
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Resident records hold no ids and write repeated string values as
+    /// vocabulary codes, yet decode to exactly the input. Records are
+    /// stored in a random order over several deltas, so parents are
+    /// stored before their children, after them or never (placeholders),
+    /// and string values join the vocabulary at a push or at a merge. A
+    /// clone is taken after every delta: its `get`, `records()` and
+    /// `encoding(id).decode()` (the encoding taken on the clone before
+    /// the later commits, decoded after them) all equal the input.
+    #[test]
+    fn resident_records_round_trip(
+        specs in proptest::collection::vec(arb_round_trip_spec(), 2..24),
+        keys in proptest::collection::vec(any::<u16>(), 24),
+        stored in proptest::collection::vec(0u8..5, 24),
+        cuts in proptest::collection::vec(1usize..6, 1..8),
+    ) {
+        let mut records: Vec<ProvenanceRecord> = Vec::with_capacity(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let record = round_trip_record(i, spec, &records);
+            records.push(record);
+        }
+        // A fifth of the records is never stored: a placeholder for good.
+        let mut order: Vec<usize> = (0..records.len()).filter(|&i| stored[i] > 0).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        let mut index = RecordIndex::new();
+        let mut clones = Vec::new();
+        let mut held = Vec::new();
+        let mut at = 0;
+        for cut in cuts.iter().cycle() {
+            if at == order.len() {
+                break;
+            }
+            let end = (at + cut).min(order.len());
+            let mut delta = index.delta(end - at);
+            for &i in &order[at..end] {
+                delta.push(&records[i]);
+            }
+            index.insert_delta(&mut delta);
+            index.sort_time();
+            at = end;
+            let clone = index.clone();
+            for &i in &order[..at] {
+                held.push((i, clone.encoding(records[i].id).unwrap()));
+            }
+            clones.push((clone, at));
+        }
+        for (clone, count) in &clones {
+            let mut expect: Vec<&ProvenanceRecord> = order[..*count].iter().map(|&i| &records[i]).collect();
+            expect.sort_by_key(|r| r.id);
+            prop_assert_eq!(clone.len(), expect.len());
+            for record in &expect {
+                prop_assert_eq!(clone.get(record.id).as_ref(), Some(*record));
+                prop_assert_eq!(clone.encoding(record.id).unwrap().decode().as_ref(), Some(*record));
+            }
+            let mut all: Vec<ProvenanceRecord> = clone.records().collect();
+            all.sort_by_key(|r| r.id);
+            prop_assert_eq!(all.iter().collect::<Vec<_>>(), expect);
+            for (i, record) in records.iter().enumerate() {
+                if !order[..*count].contains(&i) {
+                    prop_assert_eq!(clone.get(record.id), None);
+                }
+            }
+        }
+        for (i, bytes) in held {
+            prop_assert_eq!(bytes.decode().as_ref(), Some(&records[i]));
+        }
     }
 }
